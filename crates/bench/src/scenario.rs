@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 
 use maestro::{Maestro, MaestroConfig, MaestroSnapshot, Policy};
 use maestro_fleet::{Fleet, FleetConfig, FleetFaultPlan};
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
 use maestro_machine::Cost;
 use maestro_runtime::TaskSpec;
 use maestro_service::{
@@ -268,17 +268,19 @@ const FLEET_SNAP_MAGIC: &str = "maestro-fleet-node-snap/v1";
 /// scenario name travels with the bytes, so the replay CLI can rebuild the
 /// exact [`FleetConfig`] the shard was running under.
 pub fn write_fleet_node_snapshot(scenario_name: &str, fleet: &Fleet, node: usize) -> Vec<u8> {
+    let file = FleetNodeSnapshot {
+        scenario: scenario_name.to_string(),
+        node_blob: fleet.snapshot_node(node),
+    };
     let mut w = SnapWriter::new();
-    w.str(FLEET_SNAP_MAGIC);
-    w.str(scenario_name);
-    w.blob(&fleet.snapshot_node(node));
+    file.codec(&mut w).expect("live state encodes");
     w.finish()
 }
 
 /// A parsed fleet node snapshot file: scenario name plus the inner
 /// [`Fleet::snapshot_node`] blob (validated against the scenario's config
 /// fingerprint at restore time).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FleetNodeSnapshot {
     /// The fleet scenario the shard was running under.
     pub scenario: String,
@@ -286,17 +288,24 @@ pub struct FleetNodeSnapshot {
     pub node_blob: Vec<u8>,
 }
 
+impl FleetNodeSnapshot {
+    /// The file layout (see [`Codec`]): format magic, scenario name, node
+    /// blob.
+    fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
+        if c.str(FLEET_SNAP_MAGIC)? != FLEET_SNAP_MAGIC {
+            return Err(SnapError::Corrupt("not a fleet node snapshot"));
+        }
+        Ok(FleetNodeSnapshot { scenario: c.str(&self.scenario)?, node_blob: c.blob(&self.node_blob)? })
+    }
+}
+
 /// Parse a fleet node snapshot file. `Err` means the bytes are not this
 /// format (fall through to other snapshot kinds) or are truncated.
 pub fn read_fleet_node_snapshot(bytes: &[u8]) -> Result<FleetNodeSnapshot, SnapError> {
     let mut r = SnapReader::new(bytes);
-    if r.str()? != FLEET_SNAP_MAGIC {
-        return Err(SnapError::Corrupt("not a fleet node snapshot"));
-    }
-    let scenario = r.str()?;
-    let node_blob = r.blob()?.to_vec();
+    let file = FleetNodeSnapshot::default().codec(&mut r)?;
     r.finish()?;
-    Ok(FleetNodeSnapshot { scenario, node_blob })
+    Ok(file)
 }
 
 /// The nearest snapshot at or before `failure_t_ns` — the time-travel entry
@@ -490,6 +499,12 @@ mod tests {
         assert_eq!(node.trace(), fleet.node(2).trace());
         // A Maestro snapshot is not mistaken for a fleet one and vice versa.
         assert!(read_fleet_node_snapshot(b"garbage").is_err());
+        maestro_machine::snap::assert_rejects_corruption(&bytes, |input| {
+            let file = read_fleet_node_snapshot(input)?;
+            let (mut node, _) = Fleet::restore_node(&sc.config, &file.node_blob)?;
+            node.advance_to(node.now_ns().saturating_add(1_000_000_000));
+            Ok(())
+        });
     }
 
     #[test]

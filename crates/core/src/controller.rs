@@ -19,24 +19,22 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
 use maestro_machine::{FaultPlan, Machine};
 use maestro_rapl::RetryPolicy;
 use maestro_rcr::{
-    Level, MeterThresholds, Supervisor, SupervisorConfig, SupervisorStats, ThrottleSignals,
+    Level, MeterThresholds, Supervisor, SupervisorConfig, SupervisorState, SupervisorStats,
+    ThrottleSignals,
 };
 use maestro_runtime::{Monitor, ThrottleState};
 
-fn snap_level(w: &mut SnapWriter, level: Level) {
-    w.u8(match level {
+fn level_codec<C: Codec>(c: &mut C, level: Level) -> Result<Level, SnapError> {
+    let tag = match level {
         Level::Low => 0,
         Level::Medium => 1,
         Level::High => 2,
-    });
-}
-
-fn restore_level(r: &mut SnapReader<'_>) -> Result<Level, SnapError> {
-    match r.u8()? {
+    };
+    match c.u8(tag)? {
         0 => Ok(Level::Low),
         1 => Ok(Level::Medium),
         2 => Ok(Level::High),
@@ -87,7 +85,7 @@ pub struct ControllerConfig {
 }
 
 /// One controller decision, recorded for analysis.
-#[derive(Copy, Clone, Debug, PartialEq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct ControllerSample {
     /// Virtual time of the decision, nanoseconds.
     pub t_ns: u64,
@@ -139,7 +137,7 @@ pub type TraceHandle = Rc<RefCell<ControllerTrace>>;
 /// Restoring it on an epoch change keeps recovery from re-deciding off
 /// post-restart warm-up artifacts (an empty power window classifies as
 /// zero Watts, i.e. Low) and re-triggering a spurious transition.
-#[derive(Copy, Clone, Debug, PartialEq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct ControllerCheckpoint {
     /// Throttle flag after the last trusted decision.
     pub throttled: bool,
@@ -168,6 +166,22 @@ pub struct ControlPlaneStats {
     pub checkpoint_restores: u64,
     /// Controller periods spent in safe mode.
     pub safe_mode_periods: u64,
+}
+
+impl ControlPlaneStats {
+    /// The snapshot codec (see [`Codec`]): every counter in declaration
+    /// order.
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
+        Ok(ControlPlaneStats {
+            daemon_kills: c.u64(self.daemon_kills)?,
+            daemon_restarts: c.u64(self.daemon_restarts)?,
+            wedge_kills: c.u64(self.wedge_kills)?,
+            daemon_gave_up: c.bool(self.daemon_gave_up)?,
+            blackboard_epoch: c.u64(self.blackboard_epoch)?,
+            checkpoint_restores: c.u64(self.checkpoint_restores)?,
+            safe_mode_periods: c.u64(self.safe_mode_periods)?,
+        })
+    }
 }
 
 /// The adaptive controller: a supervised RCR daemon plus the
@@ -381,40 +395,7 @@ impl Monitor for ThrottleController {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        self.supervisor.snap_state(w);
-        w.bool(self.safe_mode);
-        w.u32(self.degraded_streak);
-        w.u32(self.healthy_streak);
-        w.u64(self.last_epoch);
-        match self.checkpoint {
-            None => w.bool(false),
-            Some(cp) => {
-                w.bool(true);
-                w.bool(cp.throttled);
-                snap_level(w, cp.power_level);
-                snap_level(w, cp.memory_level);
-            }
-        }
-        let s = self.cp_stats.get();
-        w.u64(s.daemon_kills);
-        w.u64(s.daemon_restarts);
-        w.u64(s.wedge_kills);
-        w.bool(s.daemon_gave_up);
-        w.u64(s.blackboard_epoch);
-        w.u64(s.checkpoint_restores);
-        w.u64(s.safe_mode_periods);
-        w.u64(self.heartbeat.get());
-        let trace = self.trace.borrow();
-        w.len(trace.samples.len());
-        for s in &trace.samples {
-            w.u64(s.t_ns);
-            w.f64(s.power_w);
-            w.f64(s.mem_concurrency);
-            snap_level(w, s.power_level);
-            snap_level(w, s.memory_level);
-            w.bool(s.throttled);
-            w.bool(s.safe_mode);
-        }
+        self.codec(w).expect("live state encodes");
     }
 
     fn restore_state(
@@ -422,47 +403,67 @@ impl Monitor for ThrottleController {
         _machine: &Machine,
         r: &mut SnapReader<'_>,
     ) -> Result<(), SnapError> {
-        self.supervisor.restore_state(r)?;
-        self.safe_mode = r.bool()?;
-        self.degraded_streak = r.u32()?;
-        self.healthy_streak = r.u32()?;
-        self.last_epoch = r.u64()?;
-        self.checkpoint = if r.bool()? {
-            Some(ControllerCheckpoint {
-                throttled: r.bool()?,
-                power_level: restore_level(r)?,
-                memory_level: restore_level(r)?,
-            })
-        } else {
-            None
-        };
+        let st = self.codec(r)?;
+        self.supervisor.install(st.supervisor);
+        self.safe_mode = st.safe_mode;
+        self.degraded_streak = st.degraded_streak;
+        self.healthy_streak = st.healthy_streak;
+        self.last_epoch = st.last_epoch;
+        self.checkpoint = st.checkpoint;
         // Write-through the shared handles so external holders (the facade's
         // report hooks, watchdogs) observe the restored values.
-        self.cp_stats.set(ControlPlaneStats {
-            daemon_kills: r.u64()?,
-            daemon_restarts: r.u64()?,
-            wedge_kills: r.u64()?,
-            daemon_gave_up: r.bool()?,
-            blackboard_epoch: r.u64()?,
-            checkpoint_restores: r.u64()?,
-            safe_mode_periods: r.u64()?,
-        });
-        self.heartbeat.set(r.u64()?);
-        let n = r.len()?;
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            samples.push(ControllerSample {
-                t_ns: r.u64()?,
-                power_w: r.f64()?,
-                mem_concurrency: r.f64()?,
-                power_level: restore_level(r)?,
-                memory_level: restore_level(r)?,
-                throttled: r.bool()?,
-                safe_mode: r.bool()?,
-            });
-        }
-        self.trace.borrow_mut().samples = samples;
+        self.cp_stats.set(st.cp_stats);
+        self.heartbeat.set(st.heartbeat);
+        self.trace.borrow_mut().samples = st.samples;
         Ok(())
+    }
+}
+
+/// Controller state decoded by `ThrottleController::codec`.
+struct ControllerState {
+    supervisor: SupervisorState,
+    safe_mode: bool,
+    degraded_streak: u32,
+    healthy_streak: u32,
+    last_epoch: u64,
+    checkpoint: Option<ControllerCheckpoint>,
+    cp_stats: ControlPlaneStats,
+    heartbeat: u64,
+    samples: Vec<ControllerSample>,
+}
+
+impl ThrottleController {
+    /// The snapshot codec (see [`Codec`]): the supervised pipeline, safe-mode
+    /// state, the last checkpoint, control-plane stats, heartbeat, and the
+    /// decision trace.
+    fn codec<C: Codec>(&self, c: &mut C) -> Result<ControllerState, SnapError> {
+        Ok(ControllerState {
+            supervisor: self.supervisor.codec(c)?,
+            safe_mode: c.bool(self.safe_mode)?,
+            degraded_streak: c.u32(self.degraded_streak)?,
+            healthy_streak: c.u32(self.healthy_streak)?,
+            last_epoch: c.u64(self.last_epoch)?,
+            checkpoint: c.opt(self.checkpoint.as_ref(), |c, cp| {
+                Ok(ControllerCheckpoint {
+                    throttled: c.bool(cp.throttled)?,
+                    power_level: level_codec(c, cp.power_level)?,
+                    memory_level: level_codec(c, cp.memory_level)?,
+                })
+            })?,
+            cp_stats: self.cp_stats.get().codec(c)?,
+            heartbeat: c.u64(self.heartbeat.get())?,
+            samples: c.seq(&self.trace.borrow().samples, |c, s| {
+                Ok(ControllerSample {
+                    t_ns: c.u64(s.t_ns)?,
+                    power_w: c.f64(s.power_w)?,
+                    mem_concurrency: c.f64(s.mem_concurrency)?,
+                    power_level: level_codec(c, s.power_level)?,
+                    memory_level: level_codec(c, s.memory_level)?,
+                    throttled: c.bool(s.throttled)?,
+                    safe_mode: c.bool(s.safe_mode)?,
+                })
+            })?,
+        })
     }
 }
 

@@ -4,7 +4,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
 use maestro_machine::{fingerprint, Machine, MachineConfig, PState};
 use maestro_rcr::{Region, RegionReport, DEFAULT_SAMPLE_PERIOD_NS};
 use maestro_runtime::{
@@ -546,7 +546,7 @@ impl MaestroRun {
 /// state plus the facade's measurement anchors (open region, controller
 /// baselines), so resuming closes the *original* measurement region and the
 /// final report is bit-identical to an unbroken run's.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MaestroSnapshot {
     name: String,
     t_ns: u64,
@@ -573,20 +573,7 @@ impl MaestroSnapshot {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.header(fingerprint(b"maestro-snapshot/v1"));
-        w.str(&self.name);
-        w.u64(self.t_ns);
-        self.region.snap_state(&mut w);
-        w.u64(self.decisions_before);
-        w.u64(self.missed_before);
-        let cp = self.cp_before;
-        w.u64(cp.daemon_kills);
-        w.u64(cp.daemon_restarts);
-        w.u64(cp.wedge_kills);
-        w.bool(cp.daemon_gave_up);
-        w.u64(cp.blackboard_epoch);
-        w.u64(cp.checkpoint_restores);
-        w.u64(cp.safe_mode_periods);
-        w.blob(&self.runtime_bytes);
+        self.codec(&mut w).expect("live state encodes");
         w.finish()
     }
 
@@ -594,30 +581,23 @@ impl MaestroSnapshot {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
         let mut r = SnapReader::new(bytes);
         r.header(fingerprint(b"maestro-snapshot/v1"))?;
-        let name = r.str()?;
-        let t_ns = r.u64()?;
-        let region = Region::restore_state(&mut r)?;
-        let decisions_before = r.u64()?;
-        let missed_before = r.u64()?;
-        let cp_before = ControlPlaneStats {
-            daemon_kills: r.u64()?,
-            daemon_restarts: r.u64()?,
-            wedge_kills: r.u64()?,
-            daemon_gave_up: r.bool()?,
-            blackboard_epoch: r.u64()?,
-            checkpoint_restores: r.u64()?,
-            safe_mode_periods: r.u64()?,
-        };
-        let runtime_bytes = r.blob()?.to_vec();
+        let snap = MaestroSnapshot::default().codec(&mut r)?;
         r.finish()?;
+        Ok(snap)
+    }
+
+    /// The snapshot codec (see [`Codec`]): scenario name, capture time,
+    /// the open region, the controller baselines, and the runtime's own
+    /// snapshot as a blob.
+    fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
         Ok(MaestroSnapshot {
-            name,
-            t_ns,
-            region,
-            decisions_before,
-            missed_before,
-            cp_before,
-            runtime_bytes,
+            name: c.str(&self.name)?,
+            t_ns: c.u64(self.t_ns)?,
+            region: self.region.codec(c)?,
+            decisions_before: c.u64(self.decisions_before)?,
+            missed_before: c.u64(self.missed_before)?,
+            cp_before: self.cp_before.codec(c)?,
+            runtime_bytes: c.blob(&self.runtime_bytes)?,
         })
     }
 }
@@ -625,8 +605,17 @@ impl MaestroSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maestro_machine::snap::assert_rejects_corruption;
     use maestro_machine::{Cost, DutyCycle};
-    use maestro_runtime::{compute_leaf, fork_join};
+    use maestro_runtime::{compute_leaf, fork_join, TaskSpec};
+
+    /// The spec form of [`contended_root`], for snapshot tests.
+    fn contended_root_spec(tasks: usize) -> TaskSpec {
+        TaskSpec::fork_join(
+            (0..tasks).map(|_| TaskSpec::leaf(Cost::new(13_000_000, 500_000, 8.0, 0.95))).collect(),
+            Cost::ZERO,
+        )
+    }
 
     /// A workload that is both hot and memory-contended: many coarse tasks
     /// with high intensity and high MLP.
@@ -796,6 +785,21 @@ mod tests {
     fn corrupt_snapshot_bytes_are_rejected() {
         let bytes = vec![0u8; 64];
         assert!(MaestroSnapshot::from_bytes(&bytes).is_err());
+
+        // A whole mid-run snapshot: every prefix is rejected, and no
+        // single-byte flip panics in decoding or in the resumed run.
+        const SUSPEND_NS: u64 = 3_000_000;
+        let mut m = Maestro::new(MaestroConfig::adaptive(16));
+        let snap = m
+            .run_captured("flip", &mut (), contended_root_spec(24).into_task(), &SnapshotPlan::suspend_at(SUSPEND_NS))
+            .unwrap()
+            .suspended()
+            .expect("suspends mid-run");
+        assert_rejects_corruption(&snap.to_bytes(), |input| {
+            let snap = MaestroSnapshot::from_bytes(input)?;
+            let plan = SnapshotPlan::suspend_at(SUSPEND_NS + 1_000_000);
+            Maestro::new(MaestroConfig::adaptive(16)).resume_captured(&mut (), &snap, &plan).map(drop)
+        });
     }
 
     #[test]

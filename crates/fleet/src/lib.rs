@@ -47,6 +47,7 @@ pub use faults::FleetFaultPlan;
 pub use harness::{default_jobs, parallel_map};
 pub use load::{LoadParams, LoadProfile};
 pub use node::{
-    duty_for, NodeConfig, NodeEvent, NodeSim, NodeStats, Telemetry, GOVERNOR_MAX_LEVEL,
+    duty_for, NodeConfig, NodeEvent, NodeSim, NodeState, NodeStats, Telemetry,
+    GOVERNOR_MAX_LEVEL,
 };
 pub use sim::{Fleet, FleetConfig, FleetReport, NodeReport, GRANT_TRANSIT_NS};

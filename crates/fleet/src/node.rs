@@ -28,9 +28,11 @@
 //! the dual of the PR-3 actuator rule: the actuator fails toward FULL duty
 //! (performance), the cap governor fails toward the cap being respected.
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
-use maestro_machine::{CoreActivity, DutyCycle, Machine, MachineConfig};
-use maestro_rcr::{BudgetLease, LeaseDecision, LeaseSlot, Supervisor, SupervisorConfig};
+use maestro_machine::snap::{Codec, SnapError};
+use maestro_machine::{CoreActivity, DutyCycle, Machine, MachineConfig, MachineState};
+use maestro_rcr::{
+    BudgetLease, LeaseDecision, LeaseSlot, Supervisor, SupervisorConfig, SupervisorState,
+};
 
 use crate::faults::FleetFaultPlan;
 use crate::load::{LoadParams, LoadProfile};
@@ -89,9 +91,10 @@ impl NodeConfig {
 }
 
 /// One entry of a node's degradation trace.
-#[derive(Copy, Clone, PartialEq, Debug)]
+#[derive(Copy, Clone, Default, PartialEq, Debug)]
 pub enum NodeEvent {
     /// The node lost power (scheduled crash).
+    #[default]
     Crashed,
     /// The node booted again as daemon incarnation `incarnation`.
     Restarted {
@@ -140,49 +143,34 @@ impl NodeEvent {
         }
     }
 
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            NodeEvent::Crashed => w.u8(0),
-            NodeEvent::Restarted { incarnation } => {
-                w.u8(1);
-                w.u32(*incarnation);
-            }
-            NodeEvent::GaveUp => w.u8(2),
+    /// The snapshot codec for one trace entry (see [`Codec`]).
+    fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
+        // Tag plus every payload field any variant carries.
+        let (tag, epoch, value_w, small) = match *self {
+            NodeEvent::Crashed => (0, 0, 0.0, 0),
+            NodeEvent::Restarted { incarnation } => (1, 0, 0.0, incarnation),
+            NodeEvent::GaveUp => (2, 0, 0.0, 0),
             NodeEvent::LeaseOffer { epoch, cap_w, decision } => {
-                w.u8(3);
-                w.u64(*epoch);
-                w.f64(*cap_w);
-                w.u8(match decision {
+                let decision = match decision {
                     LeaseDecision::Applied => 0,
                     LeaseDecision::Duplicate => 1,
                     LeaseDecision::RejectedStale => 2,
                     LeaseDecision::RejectedExpired => 3,
-                });
+                };
+                (3, epoch, cap_w, decision)
             }
-            NodeEvent::LeaseExpired { floor_w } => {
-                w.u8(4);
-                w.f64(*floor_w);
-            }
-            NodeEvent::Throttle { level } => {
-                w.u8(5);
-                w.u8(*level);
-            }
-            NodeEvent::Load { active } => {
-                w.u8(6);
-                w.u8(*active);
-            }
-        }
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
+            NodeEvent::LeaseExpired { floor_w } => (4, 0, floor_w, 0),
+            NodeEvent::Throttle { level } => (5, 0, 0.0, u32::from(level)),
+            NodeEvent::Load { active } => (6, 0, 0.0, u32::from(active)),
+        };
+        Ok(match c.u8(tag)? {
             0 => NodeEvent::Crashed,
-            1 => NodeEvent::Restarted { incarnation: r.u32()? },
+            1 => NodeEvent::Restarted { incarnation: c.u32(small)? },
             2 => NodeEvent::GaveUp,
             3 => NodeEvent::LeaseOffer {
-                epoch: r.u64()?,
-                cap_w: r.f64()?,
-                decision: match r.u8()? {
+                epoch: c.u64(epoch)?,
+                cap_w: c.f64(value_w)?,
+                decision: match c.u8(small as u8)? {
                     0 => LeaseDecision::Applied,
                     1 => LeaseDecision::Duplicate,
                     2 => LeaseDecision::RejectedStale,
@@ -190,9 +178,9 @@ impl NodeEvent {
                     _ => return Err(SnapError::Corrupt("unknown lease decision tag")),
                 },
             },
-            4 => NodeEvent::LeaseExpired { floor_w: r.f64()? },
-            5 => NodeEvent::Throttle { level: r.u8()? },
-            6 => NodeEvent::Load { active: r.u8()? },
+            4 => NodeEvent::LeaseExpired { floor_w: c.f64(value_w)? },
+            5 => NodeEvent::Throttle { level: c.u8(small as u8)? },
+            6 => NodeEvent::Load { active: c.u8(small as u8)? },
             _ => return Err(SnapError::Corrupt("unknown node event tag")),
         })
     }
@@ -598,95 +586,107 @@ impl NodeSim {
     // Snapshots
     // -----------------------------------------------------------------
 
-    /// Serialize the node's full dynamic state. Pairs with
-    /// [`NodeSim::restore_state`] on a node built from the same
+    /// The snapshot codec for the node's full dynamic state (see
+    /// [`Codec`]). Decoding requires a node built from the same
     /// [`NodeConfig`] and [`FleetFaultPlan`].
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        self.machine.snap_state(w);
-        w.u32(self.incarnation);
-        self.sup.snap_state(w);
-        self.lease.snap_state(w);
-        w.u64(self.lease_totals.0);
-        w.u64(self.lease_totals.1);
-        w.u64(self.lease_totals.2);
-        w.u8(self.throttle_level);
-        w.u64(self.governor_due_ns);
-        w.u8(self.load_active);
-        w.u64(self.load_due_ns);
-        w.len(self.crash_idx);
-        w.opt_u64(self.restart_due_ns);
-        w.u64(self.stats.crashes);
-        w.u64(self.stats.restarts);
-        w.bool(self.stats.gave_up);
-        w.u64(self.stats.throttle_steps);
-        w.u8(self.stats.max_throttle_level);
-        w.u64(self.stats.dark_periods);
-        w.len(self.inbox.len());
-        for (arrive, l) in &self.inbox {
-            w.u64(*arrive);
-            w.u64(l.epoch);
-            w.f64(l.cap_w);
-            w.u64(l.expires_ns);
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<NodeState, SnapError> {
+        let machine = self.machine.codec(c)?;
+        let incarnation = c.u32(self.incarnation)?;
+        // The daemon incarnation's fault stream depends on the incarnation
+        // number: the reader decodes into a supervisor rebuilt to match.
+        let rebuilt = C::DECODING.then(|| {
+            Self::build_supervisor(&self.machine, &self.cfg, &self.faults, incarnation)
+        });
+        let sup = rebuilt.as_ref().unwrap_or(&self.sup).codec(c)?;
+        let lease = self.lease.codec(c)?;
+        let lease_totals = (
+            c.u64(self.lease_totals.0)?,
+            c.u64(self.lease_totals.1)?,
+            c.u64(self.lease_totals.2)?,
+        );
+        let throttle_level = c.u8(self.throttle_level)?;
+        let governor_due_ns = c.u64(self.governor_due_ns)?;
+        // A running node's next decision lies ahead of its clock; an
+        // overdue one would make the catch-up loop spin through every
+        // missed period.
+        if machine.powered() && governor_due_ns <= machine.clock_ns() {
+            return Err(SnapError::Corrupt("node governor decision already overdue"));
         }
-        w.len(self.trace.len());
-        for (t, e) in &self.trace {
-            w.u64(*t);
-            e.snap(w);
-        }
+        Ok(NodeState {
+            machine,
+            incarnation,
+            rebuilt,
+            sup,
+            lease,
+            lease_totals,
+            throttle_level,
+            governor_due_ns,
+            load_active: c.u8(self.load_active)?,
+            load_due_ns: c.u64(self.load_due_ns)?,
+            crash_idx: c.len(self.crash_idx)?,
+            restart_due_ns: c.opt_u64(self.restart_due_ns)?,
+            stats: NodeStats {
+                crashes: c.u64(self.stats.crashes)?,
+                restarts: c.u64(self.stats.restarts)?,
+                gave_up: c.bool(self.stats.gave_up)?,
+                throttle_steps: c.u64(self.stats.throttle_steps)?,
+                max_throttle_level: c.u8(self.stats.max_throttle_level)?,
+                dark_periods: c.u64(self.stats.dark_periods)?,
+                ..NodeStats::default()
+            },
+            inbox: c.seq(&self.inbox, |c, (arrive, l)| Ok((c.u64(*arrive)?, l.codec(c)?)))?,
+            trace: c.seq(&self.trace, |c, (t, e)| Ok((c.u64(*t)?, e.codec(c)?)))?,
+        })
     }
 
-    /// Restore state captured by [`NodeSim::snap_state`].
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.machine.restore_state(r)?;
-        self.incarnation = r.u32()?;
-        // The daemon incarnation's fault stream depends on the incarnation
-        // number: rebuild the supervisor to match, then restore into it.
-        self.sup =
-            Self::build_supervisor(&self.machine, &self.cfg, &self.faults, self.incarnation);
-        self.sup.restore_state(r)?;
-        self.lease = LeaseSlot::restore_state(r)?;
-        self.lease_totals = (r.u64()?, r.u64()?, r.u64()?);
-        self.throttle_level = r.u8()?;
-        self.governor_due_ns = r.u64()?;
-        self.load_active = r.u8()?;
-        self.load_due_ns = r.u64()?;
-        self.crash_idx = r.len()?;
-        self.restart_due_ns = r.opt_u64()?;
-        self.stats = NodeStats {
-            crashes: r.u64()?,
-            restarts: r.u64()?,
-            gave_up: r.bool()?,
-            throttle_steps: r.u64()?,
-            max_throttle_level: r.u8()?,
-            dark_periods: r.u64()?,
-            leases_applied: 0,
-            leases_discarded: 0,
-            lease_expiries: 0,
-        };
-        let n_inbox = r.len()?;
-        let mut inbox = Vec::with_capacity(n_inbox);
-        for _ in 0..n_inbox {
-            let arrive = r.u64()?;
-            inbox.push((
-                arrive,
-                BudgetLease { epoch: r.u64()?, cap_w: r.f64()?, expires_ns: r.u64()? },
-            ));
+    /// Install state decoded by [`NodeSim::codec`].
+    pub fn install(&mut self, st: NodeState) {
+        self.machine.install(st.machine);
+        self.incarnation = st.incarnation;
+        if let Some(sup) = st.rebuilt {
+            self.sup = sup;
         }
-        let n_trace = r.len()?;
-        let mut trace = Vec::with_capacity(n_trace);
-        for _ in 0..n_trace {
-            let t = r.u64()?;
-            trace.push((t, NodeEvent::restore(r)?));
-        }
-        self.inbox = inbox;
-        self.trace = trace;
-        Ok(())
+        self.sup.install(st.sup);
+        self.lease = st.lease;
+        self.lease_totals = st.lease_totals;
+        self.throttle_level = st.throttle_level;
+        self.governor_due_ns = st.governor_due_ns;
+        self.load_active = st.load_active;
+        self.load_due_ns = st.load_due_ns;
+        self.crash_idx = st.crash_idx;
+        self.restart_due_ns = st.restart_due_ns;
+        self.stats = st.stats;
+        self.inbox = st.inbox;
+        self.trace = st.trace;
     }
+}
+
+/// Node state decoded by [`NodeSim::codec`], installed by
+/// [`NodeSim::install`].
+#[derive(Debug)]
+pub struct NodeState {
+    machine: MachineState,
+    incarnation: u32,
+    /// The supervisor rebuilt for the decoded incarnation (reader only).
+    rebuilt: Option<Supervisor>,
+    sup: SupervisorState,
+    lease: LeaseSlot,
+    lease_totals: (u64, u64, u64),
+    throttle_level: u8,
+    governor_due_ns: u64,
+    load_active: u8,
+    load_due_ns: u64,
+    crash_idx: usize,
+    restart_due_ns: Option<u64>,
+    stats: NodeStats,
+    inbox: Vec<(u64, BudgetLease)>,
+    trace: Vec<(u64, NodeEvent)>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maestro_machine::snap::{assert_rejects_corruption, SnapReader, SnapWriter};
 
     const SEC: u64 = 1_000_000_000;
 
@@ -808,12 +808,18 @@ mod tests {
         a.deliver(SEC, grant(2, 95.0, 5 * SEC));
         a.advance_to(7 * SEC / 2);
         let mut w = SnapWriter::new();
-        a.snap_state(&mut w);
+        a.codec(&mut w).unwrap();
         let bytes = w.finish();
         let mut b = NodeSim::new(NodeConfig::new(0, 4), faults());
         let mut r = SnapReader::new(&bytes);
-        b.restore_state(&mut r).unwrap();
+        let st = b.codec(&mut r).unwrap();
         r.finish().unwrap();
+        assert_rejects_corruption(&bytes, |input| {
+            let mut r = SnapReader::new(input);
+            b.codec(&mut r)?;
+            r.finish()
+        });
+        b.install(st);
         a.advance_to(12 * SEC);
         b.advance_to(12 * SEC);
         assert_eq!(a.trace(), b.trace());

@@ -23,13 +23,13 @@
 //! from its degradation trace: at every trace timestamp, the sum of
 //! enforced caps must stay at or below the cluster cap.
 
-use maestro_machine::snap::{fingerprint, SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{fingerprint, Codec, SnapError, SnapReader, SnapWriter};
 
 use crate::coordinator::{Coordinator, CoordinatorConfig, CoordinatorStats, NodeView};
 use crate::faults::FleetFaultPlan;
 use crate::harness::parallel_map;
 use crate::load::LoadParams;
-use crate::node::{NodeConfig, NodeSim, NodeStats};
+use crate::node::{NodeConfig, NodeSim, NodeState, NodeStats};
 
 /// Grant-message base transit latency (applied to every delivery, before
 /// any fault-plan delay).
@@ -386,10 +386,9 @@ impl Fleet {
     pub fn trace_digest(&self) -> u64 {
         let mut w = SnapWriter::new();
         for node in &self.nodes {
-            w.len(node.trace().len());
-            let mut tw = SnapWriter::new();
-            node.snap_state(&mut tw);
-            w.blob(&tw.finish());
+            w.len(node.trace().len())
+                .and_then(|_| w.section(|w| node.codec(w)))
+                .expect("live state encodes");
         }
         fingerprint(&w.finish())
     }
@@ -431,9 +430,8 @@ impl Fleet {
     pub fn snapshot_node(&self, id: usize) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.header(self.cfg.snapshot_fingerprint());
-        w.len(id);
-        w.u64(self.now_ns);
-        self.nodes[id].snap_state(&mut w);
+        Self::node_codec(&mut w, &self.cfg, id, self.now_ns, Some(&self.nodes[id]))
+            .expect("live state encodes");
         w.finish()
     }
 
@@ -443,15 +441,32 @@ impl Fleet {
     pub fn restore_node(cfg: &FleetConfig, bytes: &[u8]) -> Result<(NodeSim, u64), SnapError> {
         let mut r = SnapReader::new(bytes);
         r.header(cfg.snapshot_fingerprint())?;
-        let id = r.len()?;
+        let (node, st, captured_ns) = Self::node_codec(&mut r, cfg, 0, 0, None)?;
+        r.finish()?;
+        let mut node = node.expect("the reader builds the node");
+        node.install(st);
+        Ok((node, captured_ns))
+    }
+
+    /// The node snapshot layout (see [`Codec`]): node index, fleet clock,
+    /// then the node's state. The writer encodes `live`; the reader decodes
+    /// into a node freshly built for the decoded index and returns it.
+    #[allow(clippy::type_complexity)]
+    fn node_codec<C: Codec>(
+        c: &mut C,
+        cfg: &FleetConfig,
+        id: usize,
+        now_ns: u64,
+        live: Option<&NodeSim>,
+    ) -> Result<(Option<NodeSim>, NodeState, u64), SnapError> {
+        let id = c.len(id)?;
         if id >= cfg.nodes {
             return Err(SnapError::Corrupt("node index out of range for fleet config"));
         }
-        let captured_ns = r.u64()?;
-        let mut node = NodeSim::new(cfg.node_config(id), cfg.faults.clone());
-        node.restore_state(&mut r)?;
-        r.finish()?;
-        Ok((node, captured_ns))
+        let captured_ns = c.u64(now_ns)?;
+        let fresh = live.is_none().then(|| NodeSim::new(cfg.node_config(id), cfg.faults.clone()));
+        let st = live.or(fresh.as_ref()).expect("a live or fresh node").codec(c)?;
+        Ok((fresh, st, captured_ns))
     }
 }
 

@@ -26,7 +26,8 @@ use crate::duty::DutyCycle;
 use crate::engine::Machine;
 use crate::fault::{DutyWriteEffect, FaultPlan};
 use crate::msr::{MsrDevice, IA32_CLOCK_MODULATION};
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::fault::FaultCursor;
+use crate::snap::{Codec, SnapError};
 use crate::topology::CoreId;
 
 /// Retry and breaker tuning for the [`Actuator`].
@@ -95,6 +96,22 @@ pub struct ActuationTotals {
     pub open_breakers: u64,
 }
 
+impl ActuationTotals {
+    /// The snapshot codec (see [`Codec`]): every counter in declaration
+    /// order.
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<ActuationTotals, SnapError> {
+        Ok(ActuationTotals {
+            writes: c.u64(self.writes)?,
+            attempts: c.u64(self.attempts)?,
+            verify_failures: c.u64(self.verify_failures)?,
+            failed_applies: c.u64(self.failed_applies)?,
+            forced_resets: c.u64(self.forced_resets)?,
+            breaker_trips: c.u64(self.breaker_trips)?,
+            open_breakers: c.u64(self.open_breakers)?,
+        })
+    }
+}
+
 /// Result of one duty-change transaction.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ApplyOutcome {
@@ -140,6 +157,37 @@ pub struct Actuator {
     trips: u64,
 }
 
+/// Actuator state decoded by [`Actuator::codec`], installed by
+/// [`Actuator::install`].
+#[derive(Debug)]
+pub struct ActuatorState {
+    health: Vec<ActuationHealth>,
+    trips: u64,
+    cursor: Option<FaultCursor>,
+}
+
+impl ActuatorState {
+    /// What [`Actuator::totals`] reports once this state is installed.
+    pub fn totals(&self) -> ActuationTotals {
+        sum_totals(&self.health, self.trips).expect("checked when decoded")
+    }
+}
+
+/// Aggregate per-core counters, or `None` when a sum overflows (only a
+/// corrupt snapshot can hold such counters).
+fn sum_totals(health: &[ActuationHealth], trips: u64) -> Option<ActuationTotals> {
+    let mut t = ActuationTotals { breaker_trips: trips, ..ActuationTotals::default() };
+    for h in health {
+        t.writes = t.writes.checked_add(h.writes)?;
+        t.attempts = t.attempts.checked_add(h.attempts)?;
+        t.verify_failures = t.verify_failures.checked_add(h.verify_failures)?;
+        t.failed_applies = t.failed_applies.checked_add(h.failed_applies)?;
+        t.forced_resets = t.forced_resets.checked_add(h.forced_resets)?;
+        t.open_breakers += u64::from(matches!(h.breaker, BreakerState::Open { .. }));
+    }
+    Some(t)
+}
+
 impl Actuator {
     /// An actuator for a machine with `n_cores` cores.
     pub fn new(n_cores: usize, cfg: ActuatorConfig) -> Self {
@@ -180,18 +228,7 @@ impl Actuator {
 
     /// Aggregate counters across all cores.
     pub fn totals(&self) -> ActuationTotals {
-        let mut t = ActuationTotals { breaker_trips: self.trips, ..ActuationTotals::default() };
-        for h in &self.health {
-            t.writes += h.writes;
-            t.attempts += h.attempts;
-            t.verify_failures += h.verify_failures;
-            t.failed_applies += h.failed_applies;
-            t.forced_resets += h.forced_resets;
-            if matches!(h.breaker, BreakerState::Open { .. }) {
-                t.open_breakers += 1;
-            }
-        }
-        t
+        sum_totals(&self.health, self.trips).expect("actuation counters fit in u64")
     }
 
     /// Transactionally set `core`'s duty cycle to `duty`.
@@ -249,64 +286,42 @@ impl Actuator {
         ApplyOutcome::ForcedFull { attempts, tripped }
     }
 
-    /// Serialize the actuator's dynamic state (per-core health, breaker
-    /// positions, trip count, fault-plan cursor) into `w`. Configuration is
-    /// not captured; restore into an actuator built with the same config.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.len(self.health.len());
-        for h in &self.health {
-            w.u64(h.writes);
-            w.u64(h.attempts);
-            w.u64(h.verify_failures);
-            w.u64(h.failed_applies);
-            w.u64(h.forced_resets);
-            w.u32(h.consecutive_failures);
-            match h.breaker {
-                BreakerState::Closed => w.bool(false),
-                BreakerState::Open { tripped_at_ns } => {
-                    w.bool(true);
-                    w.u64(tripped_at_ns);
-                }
-            }
+    /// The snapshot codec for the actuator's dynamic state: per-core health,
+    /// breaker positions, trip count, fault-plan cursor (see [`Codec`]).
+    /// Configuration is not captured; restore into an actuator built with
+    /// the same config.
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<ActuatorState, SnapError> {
+        let health = c.seq_fixed(&self.health, "actuator core count mismatch", |c, h| {
+            let open = match h.breaker {
+                BreakerState::Closed => None,
+                BreakerState::Open { tripped_at_ns } => Some(tripped_at_ns),
+            };
+            Ok(ActuationHealth {
+                writes: c.u64(h.writes)?,
+                attempts: c.u64(h.attempts)?,
+                verify_failures: c.u64(h.verify_failures)?,
+                failed_applies: c.u64(h.failed_applies)?,
+                forced_resets: c.u64(h.forced_resets)?,
+                consecutive_failures: c.u32(h.consecutive_failures)?,
+                breaker: match c.opt_u64(open)? {
+                    None => BreakerState::Closed,
+                    Some(tripped_at_ns) => BreakerState::Open { tripped_at_ns },
+                },
+            })
+        })?;
+        let trips = c.u64(self.trips)?;
+        if sum_totals(&health, trips).is_none() {
+            return Err(SnapError::Corrupt("actuation counters overflow"));
         }
-        w.u64(self.trips);
-        FaultPlan::snap_opt(w, self.faults.as_ref());
+        let cursor = FaultPlan::cursor_codec(self.faults.as_ref(), c)?;
+        Ok(ActuatorState { health, trips, cursor })
     }
 
-    /// Restore dynamic state captured by [`Actuator::snap_state`].
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.len()?;
-        if n != self.health.len() {
-            return Err(SnapError::Corrupt("actuator core count mismatch"));
-        }
-        let mut health = Vec::with_capacity(n);
-        for _ in 0..n {
-            let writes = r.u64()?;
-            let attempts = r.u64()?;
-            let verify_failures = r.u64()?;
-            let failed_applies = r.u64()?;
-            let forced_resets = r.u64()?;
-            let consecutive_failures = r.u32()?;
-            let breaker = if r.bool()? {
-                BreakerState::Open { tripped_at_ns: r.u64()? }
-            } else {
-                BreakerState::Closed
-            };
-            health.push(ActuationHealth {
-                writes,
-                attempts,
-                verify_failures,
-                failed_applies,
-                forced_resets,
-                consecutive_failures,
-                breaker,
-            });
-        }
-        let trips = r.u64()?;
-        FaultPlan::restore_opt(r, self.faults.as_ref())?;
-        self.health = health;
-        self.trips = trips;
-        Ok(())
+    /// Install state decoded by [`Actuator::codec`].
+    pub fn install(&mut self, st: ActuatorState) {
+        self.health = st.health;
+        self.trips = st.trips;
+        FaultPlan::install_cursor(self.faults.as_ref(), st.cursor);
     }
 
     /// The recovery path: pin `core` at FULL via modulation disable, which

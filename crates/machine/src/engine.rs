@@ -47,7 +47,7 @@ use crate::msr::{
     MSR_PKG_ENERGY_STATUS,
 };
 use crate::power::{CorePowerState, PowerParams};
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::{Codec, SnapError};
 use crate::thermal::ThermalParams;
 use crate::topology::{CoreId, SocketId, Topology};
 use crate::{NS_PER_SEC, RAPL_UNIT_JOULES};
@@ -152,6 +152,29 @@ struct SocketState {
     energy_j: Cell<f64>,
     anchor_ns: Cell<u64>,
     pstate: PState,
+}
+
+/// Machine state decoded by [`Machine::codec`], installed by
+/// [`Machine::install`].
+#[derive(Debug)]
+pub struct MachineState {
+    clock_ns: u64,
+    duty: Vec<DutyCycle>,
+    activity: Vec<CoreActivity>,
+    sockets: Vec<SocketState>,
+    powered: bool,
+}
+
+impl MachineState {
+    /// Virtual time of the decoded state, nanoseconds.
+    pub fn clock_ns(&self) -> u64 {
+        self.clock_ns
+    }
+
+    /// Whether the decoded machine has power.
+    pub fn powered(&self) -> bool {
+        self.powered
+    }
 }
 
 /// Per-socket cached power aggregates, maintained incrementally.
@@ -589,8 +612,9 @@ impl Machine {
         self.clock_ns += dt_ns;
     }
 
-    /// Serialize the machine's dynamic state (clock, per-core duty and
-    /// activity, per-socket temperature/energy/P-state) into `w`.
+    /// The snapshot codec for the machine's dynamic state: clock, per-core
+    /// duty and activity, per-socket temperature/energy/P-state, and the
+    /// power flag (see [`Codec`] for the one-body convention).
     ///
     /// Every socket is folded to the current clock first, so the capture is
     /// anchor-free: the analytic-integration state serializes as plain
@@ -601,86 +625,60 @@ impl Machine {
     /// are recomputed lazily after restore and are byte-identical to the
     /// captured run's values because the refresh uses the same expression
     /// and summation order.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        self.sync_all();
-        w.u64(self.clock_ns);
-        w.len(self.duty.len());
-        for d in &self.duty {
-            w.u8(d.level());
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<MachineState, SnapError> {
+        if !C::DECODING {
+            self.sync_all();
         }
-        w.len(self.activity.len());
-        for a in &self.activity {
-            match a {
-                CoreActivity::Idle => w.u8(0),
-                CoreActivity::Spin => w.u8(1),
-                CoreActivity::Busy { intensity, ocr } => {
-                    w.u8(2);
-                    w.f64(*intensity);
-                    w.f64(*ocr);
+        let clock_ns = c.u64(self.clock_ns)?;
+        let duty = c.seq_fixed(&self.duty, "core count mismatch in duty state", |c, d| {
+            DutyCycle::new(c.u8(d.level())?).map_err(|_| SnapError::Corrupt("duty level out of range"))
+        })?;
+        let activity =
+            c.seq_fixed(&self.activity, "core count mismatch in activity state", |c, a| {
+                let (tag, intensity, ocr) = match *a {
+                    CoreActivity::Idle => (0, 0.0, 0.0),
+                    CoreActivity::Spin => (1, 0.0, 0.0),
+                    CoreActivity::Busy { intensity, ocr } => (2, intensity, ocr),
+                };
+                match c.u8(tag)? {
+                    0 => Ok(CoreActivity::Idle),
+                    1 => Ok(CoreActivity::Spin),
+                    2 => {
+                        let (intensity, ocr) = (c.f64(intensity)?, c.f64(ocr)?);
+                        // The power and contention models take non-negative
+                        // finite inputs; anything else is a corrupt blob.
+                        if !(intensity >= 0.0 && intensity.is_finite())
+                            || !(ocr >= 0.0 && ocr.is_finite())
+                        {
+                            return Err(SnapError::Corrupt("core activity out of range"));
+                        }
+                        Ok(CoreActivity::Busy { intensity, ocr })
+                    }
+                    _ => Err(SnapError::Corrupt("unknown core activity tag")),
                 }
-            }
-        }
-        w.len(self.sockets.len());
-        for s in &self.sockets {
-            w.f64(s.temp_c.get());
-            w.f64(s.energy_j.get());
-            w.u8(s.pstate.index() as u8);
-        }
-        w.bool(self.powered);
+            })?;
+        let sockets = c.seq_fixed(&self.sockets, "socket count mismatch", |c, s| {
+            Ok(SocketState {
+                temp_c: Cell::new(c.f64(s.temp_c.get())?),
+                energy_j: Cell::new(c.f64(s.energy_j.get())?),
+                anchor_ns: Cell::new(clock_ns),
+                pstate: PState::new(c.u8(s.pstate.index() as u8)?)
+                    .ok_or(SnapError::Corrupt("P-state index out of range"))?,
+            })
+        })?;
+        let powered = c.bool(self.powered)?;
+        Ok(MachineState { clock_ns, duty, activity, sockets, powered })
     }
 
-    /// Restore dynamic state captured by [`Machine::snap_state`] into this
-    /// machine, which must have been built from the same configuration.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let clock_ns = r.u64()?;
-        let n_duty = r.len()?;
-        if n_duty != self.duty.len() {
-            return Err(SnapError::Corrupt("core count mismatch in duty state"));
-        }
-        let mut duty = Vec::with_capacity(n_duty);
-        for _ in 0..n_duty {
-            duty.push(
-                DutyCycle::new(r.u8()?).map_err(|_| SnapError::Corrupt("duty level out of range"))?,
-            );
-        }
-        let n_act = r.len()?;
-        if n_act != self.activity.len() {
-            return Err(SnapError::Corrupt("core count mismatch in activity state"));
-        }
-        let mut activity = Vec::with_capacity(n_act);
-        for _ in 0..n_act {
-            activity.push(match r.u8()? {
-                0 => CoreActivity::Idle,
-                1 => CoreActivity::Spin,
-                2 => CoreActivity::Busy { intensity: r.f64()?, ocr: r.f64()? },
-                _ => return Err(SnapError::Corrupt("unknown core activity tag")),
-            });
-        }
-        let n_sock = r.len()?;
-        if n_sock != self.sockets.len() {
-            return Err(SnapError::Corrupt("socket count mismatch"));
-        }
-        let mut sockets = Vec::with_capacity(n_sock);
-        for _ in 0..n_sock {
-            let temp_c = r.f64()?;
-            let energy_j = r.f64()?;
-            let pstate = PState::new(r.u8()?)
-                .ok_or(SnapError::Corrupt("P-state index out of range"))?;
-            sockets.push(SocketState {
-                temp_c: Cell::new(temp_c),
-                energy_j: Cell::new(energy_j),
-                anchor_ns: Cell::new(clock_ns),
-                pstate,
-            });
-        }
-        let powered = r.bool()?;
-        self.clock_ns = clock_ns;
-        self.duty = duty;
-        self.activity = activity;
-        self.sockets = sockets;
-        self.powered = powered;
+    /// Install state decoded by [`Machine::codec`] into this machine, which
+    /// must have been built from the same configuration.
+    pub fn install(&mut self, st: MachineState) {
+        self.clock_ns = st.clock_ns;
+        self.duty = st.duty;
+        self.activity = st.activity;
+        self.sockets = st.sockets;
+        self.powered = st.powered;
         self.rebuild_core_arrays();
-        Ok(())
     }
 
     fn socket_of_checked(&self, core: CoreId) -> Result<SocketId, MsrError> {
@@ -739,6 +737,7 @@ impl MsrDevice for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snap::{assert_rejects_corruption, SnapReader, SnapWriter};
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::sandybridge_2x8())
@@ -1088,12 +1087,13 @@ mod tests {
         m.set_powered(false);
         m.advance(3 * NS_PER_SEC);
         let mut w = SnapWriter::new();
-        m.snap_state(&mut w);
+        m.codec(&mut w).unwrap();
         let bytes = w.finish();
         let mut fresh = machine();
         let mut r = SnapReader::new(&bytes);
-        fresh.restore_state(&mut r).unwrap();
+        let st = fresh.codec(&mut r).unwrap();
         r.finish().unwrap();
+        fresh.install(st);
         assert!(!fresh.powered());
         assert_eq!(fresh.node_power_w(), 0.0);
         // Both machines cool identically after restore.
@@ -1104,6 +1104,31 @@ mod tests {
             fresh.temperature_c(SocketId(0)).to_bits()
         );
         assert_eq!(m.total_energy_joules().to_bits(), fresh.total_energy_joules().to_bits());
+
+        // Corrupt input never yields a machine that panics when used: with
+        // one busy core per socket, a flipped activity sign or exponent
+        // would otherwise reach the contention model.
+        let mut one_busy = machine();
+        for s in one_busy.topology().all_sockets() {
+            let core = one_busy.topology().cores_of(s).next().unwrap();
+            one_busy.set_activity(core, busy(0.6, 1.0));
+        }
+        one_busy.advance(NS_PER_SEC);
+        let mut w = SnapWriter::new();
+        one_busy.codec(&mut w).unwrap();
+        assert_rejects_corruption(&w.finish(), |input| {
+            let mut r = SnapReader::new(input);
+            let st = fresh.codec(&mut r)?;
+            r.finish()?;
+            let mut restored = machine();
+            restored.install(st);
+            for s in restored.topology().all_sockets() {
+                restored.contention_factor(s);
+            }
+            restored.advance(NS_PER_SEC);
+            restored.total_energy_joules();
+            Ok(())
+        });
     }
 
     #[test]

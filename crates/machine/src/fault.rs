@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use crate::msr::{MsrDevice, MsrError, MSR_PKG_ENERGY_STATUS};
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::{Codec, SnapError};
 use crate::topology::CoreId;
 
 /// The dynamic position of a [`FaultPlan`]: schedule cursors, PRNG state,
@@ -51,39 +51,15 @@ pub struct FaultCursor {
 }
 
 impl FaultCursor {
-    /// Serialize the cursor into `w`.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.len(self.kills_consumed);
-        w.len(self.panics_consumed);
-        w.len(self.wedges_consumed);
-        w.u64(self.rng_state);
-        w.u64(self.energy_reads);
-        w.len(self.frozen.len());
-        for &(core, value) in &self.frozen {
-            w.u16(core);
-            w.u64(value);
-        }
-    }
-
-    /// Decode a cursor written by [`FaultCursor::snap_state`].
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let kills_consumed = r.len()?;
-        let panics_consumed = r.len()?;
-        let wedges_consumed = r.len()?;
-        let rng_state = r.u64()?;
-        let energy_reads = r.u64()?;
-        let n = r.len()?;
-        let mut frozen = Vec::with_capacity(n);
-        for _ in 0..n {
-            frozen.push((r.u16()?, r.u64()?));
-        }
+    /// The snapshot codec for a cursor (see [`Codec`]).
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<FaultCursor, SnapError> {
         Ok(FaultCursor {
-            kills_consumed,
-            panics_consumed,
-            wedges_consumed,
-            rng_state,
-            energy_reads,
-            frozen,
+            kills_consumed: c.len(self.kills_consumed)?,
+            panics_consumed: c.len(self.panics_consumed)?,
+            wedges_consumed: c.len(self.wedges_consumed)?,
+            rng_state: c.u64(self.rng_state)?,
+            energy_reads: c.u64(self.energy_reads)?,
+            frozen: c.seq(&self.frozen, |c, &(core, value)| Ok((c.u16(core)?, c.u64(value)?)))?,
         })
     }
 }
@@ -448,32 +424,25 @@ impl FaultPlan {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Serialize the cursor of an optional plan (presence byte + cursor).
-    pub fn snap_opt(w: &mut SnapWriter, plan: Option<&FaultPlan>) {
-        match plan {
-            None => w.bool(false),
-            Some(p) => {
-                w.bool(true);
-                p.cursor().snap_state(w);
-            }
+    /// The snapshot codec for the cursor of an optional plan: presence
+    /// byte, then the cursor. Presence must match the live plan: a snapshot
+    /// taken with a plan cannot be restored without one (or vice versa) —
+    /// the fault stream would diverge.
+    pub fn cursor_codec<C: Codec>(
+        plan: Option<&FaultPlan>,
+        c: &mut C,
+    ) -> Result<Option<FaultCursor>, SnapError> {
+        if c.bool(plan.is_some())? != plan.is_some() {
+            return Err(SnapError::Corrupt("fault plan presence mismatch"));
         }
+        plan.map(|p| p.cursor().codec(c)).transpose()
     }
 
-    /// Restore a cursor written by [`FaultPlan::snap_opt`] into an optional
-    /// plan. Presence must match: a snapshot taken with a plan cannot be
-    /// restored without one (or vice versa) — the fault stream would diverge.
-    pub fn restore_opt(
-        r: &mut SnapReader<'_>,
-        plan: Option<&FaultPlan>,
-    ) -> Result<(), SnapError> {
-        let present = r.bool()?;
-        match (present, plan) {
-            (false, None) => Ok(()),
-            (true, Some(p)) => {
-                p.restore_cursor(&FaultCursor::restore_state(r)?);
-                Ok(())
-            }
-            _ => Err(SnapError::Corrupt("fault plan presence mismatch")),
+    /// Install a cursor decoded by [`FaultPlan::cursor_codec`] into the
+    /// same optional plan.
+    pub fn install_cursor(plan: Option<&FaultPlan>, cursor: Option<FaultCursor>) {
+        if let (Some(p), Some(cursor)) = (plan, cursor) {
+            p.restore_cursor(&cursor);
         }
     }
 
@@ -537,6 +506,7 @@ impl MsrDevice for FaultyMsr<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snap::{assert_rejects_corruption, SnapReader, SnapWriter};
     use crate::engine::{Machine, MachineConfig};
     use crate::NS_PER_SEC;
 
@@ -748,12 +718,17 @@ mod tests {
         // Serialize → deserialize → restore into a fresh plan with the same
         // static config, then check the streams stay in lockstep.
         let mut w = SnapWriter::new();
-        cursor.snap_state(&mut w);
+        cursor.codec(&mut w).unwrap();
         let bytes = w.finish();
         let mut r = SnapReader::new(&bytes);
-        let decoded = FaultCursor::restore_state(&mut r).unwrap();
+        let decoded = cursor.codec(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(decoded, cursor);
+        assert_rejects_corruption(&bytes, |input| {
+            let mut r = SnapReader::new(input);
+            cursor.codec(&mut r)?;
+            r.finish()
+        });
         let twin = FaultPlan::new(21)
             .with_drop_sample_rate(0.4)
             .with_daemon_kills(&[100, 200, 300])
@@ -772,18 +747,15 @@ mod tests {
     fn opt_plan_presence_mismatch_is_rejected() {
         let plan = FaultPlan::new(22);
         let mut w = SnapWriter::new();
-        FaultPlan::snap_opt(&mut w, Some(&plan));
+        FaultPlan::cursor_codec(Some(&plan), &mut w).unwrap();
         let bytes = w.finish();
         let mut r = SnapReader::new(&bytes);
-        assert!(matches!(
-            FaultPlan::restore_opt(&mut r, None),
-            Err(SnapError::Corrupt(_))
-        ));
+        assert!(matches!(FaultPlan::cursor_codec(None, &mut r), Err(SnapError::Corrupt(_))));
         let mut w = SnapWriter::new();
-        FaultPlan::snap_opt(&mut w, None);
+        FaultPlan::cursor_codec(None, &mut w).unwrap();
         let bytes = w.finish();
         let mut r = SnapReader::new(&bytes);
-        FaultPlan::restore_opt(&mut r, None).unwrap();
+        assert_eq!(FaultPlan::cursor_codec(None, &mut r).unwrap(), None);
         r.finish().unwrap();
     }
 

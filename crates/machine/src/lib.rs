@@ -52,20 +52,22 @@ pub mod thermal;
 pub mod topology;
 
 pub use actuator::{
-    ActuationHealth, ActuationTotals, Actuator, ActuatorConfig, ApplyOutcome, BreakerState,
+    ActuationHealth, ActuationTotals, Actuator, ActuatorConfig, ActuatorState, ApplyOutcome, BreakerState,
 };
 pub use contention::MemoryParams;
 pub use cost::Cost;
 pub use duty::DutyCycle;
 pub use dvfs::{DvfsParams, PState};
-pub use engine::{CoreActivity, Machine, MachineConfig};
+pub use engine::{CoreActivity, Machine, MachineConfig, MachineState};
 pub use fault::{DutyWriteEffect, FaultCursor, FaultPlan, FaultyMsr, StallWindow, StuckWindow};
 pub use msr::{
     MsrDevice, MsrError, IA32_CLOCK_MODULATION, IA32_PERF_CTL, IA32_THERM_STATUS,
     MSR_PKG_ENERGY_STATUS,
 };
 pub use power::PowerParams;
-pub use snap::{fingerprint, SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION};
+pub use snap::{
+    fingerprint, Codec, SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION,
+};
 pub use thermal::ThermalParams;
 pub use topology::{CoreId, SocketId, Topology};
 

@@ -12,7 +12,9 @@ use serde::{Deserialize, Serialize};
 pub struct CoreId(pub u16);
 
 /// Identifier of a processor package (socket).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Copy, Clone, Default, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub struct SocketId(pub u8);
 
 impl CoreId {

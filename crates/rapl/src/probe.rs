@@ -1,7 +1,7 @@
 //! Joule meters: wrap-corrected, unit-converted energy accumulation.
 
 use maestro_machine::msr::MsrDevice;
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError};
 use maestro_machine::{SocketId, Topology};
 
 use crate::msr_backend::MsrEnergySource;
@@ -237,7 +237,7 @@ impl SocketProbe {
 }
 
 /// Saved [`SocketProbe`] state (see [`SocketProbe::checkpoint`]).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SocketProbeCheckpoint {
     /// The socket the checkpointed probe was metering.
     pub socket: SocketId,
@@ -246,39 +246,37 @@ pub struct SocketProbeCheckpoint {
 }
 
 /// Saved [`NodeProbe`] state: one socket checkpoint per package.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeProbeCheckpoint {
     /// Per-socket meter state, in socket order.
     pub sockets: Vec<SocketProbeCheckpoint>,
 }
 
 impl NodeProbeCheckpoint {
-    /// Serialize the checkpoint into `w`.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.len(self.sockets.len());
-        for s in &self.sockets {
-            w.u8(s.socket.0);
-            w.opt_u64(s.wrap.last_raw);
-            w.u128(s.wrap.total);
-            w.u64(s.wrap.wraps);
-        }
-    }
-
-    /// Decode a checkpoint written by [`NodeProbeCheckpoint::snap_state`].
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.len()?;
-        let mut sockets = Vec::with_capacity(n);
-        for _ in 0..n {
-            let socket = SocketId(r.u8()?);
-            let last_raw = r.opt_u64()?;
-            let total = r.u128()?;
-            let wraps = r.u64()?;
-            sockets.push(SocketProbeCheckpoint {
+    /// The snapshot codec for a node checkpoint (see [`Codec`]). A valid
+    /// checkpoint meters sockets `0..sockets` in order, as
+    /// [`NodeProbe::new`] builds them; any other set is corrupt.
+    pub fn codec<C: Codec>(&self, c: &mut C, sockets: usize) -> Result<Self, SnapError> {
+        let mut next = 0;
+        let decoded = c.seq(&self.sockets, |c, s| {
+            let socket = SocketId(c.u8(s.socket.0)?);
+            if usize::from(socket.0) != next {
+                return Err(SnapError::Corrupt("probe checkpoint socket out of order"));
+            }
+            next += 1;
+            Ok(SocketProbeCheckpoint {
                 socket,
-                wrap: WrapCheckpoint { last_raw, total, wraps },
-            });
+                wrap: WrapCheckpoint {
+                    last_raw: c.opt_u64(s.wrap.last_raw)?,
+                    total: c.u128(s.wrap.total)?,
+                    wraps: c.u64(s.wrap.wraps)?,
+                },
+            })
+        })?;
+        if C::DECODING && decoded.len() != sockets {
+            return Err(SnapError::Corrupt("probe checkpoint socket count mismatch"));
         }
-        Ok(NodeProbeCheckpoint { sockets })
+        Ok(NodeProbeCheckpoint { sockets: decoded })
     }
 }
 

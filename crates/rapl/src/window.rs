@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError};
 
 /// Default bound on believable instantaneous power between two samples,
 /// Watts. The modeled node peaks below 200 W; 10 kW is unambiguously a
@@ -138,31 +138,19 @@ impl PowerWindow {
         self.samples.is_empty()
     }
 
-    /// Serialize the window's dynamic state (retained samples, rejection and
-    /// stuck counters) into `w`. The horizon and outlier bound are
-    /// configuration and are not captured.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.len(self.samples.len());
-        for &(t_ns, joules) in &self.samples {
-            w.u64(t_ns);
-            w.f64(joules);
-        }
-        w.u64(self.rejected);
-        w.u32(self.flat_run);
-    }
-
-    /// Restore dynamic state captured by [`PowerWindow::snap_state`] into
-    /// this window (built with the same horizon and bound).
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.len()?;
-        let mut samples = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            samples.push_back((r.u64()?, r.f64()?));
-        }
-        self.samples = samples;
-        self.rejected = r.u64()?;
-        self.flat_run = r.u32()?;
-        Ok(())
+    /// The snapshot codec for the window's dynamic state: retained samples,
+    /// rejection and stuck counters (see [`Codec`]). The horizon and outlier
+    /// bound are configuration and are carried over from `self`.
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<PowerWindow, SnapError> {
+        Ok(PowerWindow {
+            horizon_ns: self.horizon_ns,
+            max_step_watts: self.max_step_watts,
+            samples: c
+                .seq(&self.samples, |c, &(t_ns, joules)| Ok((c.u64(t_ns)?, c.f64(joules)?)))?
+                .into(),
+            rejected: c.u64(self.rejected)?,
+            flat_run: c.u32(self.flat_run)?,
+        })
     }
 
     /// Drop all samples and reset the rejection and stuck counters.

@@ -107,7 +107,7 @@ impl WrapTracker {
 }
 
 /// Saved [`WrapTracker`] state (see [`WrapTracker::checkpoint`]).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct WrapCheckpoint {
     /// The last committed raw counter reading.
     pub last_raw: Option<u64>,

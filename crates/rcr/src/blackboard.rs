@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError};
 
 /// Description of one published meter (the self-describing part).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,7 +88,7 @@ impl HealthFlags {
 }
 
 /// A consistent snapshot of one socket's meters.
-#[derive(Copy, Clone, Debug, PartialEq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct SocketSnapshot {
     /// Smoothed average package power, Watts.
     pub power_w: f64,
@@ -119,29 +119,27 @@ impl SocketSnapshot {
         flags: HealthFlags::OK,
     };
 
-    /// Serialize every field into `w` (bit-exact; floats travel as raw bits).
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.f64(self.power_w);
-        w.f64(self.mem_concurrency);
-        w.f64(self.temp_c);
-        w.f64(self.energy_j);
-        w.u64(self.updated_at_ns);
-        w.u64(self.seq);
-        w.u64(self.flags.bits());
-    }
-
-    /// Rebuild a snapshot serialized by [`SocketSnapshot::snap_state`].
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<SocketSnapshot, SnapError> {
+    /// The snapshot codec for one record (bit-exact; floats travel as raw
+    /// bits; see [`Codec`]).
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<SocketSnapshot, SnapError> {
         Ok(SocketSnapshot {
-            power_w: r.f64()?,
-            mem_concurrency: r.f64()?,
-            temp_c: r.f64()?,
-            energy_j: r.f64()?,
-            updated_at_ns: r.u64()?,
-            seq: r.u64()?,
-            flags: HealthFlags::from_bits(r.u64()?),
+            power_w: c.f64(self.power_w)?,
+            mem_concurrency: c.f64(self.mem_concurrency)?,
+            temp_c: c.f64(self.temp_c)?,
+            energy_j: c.f64(self.energy_j)?,
+            updated_at_ns: c.u64(self.updated_at_ns)?,
+            seq: c.u64(self.seq)?,
+            flags: HealthFlags::from_bits(c.u64(self.flags.bits())?),
         })
     }
+}
+
+/// Blackboard state decoded by [`Blackboard::codec`], installed by
+/// [`Blackboard::install`].
+#[derive(Debug)]
+pub struct BlackboardState {
+    epoch: u64,
+    snaps: Vec<SocketSnapshot>,
 }
 
 #[derive(Debug)]
@@ -260,33 +258,27 @@ impl Blackboard {
         self.shared.records[socket].write(&snap);
     }
 
-    /// Serialize the region's observable state — the writer epoch and every
-    /// socket's latest snapshot — into `w`. The seqlock's internal sequence
-    /// counter is not observable through [`SocketSnapshot`] and is not
-    /// captured.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.u64(self.epoch());
-        w.len(self.sockets());
-        for snap in self.snapshot_all() {
-            snap.snap_state(w);
-        }
+    /// The snapshot codec for the region's observable state — the writer
+    /// epoch and every socket's latest snapshot (see [`Codec`]). The
+    /// seqlock's internal sequence counter is not observable through
+    /// [`SocketSnapshot`] and is not captured.
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<BlackboardState, SnapError> {
+        let epoch = c.u64(self.epoch())?;
+        let snaps = c.seq_fixed(&self.snapshot_all(), "blackboard socket count mismatch", |c, s| {
+            s.codec(c)
+        })?;
+        Ok(BlackboardState { epoch, snaps })
     }
 
-    /// Restore state captured by [`Blackboard::snap_state`] into this region
+    /// Install state decoded by [`Blackboard::codec`] into this region
     /// (built with the same socket count). Each record is republished with
     /// its captured snapshot, which is observably identical to the original:
     /// every field a reader can see round-trips through [`Self::publish`].
-    pub fn restore_state(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let epoch = r.u64()?;
-        let n = r.len()?;
-        if n != self.sockets() {
-            return Err(SnapError::Corrupt("blackboard socket count mismatch"));
+    pub fn install(&self, st: BlackboardState) {
+        self.shared.epoch.store(st.epoch, Ordering::Release);
+        for (s, snap) in st.snaps.into_iter().enumerate() {
+            self.publish(s, snap);
         }
-        self.shared.epoch.store(epoch, Ordering::Release);
-        for s in 0..n {
-            self.publish(s, SocketSnapshot::restore_state(r)?);
-        }
-        Ok(())
     }
 
     /// Read a consistent snapshot of `socket` (any reader thread).
@@ -345,6 +337,7 @@ impl Blackboard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maestro_machine::snap::{assert_rejects_corruption, SnapReader, SnapWriter};
     use std::thread;
 
     #[test]
@@ -513,13 +506,19 @@ mod tests {
         });
         bb.publish(1, SocketSnapshot { power_w: f64::NAN, ..SocketSnapshot::EMPTY });
         let mut w = SnapWriter::new();
-        bb.snap_state(&mut w);
+        bb.codec(&mut w).unwrap();
         let bytes = w.finish();
 
         let twin = Blackboard::new(2);
         let mut r = SnapReader::new(&bytes);
-        twin.restore_state(&mut r).unwrap();
+        twin.install(twin.codec(&mut r).unwrap());
         r.finish().unwrap();
+        assert_rejects_corruption(&bytes, |input| {
+            let mut r = SnapReader::new(input);
+            twin.codec(&mut r)?;
+            r.finish()
+        });
+
         assert_eq!(twin.epoch(), 2);
         assert_eq!(twin.snapshot(0), bb.snapshot(0));
         // NaN != NaN under PartialEq; compare the raw bits instead.
@@ -531,10 +530,10 @@ mod tests {
     fn snapshot_into_wrong_socket_count_is_rejected() {
         let bb = Blackboard::new(2);
         let mut w = SnapWriter::new();
-        bb.snap_state(&mut w);
+        bb.codec(&mut w).unwrap();
         let bytes = w.finish();
         let twin = Blackboard::new(3);
-        assert!(twin.restore_state(&mut SnapReader::new(&bytes)).is_err());
+        assert!(twin.codec(&mut SnapReader::new(&bytes)).is_err());
     }
 
     #[test]

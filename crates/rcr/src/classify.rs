@@ -17,9 +17,10 @@
 use serde::{Deserialize, Serialize};
 
 /// Classified meter level.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum Level {
     /// At or below the low threshold.
+    #[default]
     Low,
     /// Between the thresholds — holds the current throttle state.
     Medium,

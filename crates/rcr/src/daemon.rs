@@ -15,8 +15,8 @@
 //! the caller as a [`SampleOutcome`] and tallied in [`DaemonHealth`], and no
 //! fault reachable through a `FaultPlan` panics.
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
-use maestro_machine::{FaultPlan, FaultyMsr, Machine, SocketId};
+use maestro_machine::snap::{Codec, SnapError};
+use maestro_machine::{FaultCursor, FaultPlan, FaultyMsr, Machine, SocketId};
 use maestro_rapl::{NodeProbe, NodeProbeCheckpoint, PowerWindow, ProbeError, RetryPolicy};
 
 use crate::blackboard::{Blackboard, HealthFlags, SocketSnapshot};
@@ -68,6 +68,33 @@ pub struct DaemonHealth {
     pub outlier_periods: u64,
 }
 
+impl DaemonHealth {
+    /// The snapshot codec for the tallies (see [`Codec`]).
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
+        Ok(DaemonHealth {
+            published: c.u64(self.published)?,
+            dropped: c.u64(self.dropped)?,
+            probe_failures: c.u64(self.probe_failures)?,
+            retried_samples: c.u64(self.retried_samples)?,
+            stuck_periods: c.u64(self.stuck_periods)?,
+            outlier_periods: c.u64(self.outlier_periods)?,
+        })
+    }
+}
+
+/// Daemon state decoded by [`RcrDaemon::codec`], installed by
+/// [`RcrDaemon::install`].
+#[derive(Debug)]
+pub struct DaemonState {
+    probe: NodeProbeCheckpoint,
+    windows: Vec<PowerWindow>,
+    next_due_ns: u64,
+    samples_taken: u64,
+    health: DaemonHealth,
+    history: Option<SampleHistory>,
+    cursor: Option<FaultCursor>,
+}
+
 /// Saved daemon state, sufficient for a restarted incarnation to continue
 /// energy accounting and publication numbering where its predecessor died.
 ///
@@ -75,7 +102,7 @@ pub struct DaemonHealth {
 /// checkpoint: their contents went stale during the outage, so a restarted
 /// daemon re-warms them and publishes [`HealthFlags::NO_POWER`] until a
 /// fresh estimate exists, instead of serving pre-crash power as current.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DaemonCheckpoint {
     /// Wrap-corrected energy meter state for every socket.
     pub probe: NodeProbeCheckpoint,
@@ -219,69 +246,41 @@ impl RcrDaemon {
         self.health
     }
 
-    /// Serialize the daemon's complete dynamic state into `w`: probe wrap
-    /// trackers, smoothing windows, schedule cursor, publication counter,
-    /// health tallies, history ring, and the fault plan's RNG cursor. Unlike
-    /// [`RcrDaemon::checkpoint`] (crash recovery, which deliberately drops
-    /// the windows), this is for bit-exact suspend/resume: everything needed
-    /// to continue the *same* incarnation is captured. The shared blackboard
-    /// is owned by the enclosing run and captured separately.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        self.probe.checkpoint().snap_state(w);
-        w.u64(self.period_ns);
-        w.len(self.windows.len());
-        for win in &self.windows {
-            win.snap_state(w);
-        }
-        w.u64(self.next_due_ns);
-        w.u64(self.samples_taken);
-        w.u64(self.health.published);
-        w.u64(self.health.dropped);
-        w.u64(self.health.probe_failures);
-        w.u64(self.health.retried_samples);
-        w.u64(self.health.stuck_periods);
-        w.u64(self.health.outlier_periods);
-        w.bool(self.history.is_some());
-        if let Some(h) = &self.history {
-            h.snap_state(w);
-        }
-        FaultPlan::snap_opt(w, self.faults.as_ref());
-    }
-
-    /// Restore state captured by [`RcrDaemon::snap_state`] into this daemon,
-    /// which must have been built with the same configuration (period,
-    /// history capacity, fault plan presence, machine topology).
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let probe_cp = NodeProbeCheckpoint::restore_state(r)?;
-        if r.u64()? != self.period_ns {
-            return Err(SnapError::Corrupt("daemon period mismatch"));
-        }
-        let n = r.len()?;
-        if n != self.windows.len() {
-            return Err(SnapError::Corrupt("daemon window count mismatch"));
-        }
-        self.probe.restore(&probe_cp);
-        for win in &mut self.windows {
-            win.restore_state(r)?;
-        }
-        self.next_due_ns = r.u64()?;
-        self.samples_taken = r.u64()?;
-        self.health = DaemonHealth {
-            published: r.u64()?,
-            dropped: r.u64()?,
-            probe_failures: r.u64()?,
-            retried_samples: r.u64()?,
-            stuck_periods: r.u64()?,
-            outlier_periods: r.u64()?,
-        };
-        let has_history = r.bool()?;
-        if has_history != self.history.is_some() {
+    /// The snapshot codec for the daemon's complete dynamic state: probe
+    /// wrap trackers, smoothing windows, schedule cursor, publication
+    /// counter, health tallies, history ring, and the fault plan's RNG
+    /// cursor (see [`Codec`]). Unlike [`RcrDaemon::checkpoint`] (crash
+    /// recovery, which deliberately drops the windows), this is for
+    /// bit-exact suspend/resume: everything needed to continue the *same*
+    /// incarnation is captured. The shared blackboard is owned by the
+    /// enclosing run and captured separately. Decoding requires a daemon
+    /// built with the same configuration (period, history capacity, fault
+    /// plan presence, machine topology).
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<DaemonState, SnapError> {
+        let probe = self.probe.checkpoint().codec(c, self.windows.len())?;
+        c.check_u64(self.period_ns, "daemon period mismatch")?;
+        let windows =
+            c.seq_fixed(&self.windows, "daemon window count mismatch", |c, w| w.codec(c))?;
+        let next_due_ns = c.u64(self.next_due_ns)?;
+        let samples_taken = c.u64(self.samples_taken)?;
+        let health = self.health.codec(c)?;
+        if c.bool(self.history.is_some())? != self.history.is_some() {
             return Err(SnapError::Corrupt("daemon history presence mismatch"));
         }
-        if let Some(h) = &mut self.history {
-            h.restore_state(r)?;
-        }
-        FaultPlan::restore_opt(r, self.faults.as_ref())
+        let history = self.history.as_ref().map(|h| h.codec(c)).transpose()?;
+        let cursor = FaultPlan::cursor_codec(self.faults.as_ref(), c)?;
+        Ok(DaemonState { probe, windows, next_due_ns, samples_taken, health, history, cursor })
+    }
+
+    /// Install state decoded by [`RcrDaemon::codec`].
+    pub fn install(&mut self, st: DaemonState) {
+        self.probe.restore(&st.probe);
+        self.windows = st.windows;
+        self.next_due_ns = st.next_due_ns;
+        self.samples_taken = st.samples_taken;
+        self.health = st.health;
+        self.history = st.history;
+        FaultPlan::install_cursor(self.faults.as_ref(), st.cursor);
     }
 
     fn schedule_next(&mut self, now: u64) {
@@ -386,6 +385,7 @@ impl RcrDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maestro_machine::snap::{assert_rejects_corruption, SnapReader, SnapWriter};
     use maestro_machine::{CoreActivity, MachineConfig, NS_PER_SEC};
 
     fn machine() -> Machine {
@@ -556,7 +556,7 @@ mod tests {
         run_daemon(&mut m, &mut a, NS_PER_SEC);
 
         let mut w = SnapWriter::new();
-        a.snap_state(&mut w);
+        a.codec(&mut w).unwrap();
         let bytes = w.finish();
 
         // Fresh daemon with identical construction, fed the snapshot. Its
@@ -569,8 +569,14 @@ mod tests {
             m2.advance((m.now_ns() - m2.now_ns()).min(100_000_000));
         }
         let mut r = SnapReader::new(&bytes);
-        b.restore_state(&mut r).unwrap();
+        let st = b.codec(&mut r).unwrap();
         r.finish().unwrap();
+        assert_rejects_corruption(&bytes, |input| {
+            let mut r = SnapReader::new(input);
+            b.codec(&mut r)?;
+            r.finish()
+        });
+        b.install(st);
 
         run_daemon(&mut m, &mut a, NS_PER_SEC);
         run_daemon(&mut m2, &mut b, NS_PER_SEC);
@@ -592,14 +598,14 @@ mod tests {
         let m = machine();
         let d = RcrDaemon::new(&m).with_history(4);
         let mut w = SnapWriter::new();
-        d.snap_state(&mut w);
+        d.codec(&mut w).unwrap();
         let bytes = w.finish();
         // No history attached → presence mismatch.
-        let mut plain = RcrDaemon::new(&m);
-        assert!(plain.restore_state(&mut SnapReader::new(&bytes)).is_err());
+        let plain = RcrDaemon::new(&m);
+        assert!(plain.codec(&mut SnapReader::new(&bytes)).is_err());
         // Different period → config mismatch.
-        let mut other = RcrDaemon::with_period(&m, 50_000_000).with_history(4);
-        assert!(other.restore_state(&mut SnapReader::new(&bytes)).is_err());
+        let other = RcrDaemon::with_period(&m, 50_000_000).with_history(4);
+        assert!(other.codec(&mut SnapReader::new(&bytes)).is_err());
     }
 
     #[test]

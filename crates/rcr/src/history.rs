@@ -7,7 +7,7 @@
 //! [`SampleHistory`]: a fixed-capacity ring buffer the daemon appends every
 //! published sample to.
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError};
 
 use crate::blackboard::SocketSnapshot;
 
@@ -66,39 +66,22 @@ impl SampleHistory {
         all.into_iter().skip(skip).collect()
     }
 
-    /// Serialize the ring's dynamic state (retained samples in storage
-    /// order, head cursor, lifetime counter) into `w`. Capacity is
-    /// configuration and is not captured.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.len(self.buf.len());
-        for (socket, snap) in &self.buf {
-            w.u64(*socket as u64);
-            snap.snap_state(w);
-        }
-        w.u64(self.head as u64);
-        w.u64(self.total_pushed);
-    }
-
-    /// Restore state captured by [`SampleHistory::snap_state`] into this
-    /// history (built with the same capacity).
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.len()?;
+    /// The snapshot codec for the ring's dynamic state: retained samples in
+    /// storage order, head cursor, lifetime counter (see [`Codec`]).
+    /// Capacity is configuration and is carried over from `self`.
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<SampleHistory, SnapError> {
+        let buf = c.seq(&self.buf, |c, (socket, snap)| {
+            Ok((c.u64(*socket as u64)? as usize, snap.codec(c)?))
+        })?;
+        let n = if C::DECODING { buf.len() } else { self.buf.len() };
         if n > self.capacity {
             return Err(SnapError::Corrupt("history larger than capacity"));
         }
-        let mut buf = Vec::with_capacity(self.capacity.min(n));
-        for _ in 0..n {
-            let socket = r.u64()? as usize;
-            buf.push((socket, SocketSnapshot::restore_state(r)?));
-        }
-        let head = r.u64()? as usize;
+        let head = c.u64(self.head as u64)? as usize;
         if head >= self.capacity || (head != 0 && n < self.capacity) {
             return Err(SnapError::Corrupt("history head out of range"));
         }
-        self.buf = buf;
-        self.head = head;
-        self.total_pushed = r.u64()?;
-        Ok(())
+        Ok(SampleHistory { capacity: self.capacity, buf, head, total_pushed: c.u64(self.total_pushed)? })
     }
 
     /// Mean node power over the retained window for `socket`, Watts.
@@ -118,6 +101,7 @@ impl SampleHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maestro_machine::snap::{assert_rejects_corruption, SnapReader, SnapWriter};
 
     fn snap(power: f64, t: u64) -> SocketSnapshot {
         SocketSnapshot { power_w: power, updated_at_ns: t, ..SocketSnapshot::EMPTY }
@@ -184,13 +168,19 @@ mod tests {
             h.push((i % 2) as usize, snap(i as f64, i));
         }
         let mut w = SnapWriter::new();
-        h.snap_state(&mut w);
+        h.codec(&mut w).unwrap();
         let bytes = w.finish();
 
         let mut twin = SampleHistory::new(3);
         let mut r = SnapReader::new(&bytes);
-        twin.restore_state(&mut r).unwrap();
+        twin = twin.codec(&mut r).unwrap();
         r.finish().unwrap();
+        assert_rejects_corruption(&bytes, |input| {
+            let mut r = SnapReader::new(input);
+            twin.codec(&mut r)?;
+            r.finish()
+        });
+
         assert_eq!(twin.total_pushed(), h.total_pushed());
         let a: Vec<_> = h.iter().cloned().collect();
         let b: Vec<_> = twin.iter().cloned().collect();
@@ -210,9 +200,9 @@ mod tests {
             h.push(0, snap(i as f64, i));
         }
         let mut w = SnapWriter::new();
-        h.snap_state(&mut w);
+        h.codec(&mut w).unwrap();
         let bytes = w.finish();
-        let mut tiny = SampleHistory::new(1);
-        assert!(tiny.restore_state(&mut SnapReader::new(&bytes)).is_err());
+        let tiny = SampleHistory::new(1);
+        assert!(tiny.codec(&mut SnapReader::new(&bytes)).is_err());
     }
 }

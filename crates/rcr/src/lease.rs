@@ -23,10 +23,10 @@
 //! `maestro-fleet`; together the two halves give the cap-safety invariant
 //! Σ node caps ≤ cluster cap at every virtual timestamp.
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError};
 
 /// A power-budget grant as it travels from coordinator to node.
-#[derive(Copy, Clone, PartialEq, Debug)]
+#[derive(Copy, Clone, Default, PartialEq, Debug)]
 pub struct BudgetLease {
     /// Coordination epoch that produced this grant. Strictly increasing on
     /// the coordinator; the slot uses it to discard stale/reordered grants.
@@ -74,6 +74,17 @@ pub struct LeaseSlot {
     discarded: u64,
     /// Count of expiries that actually degraded the slot to the floor.
     expiries: u64,
+}
+
+impl BudgetLease {
+    /// The snapshot codec for one grant (see [`Codec`]).
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
+        Ok(BudgetLease {
+            epoch: c.u64(self.epoch)?,
+            cap_w: c.f64(self.cap_w)?,
+            expires_ns: c.u64(self.expires_ns)?,
+        })
+    }
 }
 
 impl LeaseSlot {
@@ -165,42 +176,19 @@ impl LeaseSlot {
         self.lease.is_some()
     }
 
-    /// Serialize the slot into `w`.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.f64(self.floor_w);
-        match &self.lease {
-            Some(l) => {
-                w.bool(true);
-                w.u64(l.epoch);
-                w.f64(l.cap_w);
-                w.u64(l.expires_ns);
-            }
-            None => w.bool(false),
-        }
-        w.u64(self.last_epoch);
-        w.u64(self.applied);
-        w.u64(self.discarded);
-        w.u64(self.expiries);
-    }
-
-    /// Restore a slot captured by [`LeaseSlot::snap_state`].
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let floor_w = r.f64()?;
+    /// The snapshot codec for the slot (see [`Codec`]).
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
+        let floor_w = c.f64(self.floor_w)?;
         if !(floor_w.is_finite() && floor_w >= 0.0) {
             return Err(SnapError::Corrupt("lease floor cap out of range"));
         }
-        let lease = if r.bool()? {
-            Some(BudgetLease { epoch: r.u64()?, cap_w: r.f64()?, expires_ns: r.u64()? })
-        } else {
-            None
-        };
         Ok(LeaseSlot {
             floor_w,
-            lease,
-            last_epoch: r.u64()?,
-            applied: r.u64()?,
-            discarded: r.u64()?,
-            expiries: r.u64()?,
+            lease: c.opt(self.lease.as_ref(), |c, l| l.codec(c))?,
+            last_epoch: c.u64(self.last_epoch)?,
+            applied: c.u64(self.applied)?,
+            discarded: c.u64(self.discarded)?,
+            expiries: c.u64(self.expiries)?,
         })
     }
 }
@@ -208,6 +196,7 @@ impl LeaseSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maestro_machine::snap::{assert_rejects_corruption, SnapReader, SnapWriter};
 
     fn grant(epoch: u64, cap_w: f64, expires_ns: u64) -> BudgetLease {
         BudgetLease { epoch, cap_w, expires_ns }
@@ -271,11 +260,18 @@ mod tests {
         s.offer(grant(7, 88.0, 5_000), 100);
         s.offer(grant(4, 10.0, 9_000), 100); // stale, counted
         let mut w = SnapWriter::new();
-        s.snap_state(&mut w);
+        s.codec(&mut w).unwrap();
         let bytes = w.finish();
+        let fresh = LeaseSlot::new(0.0);
         let mut r = SnapReader::new(&bytes);
-        let restored = LeaseSlot::restore_state(&mut r).unwrap();
+        let restored = fresh.codec(&mut r).unwrap();
         r.finish().unwrap();
+        assert_rejects_corruption(&bytes, |input| {
+            let mut r = SnapReader::new(input);
+            fresh.codec(&mut r)?;
+            r.finish()
+        });
+
         assert_eq!(restored.cap_at(4_999), 88.0);
         assert_eq!(restored.cap_at(5_000), 35.0);
         assert_eq!(restored.expiry_due_ns(), Some(5_000));

@@ -44,11 +44,15 @@ pub mod lease;
 pub mod region;
 pub mod supervisor;
 
-pub use blackboard::{Blackboard, HealthFlags, MeterDesc, SocketSnapshot};
+pub use blackboard::{Blackboard, BlackboardState, HealthFlags, MeterDesc, SocketSnapshot};
 pub use classify::{Level, MeterThresholds, ThrottleSignals};
-pub use daemon::{DaemonCheckpoint, DaemonHealth, DropReason, RcrDaemon, SampleOutcome};
+pub use daemon::{
+    DaemonCheckpoint, DaemonHealth, DaemonState, DropReason, RcrDaemon, SampleOutcome,
+};
 pub use lease::{BudgetLease, LeaseDecision, LeaseSlot};
-pub use supervisor::{Supervisor, SupervisorConfig, SupervisorOutcome, SupervisorStats};
+pub use supervisor::{
+    Supervisor, SupervisorConfig, SupervisorOutcome, SupervisorState, SupervisorStats,
+};
 pub use history::SampleHistory;
 pub use region::{Region, RegionReport};
 

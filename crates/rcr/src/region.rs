@@ -14,13 +14,13 @@
 //! has no jitter) but flagged [`RegionReport::below_min_duration`].
 
 use maestro_machine::msr::MsrDevice;
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError};
 use maestro_machine::{Machine, ThermalParams, IA32_THERM_STATUS};
 
 use crate::DEFAULT_SAMPLE_PERIOD_NS;
 
 /// An open measurement region.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Region {
     name: String,
     start_ns: u64,
@@ -73,28 +73,16 @@ impl Region {
         &self.start_energy_j
     }
 
-    /// Serialize the region's anchors (label, open time, per-socket baseline
-    /// energies) into `w` so a resumed run can close the *original* region.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.str(&self.name);
-        w.u64(self.start_ns);
-        w.len(self.start_energy_j.len());
-        for &e in &self.start_energy_j {
-            w.f64(e);
-        }
-    }
-
-    /// Rebuild a region serialized by [`Region::snap_state`]. The report it
-    /// eventually produces is bit-identical to one from the original region.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Region, SnapError> {
-        let name = r.str()?;
-        let start_ns = r.u64()?;
-        let n = r.len()?;
-        let mut start_energy_j = Vec::with_capacity(n);
-        for _ in 0..n {
-            start_energy_j.push(r.f64()?);
-        }
-        Ok(Region { name, start_ns, start_energy_j })
+    /// The snapshot codec for the region's anchors — label, open time,
+    /// per-socket baseline energies (see [`Codec`]) — so a resumed run can
+    /// close the *original* region. The report a decoded region eventually
+    /// produces is bit-identical to one from the original region.
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Region, SnapError> {
+        Ok(Region {
+            name: c.str(&self.name)?,
+            start_ns: c.u64(self.start_ns)?,
+            start_energy_j: c.seq(&self.start_energy_j, |c, &e| c.f64(e))?,
+        })
     }
 
     /// Close the region and report.

@@ -22,12 +22,12 @@
 //! safe mode, which is the correct terminal state: full performance, no
 //! energy optimization, honest reporting.
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
-use maestro_machine::{FaultPlan, Machine};
-use maestro_rapl::{NodeProbeCheckpoint, RetryPolicy};
+use maestro_machine::snap::{Codec, SnapError};
+use maestro_machine::{FaultCursor, FaultPlan, Machine};
+use maestro_rapl::RetryPolicy;
 
-use crate::blackboard::Blackboard;
-use crate::daemon::{DaemonCheckpoint, DaemonHealth, RcrDaemon, SampleOutcome};
+use crate::blackboard::{Blackboard, BlackboardState};
+use crate::daemon::{DaemonCheckpoint, DaemonHealth, DaemonState, RcrDaemon, SampleOutcome};
 use crate::DEFAULT_SAMPLE_PERIOD_NS;
 
 /// Restart policy for a supervised daemon.
@@ -96,6 +96,20 @@ impl SupervisorOutcome {
     pub fn published(&self) -> bool {
         matches!(self, SupervisorOutcome::Sampled(o) if o.published())
     }
+}
+
+/// Supervisor state decoded by [`Supervisor::codec`], installed by
+/// [`Supervisor::install`].
+#[derive(Debug)]
+pub struct SupervisorState {
+    blackboard: BlackboardState,
+    cursor: Option<FaultCursor>,
+    daemon: Option<DaemonState>,
+    checkpoint: Option<DaemonCheckpoint>,
+    down_until_ns: u64,
+    next_due_ns: u64,
+    dead_health: DaemonHealth,
+    stats: SupervisorStats,
 }
 
 /// Supervises an [`RcrDaemon`]: restarts it on death with exponential
@@ -217,81 +231,63 @@ impl Supervisor {
         self.daemon.is_none()
     }
 
-    /// Serialize the whole supervision pipeline into `w`: the shared
+    /// The snapshot codec for the whole supervision pipeline: the shared
     /// blackboard (epoch + records), the supervisor's scripted-kill cursor,
     /// the live daemon (when one exists) in full, the recovery checkpoint,
     /// accumulated dead-incarnation tallies, backoff state, and lifetime
-    /// stats. Together with a machine snapshot this is sufficient for
-    /// bit-exact suspend/resume of the measurement pipeline.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        self.blackboard.snap_state(w);
-        FaultPlan::snap_opt(w, self.faults.as_ref());
-        w.bool(self.daemon.is_some());
-        if let Some(d) = &self.daemon {
-            d.snap_state(w);
-        }
-        w.bool(self.checkpoint.is_some());
-        if let Some(cp) = &self.checkpoint {
-            cp.probe.snap_state(w);
-            w.u64(cp.samples_taken);
-        }
-        w.u64(self.down_until_ns);
-        w.u64(self.next_due_ns);
-        let h = self.dead_health;
-        w.u64(h.published);
-        w.u64(h.dropped);
-        w.u64(h.probe_failures);
-        w.u64(h.retried_samples);
-        w.u64(h.stuck_periods);
-        w.u64(h.outlier_periods);
-        w.u64(self.stats.kills);
-        w.u64(self.stats.wedge_kills);
-        w.u64(self.stats.restarts);
-        w.bool(self.stats.gave_up);
+    /// stats (see [`Codec`]). Together with a machine snapshot this is
+    /// sufficient for bit-exact suspend/resume of the measurement pipeline.
+    /// Decoding requires a supervisor built with the same configuration
+    /// (period, retry policy, fault plan presence, machine topology).
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<SupervisorState, SnapError> {
+        let blackboard = self.blackboard.codec(c)?;
+        let cursor = FaultPlan::cursor_codec(self.faults.as_ref(), c)?;
+        let daemon = match (c.bool(self.daemon.is_some())?, &self.daemon) {
+            (false, _) => None,
+            (true, Some(d)) => Some(d.codec(c)?),
+            (true, None) => {
+                return Err(SnapError::Corrupt("snapshot has a live daemon, target has none"))
+            }
+        };
+        let sockets = self.blackboard.sockets();
+        let checkpoint = c.opt(self.checkpoint.as_ref(), |c, cp| {
+            Ok(DaemonCheckpoint {
+                probe: cp.probe.codec(c, sockets)?,
+                samples_taken: c.u64(cp.samples_taken)?,
+            })
+        })?;
+        Ok(SupervisorState {
+            blackboard,
+            cursor,
+            daemon,
+            checkpoint,
+            down_until_ns: c.u64(self.down_until_ns)?,
+            next_due_ns: c.u64(self.next_due_ns)?,
+            dead_health: self.dead_health.codec(c)?,
+            stats: SupervisorStats {
+                kills: c.u64(self.stats.kills)?,
+                wedge_kills: c.u64(self.stats.wedge_kills)?,
+                restarts: c.u64(self.stats.restarts)?,
+                gave_up: c.bool(self.stats.gave_up)?,
+            },
+        })
     }
 
-    /// Restore state captured by [`Supervisor::snap_state`] into this
-    /// supervisor, which must have been built with the same configuration
-    /// (period, retry policy, fault plan presence, machine topology).
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.blackboard.restore_state(r)?;
-        FaultPlan::restore_opt(r, self.faults.as_ref())?;
-        let daemon_alive = r.bool()?;
-        if daemon_alive {
-            let Some(d) = self.daemon.as_mut() else {
-                return Err(SnapError::Corrupt("snapshot has a live daemon, target has none"));
-            };
-            d.restore_state(r)?;
-        } else {
+    /// Install state decoded by [`Supervisor::codec`].
+    pub fn install(&mut self, st: SupervisorState) {
+        self.blackboard.install(st.blackboard);
+        FaultPlan::install_cursor(self.faults.as_ref(), st.cursor);
+        match (st.daemon, self.daemon.as_mut()) {
+            (Some(ds), Some(d)) => d.install(ds),
             // The snapshot was taken while the daemon was down; discard the
             // freshly built incarnation without tallying a kill.
-            self.daemon = None;
+            _ => self.daemon = None,
         }
-        self.checkpoint = if r.bool()? {
-            Some(DaemonCheckpoint {
-                probe: NodeProbeCheckpoint::restore_state(r)?,
-                samples_taken: r.u64()?,
-            })
-        } else {
-            None
-        };
-        self.down_until_ns = r.u64()?;
-        self.next_due_ns = r.u64()?;
-        self.dead_health = DaemonHealth {
-            published: r.u64()?,
-            dropped: r.u64()?,
-            probe_failures: r.u64()?,
-            retried_samples: r.u64()?,
-            stuck_periods: r.u64()?,
-            outlier_periods: r.u64()?,
-        };
-        self.stats = SupervisorStats {
-            kills: r.u64()?,
-            wedge_kills: r.u64()?,
-            restarts: r.u64()?,
-            gave_up: r.bool()?,
-        };
-        Ok(())
+        self.checkpoint = st.checkpoint;
+        self.down_until_ns = st.down_until_ns;
+        self.next_due_ns = st.next_due_ns;
+        self.dead_health = st.dead_health;
+        self.stats = st.stats;
     }
 
     fn backoff_for_restart(&self, nth: u64) -> u64 {
@@ -384,6 +380,7 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maestro_machine::snap::{assert_rejects_corruption, SnapReader, SnapWriter};
     use crate::blackboard::HealthFlags;
     use maestro_machine::{CoreActivity, MachineConfig, SocketId, NS_PER_SEC};
 
@@ -553,7 +550,7 @@ mod tests {
         let mut a = Supervisor::new(&m, cfg).with_faults(mk_plan());
         drive(&mut m, &mut a, 3 * NS_PER_SEC / 2);
         let mut w = SnapWriter::new();
-        a.snap_state(&mut w);
+        a.codec(&mut w).unwrap();
         let bytes = w.finish();
 
         let mut m2 = busy_machine();
@@ -562,8 +559,14 @@ mod tests {
             m2.advance((m.now_ns() - m2.now_ns()).min(10_000_000));
         }
         let mut r = SnapReader::new(&bytes);
-        b.restore_state(&mut r).unwrap();
+        let st = b.codec(&mut r).unwrap();
         r.finish().unwrap();
+        assert_rejects_corruption(&bytes, |input| {
+            let mut r = SnapReader::new(input);
+            b.codec(&mut r)?;
+            r.finish()
+        });
+        b.install(st);
 
         drive(&mut m, &mut a, 5 * NS_PER_SEC / 2);
         drive(&mut m2, &mut b, 5 * NS_PER_SEC / 2);
@@ -592,12 +595,18 @@ mod tests {
         drive(&mut m, &mut a, NS_PER_SEC / 2 + 100_000_000);
         assert!(a.is_down(), "snapshot must land mid-outage for this test");
         let mut w = SnapWriter::new();
-        a.snap_state(&mut w);
+        a.codec(&mut w).unwrap();
         let bytes = w.finish();
 
         let m2 = busy_machine();
         let mut b = Supervisor::new(&m2, cfg).with_faults(plan.clone());
-        b.restore_state(&mut SnapReader::new(&bytes)).unwrap();
+        let st = b.codec(&mut SnapReader::new(&bytes)).unwrap();
+        assert_rejects_corruption(&bytes, |input| {
+            let mut r = SnapReader::new(input);
+            b.codec(&mut r)?;
+            r.finish()
+        });
+        b.install(st);
         assert!(b.is_down());
         assert_eq!(b.stats().kills, 1);
         assert_eq!(b.next_due_ns(), a.next_due_ns());

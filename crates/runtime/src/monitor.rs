@@ -11,7 +11,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
 use maestro_machine::Machine;
 
 use crate::cancel::CancelToken;
@@ -71,17 +71,20 @@ pub trait Monitor {
     /// throttle directives. Must advance its own deadline.
     fn fire(&mut self, machine: &mut Machine, throttle: &mut ThrottleState);
 
-    /// Snapshot hook: serialize this monitor's dynamic state into `w`. The
-    /// default writes nothing — correct only for stateless monitors; any
-    /// monitor with a deadline or accumulated data should override both
-    /// hooks as a matched pair.
+    /// Snapshot hook: encode this monitor's dynamic state into `w`. The
+    /// default writes nothing — correct only for stateless monitors. A
+    /// monitor with a deadline or accumulated data writes its layout once,
+    /// in a [`Codec`] body, and implements this hook and
+    /// [`Monitor::restore_state`] as one-line calls into it, so the two
+    /// directions cannot drift apart.
     fn snap_state(&self, w: &mut SnapWriter) {
         let _ = w;
     }
 
-    /// Snapshot hook: restore state captured by [`Monitor::snap_state`].
-    /// `machine` is the already-restored machine, for monitors that must
-    /// rebuild components against it.
+    /// Snapshot hook: decode state written by [`Monitor::snap_state`] and
+    /// install it only once it has fully decoded. `machine` is the
+    /// already-restored machine, for monitors that must rebuild components
+    /// against it.
     fn restore_state(
         &mut self,
         machine: &Machine,
@@ -140,12 +143,7 @@ impl Monitor for PowerTrace {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        w.u64(self.next_ns);
-        w.len(self.samples.len());
-        for &(t, p) in &self.samples {
-            w.u64(t);
-            w.f64(p);
-        }
+        self.codec(w).expect("live state encodes");
     }
 
     fn restore_state(
@@ -153,14 +151,19 @@ impl Monitor for PowerTrace {
         _machine: &Machine,
         r: &mut SnapReader<'_>,
     ) -> Result<(), SnapError> {
-        self.next_ns = r.u64()?;
-        let n = r.len()?;
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            samples.push((r.u64()?, r.f64()?));
-        }
-        self.samples = samples;
+        *self = self.codec(r)?;
         Ok(())
+    }
+}
+
+impl PowerTrace {
+    /// The snapshot codec (see [`Codec`]): deadline and samples.
+    fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
+        Ok(PowerTrace {
+            period_ns: self.period_ns,
+            next_ns: c.u64(self.next_ns)?,
+            samples: c.seq(&self.samples, |c, &(t, p)| Ok((c.u64(t)?, c.f64(p)?)))?,
+        })
     }
 }
 
@@ -196,7 +199,10 @@ impl Monitor for CancelAt {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        w.bool(self.fired);
+        // The token's own flag (and the shared generation counter) are
+        // restored with the cancellation tree; only the one-shot latch is
+        // this monitor's to carry.
+        w.bool(self.fired).expect("live state encodes");
     }
 
     fn restore_state(
@@ -204,10 +210,7 @@ impl Monitor for CancelAt {
         _machine: &Machine,
         r: &mut SnapReader<'_>,
     ) -> Result<(), SnapError> {
-        // The token's own flag (and the shared generation counter) are
-        // restored with the cancellation tree; only the one-shot latch is
-        // this monitor's to carry.
-        self.fired = r.bool()?;
+        self.fired = r.bool(self.fired)?;
         Ok(())
     }
 }
@@ -267,10 +270,7 @@ impl Monitor for Watchdog {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        w.u64(self.next_ns);
-        w.u64(self.heartbeat.get());
-        w.u64(self.last_beat);
-        w.u64(self.missed.get());
+        self.codec(w).expect("live state encodes");
     }
 
     fn restore_state(
@@ -278,13 +278,27 @@ impl Monitor for Watchdog {
         _machine: &Machine,
         r: &mut SnapReader<'_>,
     ) -> Result<(), SnapError> {
-        self.next_ns = r.u64()?;
+        let (next_ns, beat, last_beat, missed) = self.codec(r)?;
+        self.next_ns = next_ns;
         // Writes through the shared handles so external holders (run
         // reports, the supervised component) see the restored values.
-        self.heartbeat.set(r.u64()?);
-        self.last_beat = r.u64()?;
-        self.missed.set(r.u64()?);
+        self.heartbeat.set(beat);
+        self.last_beat = last_beat;
+        self.missed.set(missed);
         Ok(())
+    }
+}
+
+impl Watchdog {
+    /// The snapshot codec (see [`Codec`]): deadline, heartbeat, last seen
+    /// beat, missed tally.
+    fn codec<C: Codec>(&self, c: &mut C) -> Result<(u64, u64, u64, u64), SnapError> {
+        Ok((
+            c.u64(self.next_ns)?,
+            c.u64(self.heartbeat.get())?,
+            c.u64(self.last_beat)?,
+            c.u64(self.missed.get())?,
+        ))
     }
 }
 

@@ -1,6 +1,7 @@
 //! Run results and scheduler statistics.
 
 use crate::task::TaskValue;
+use maestro_machine::snap::{Codec, SnapError};
 use serde::{Deserialize, Serialize};
 
 /// Counters the scheduler maintains during a run.
@@ -59,6 +60,38 @@ pub struct RunStats {
     /// Service runs: request deadlines that fired with the request still in
     /// flight (the per-request SLO miss count). Zero for batch runs.
     pub slo_violations: u64,
+}
+
+impl RunStats {
+    /// The snapshot codec (see [`Codec`]): every counter in declaration
+    /// order.
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<RunStats, SnapError> {
+        Ok(RunStats {
+            tasks_completed: c.u64(self.tasks_completed)?,
+            steps: c.u64(self.steps)?,
+            steals: c.u64(self.steals)?,
+            spawned: c.u64(self.spawned)?,
+            resumes: c.u64(self.resumes)?,
+            monitor_fires: c.u64(self.monitor_fires)?,
+            spin_entries: c.u64(self.spin_entries)?,
+            duty_writes: c.u64(self.duty_writes)?,
+            duty_write_attempts: c.u64(self.duty_write_attempts)?,
+            duty_verify_failures: c.u64(self.duty_verify_failures)?,
+            failed_duty_applies: c.u64(self.failed_duty_applies)?,
+            forced_duty_resets: c.u64(self.forced_duty_resets)?,
+            breaker_trips: c.u64(self.breaker_trips)?,
+            throttled_worker_ns: c.u64(self.throttled_worker_ns)?,
+            peak_live_tasks: c.u64(self.peak_live_tasks)?,
+            tasks_cancelled: c.u64(self.tasks_cancelled)?,
+            cancellations: c.u64(self.cancellations)?,
+            task_panics: c.u64(self.task_panics)?,
+            lost_wakes: c.u64(self.lost_wakes)?,
+            wake_recoveries: c.u64(self.wake_recoveries)?,
+            requests_shed: c.u64(self.requests_shed)?,
+            retries_spent: c.u64(self.retries_spent)?,
+            slo_violations: c.u64(self.slo_violations)?,
+        })
+    }
 }
 
 /// The result of executing a task graph to completion.

@@ -18,10 +18,10 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
 use maestro_machine::{
-    fingerprint, ActuationTotals, Actuator, ActuatorConfig, CoreActivity, CoreId, Cost, DutyCycle,
-    FaultPlan, Machine, SocketId,
+    fingerprint, ActuationTotals, Actuator, ActuatorConfig, ActuatorState, CoreActivity, CoreId,
+    Cost, DutyCycle, FaultCursor, FaultPlan, Machine, MachineState, SocketId,
 };
 
 use crate::cancel::CancelToken;
@@ -49,7 +49,7 @@ const EPS_NS: f64 = 0.5;
 const WEDGE_CYCLES: u64 = 1 << 62;
 
 /// A contained task panic: what failed, where in the graph, and when.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TaskFailure {
     /// The panic payload, rendered as text.
     pub message: String,
@@ -402,6 +402,7 @@ fn task_ref<'a, C>(
     tasks.get(id).and_then(Option::as_ref).ok_or_else(|| internal(what, t_ns))
 }
 
+#[derive(Default)]
 struct Segment {
     /// `None` marks a fixed-rate transition (duty-register write).
     task: Option<TaskId>,
@@ -493,6 +494,165 @@ impl ServiceCtl {
             deadlines: BTreeSet::new(),
             next_shep: 0,
         }
+    }
+}
+
+/// The runtime block decoded by `Runtime::state_codec`.
+struct RuntimeState {
+    machine: MachineState,
+    actuator: ActuatorState,
+    task_faults: Option<FaultCursor>,
+    throttled: bool,
+}
+
+/// One live task record as decoded by `TaskRecord::codec`: plain data,
+/// with task logic as a spec plus the phase it is parked at.
+struct TaskSnap {
+    spec: TaskSpec,
+    phase: u8,
+    parent: Option<(TaskId, usize)>,
+    home_shepherd: usize,
+    pending_children: usize,
+    inbox_len: usize,
+    resume_pending: bool,
+    staged: Vec<(TaskSpec, u8)>,
+    cancelled: bool,
+}
+
+/// The reader's placeholder record (see [`Codec`]): no logic, no links.
+impl<C> Default for TaskRecord<C> {
+    fn default() -> Self {
+        TaskRecord {
+            logic: None,
+            parent: None,
+            home_shepherd: 0,
+            pending_children: 0,
+            inbox: Vec::new(),
+            resume_pending: false,
+            staged_children: Vec::new(),
+            cancel: CancelToken::new(),
+        }
+    }
+}
+
+impl<C> TaskRecord<C> {
+    /// The snapshot codec for one live record; `shepherds` bounds its home.
+    /// Task logic travels as its spec and phase: the writer's capture step
+    /// asks the live logic (and each staged child) for them, and fails with
+    /// a typed error for closure-based logic or an inbox holding opaque
+    /// values. The reader's placeholder has no logic to ask.
+    fn codec<K: Codec>(&self, c: &mut K, shepherds: usize) -> Result<TaskSnap, SnapError> {
+        let closure = SnapError::Unsupported("run contains a non-snapshottable (closure) task");
+        let (spec, phase) = match &self.logic {
+            Some(logic) => logic.snapshot_spec().ok_or(closure.clone())?,
+            None if K::DECODING => Default::default(),
+            None => return Err(SnapError::Unsupported("task logic absent at capture point")),
+        };
+        // Spec tasks complete with empty values, so a parked inbox is
+        // fully described by its length; anything else is opaque.
+        if self.inbox.iter().any(|v| !v.is_none()) {
+            return Err(SnapError::Unsupported("task inbox holds opaque values"));
+        }
+        let staged: Vec<(TaskSpec, u8)> = self
+            .staged_children
+            .iter()
+            .map(|child| child.snapshot_spec().ok_or(closure.clone()))
+            .collect::<Result<_, _>>()?;
+        let spec = spec.codec(c)?;
+        let phase = c.u8(phase)?;
+        let parent = c.opt(self.parent.as_ref(), |c, &(p, s)| {
+            Ok((c.u64(p as u64)? as usize, c.u64(s as u64)? as usize))
+        })?;
+        let home_shepherd = c.u64(self.home_shepherd as u64)? as usize;
+        if home_shepherd >= shepherds {
+            return Err(SnapError::Corrupt("task home shepherd out of range"));
+        }
+        let pending_children = c.u64(self.pending_children as u64)? as usize;
+        let inbox_len = c.u64(self.inbox.len() as u64)? as usize;
+        if inbox_len > (1 << 24) {
+            return Err(SnapError::Corrupt("task inbox absurdly large"));
+        }
+        Ok(TaskSnap {
+            spec,
+            phase,
+            parent,
+            home_shepherd,
+            pending_children,
+            inbox_len,
+            resume_pending: c.bool(self.resume_pending)?,
+            staged: c.seq(&staged, |c, (s, p)| Ok((s.codec(c)?, c.u8(*p)?)))?,
+            cancelled: c.bool(self.cancel.local_flag())?,
+        })
+    }
+}
+
+/// A service run's section decoded by `Exec::codec`.
+struct ServiceSnap {
+    next_shep: usize,
+    /// `(request id, root task, unfired deadline)` in request-id order.
+    live: Vec<(u64, TaskId, Option<u64>)>,
+    /// The request source's framed state.
+    source: Vec<u8>,
+}
+
+/// A whole captured run decoded by `Exec::codec`.
+struct ExecState {
+    run_start_ns: u64,
+    run_start_j: f64,
+    rt: RuntimeState,
+    run_cancelled: bool,
+    cancel_generation: u64,
+    last_cancel_gen: u64,
+    draining: bool,
+    deadline_abs_ns: Option<u64>,
+    wake_epoch: u64,
+    failure: Option<TaskFailure>,
+    stats: RunStats,
+    start_actuation: ActuationTotals,
+    pending_overhead_ns: Vec<f64>,
+    tasks: Vec<Option<TaskSnap>>,
+    free: Vec<TaskId>,
+    shepherds: Vec<(Vec<TaskId>, usize)>,
+    workers: Vec<WorkerState>,
+    monitors: Vec<Vec<u8>>,
+    service: Option<ServiceSnap>,
+}
+
+/// The snapshot codec for one worker's state. Snapshots serialize
+/// barrier-folded remaining work; a running segment's rates and completion
+/// time are re-derived at restore, folded from the restored `clock_ns`.
+fn worker_codec<K: Codec>(
+    c: &mut K,
+    w: &WorkerState,
+    clock_ns: u64,
+) -> Result<WorkerState, SnapError> {
+    let blank = Segment::default();
+    let (tag, epoch_seen, since_ns, seg) = match w {
+        WorkerState::Idle => (0, 0, 0, &blank),
+        WorkerState::Spinning { epoch_seen, since_ns } => (1, *epoch_seen, *since_ns, &blank),
+        WorkerState::Running(seg) => (2, 0, 0, seg),
+    };
+    match c.u8(tag)? {
+        0 => Ok(WorkerState::Idle),
+        1 => {
+            let epoch_seen = c.u64(epoch_seen)?;
+            let since_ns = c.u64(since_ns)?;
+            if since_ns > clock_ns {
+                return Err(SnapError::Corrupt("spin starts after the machine clock"));
+            }
+            Ok(WorkerState::Spinning { epoch_seen, since_ns })
+        }
+        2 => Ok(WorkerState::Running(Segment {
+            task: c.opt_u64(seg.task.map(|t| t as u64))?.map(|t| t as usize),
+            cpu_rem_ns: c.f64(seg.cpu_rem_ns)?,
+            mem_rem_ns: c.f64(seg.mem_rem_ns)?,
+            spin_epoch: c.u64(seg.spin_epoch)?,
+            fold_ns: clock_ns,
+            speed: 1.0,
+            phi: 1.0,
+            completion_abs: 0.0,
+        })),
+        _ => Err(SnapError::Corrupt("unknown worker state tag")),
     }
 }
 
@@ -612,16 +772,8 @@ impl Runtime {
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.header(self.config_fingerprint());
-        self.machine.snap_state(&mut w);
-        self.actuator.snap_state(&mut w);
-        FaultPlan::snap_opt(&mut w, self.task_faults.as_ref());
-        w.bool(self.throttle.active);
-        w.len(self.monitors.len());
-        for m in &self.monitors {
-            let mut mw = SnapWriter::new();
-            m.snap_state(&mut mw);
-            w.blob(&mw.finish());
-        }
+        self.state_codec(&mut w).expect("live state encodes");
+        self.monitors_codec(&mut w).expect("live state encodes");
         w.finish()
     }
 
@@ -631,21 +783,43 @@ impl Runtime {
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut r = SnapReader::new(bytes);
         r.header(self.config_fingerprint())?;
-        self.machine.restore_state(&mut r)?;
-        self.actuator.restore_state(&mut r)?;
-        FaultPlan::restore_opt(&mut r, self.task_faults.as_ref())?;
-        self.throttle.active = r.bool()?;
-        let n = r.len()?;
-        if n != self.monitors.len() {
-            return Err(SnapError::Corrupt("monitor count mismatch"));
+        let st = self.state_codec(&mut r)?;
+        let monitors = self.monitors_codec(&mut r)?;
+        r.finish()?;
+        self.install(st, monitors)
+    }
+
+    /// The runtime block's snapshot codec (see [`Codec`]): machine,
+    /// actuator, task-fault cursor, and the throttle flag (the limit is
+    /// configuration).
+    fn state_codec<K: Codec>(&self, c: &mut K) -> Result<RuntimeState, SnapError> {
+        Ok(RuntimeState {
+            machine: self.machine.codec(c)?,
+            actuator: self.actuator.codec(c)?,
+            task_faults: FaultPlan::cursor_codec(self.task_faults.as_ref(), c)?,
+            throttled: c.bool(self.throttle.active)?,
+        })
+    }
+
+    /// Every monitor, each framed so restore can verify full consumption of
+    /// its section. Decoding yields the sections for [`Runtime::install`].
+    fn monitors_codec<K: Codec>(&self, c: &mut K) -> Result<Vec<Vec<u8>>, SnapError> {
+        c.seq_fixed(&self.monitors, "monitor count mismatch", |c, m| c.framed(|w| m.snap_state(w)))
+    }
+
+    /// Install decoded runtime state, then restore every monitor from its
+    /// section, in registration order, against the installed machine.
+    fn install(&mut self, st: RuntimeState, monitors: Vec<Vec<u8>>) -> Result<(), SnapError> {
+        self.machine.install(st.machine);
+        self.actuator.install(st.actuator);
+        FaultPlan::install_cursor(self.task_faults.as_ref(), st.task_faults);
+        self.throttle.active = st.throttled;
+        for (m, section) in self.monitors.iter_mut().zip(&monitors) {
+            let mut r = SnapReader::new(section);
+            m.restore_state(&self.machine, &mut r)?;
+            r.finish()?;
         }
-        for m in &mut self.monitors {
-            let section = r.blob()?;
-            let mut sub = SnapReader::new(section);
-            m.restore_state(&self.machine, &mut sub)?;
-            sub.finish()?;
-        }
-        r.finish()
+        Ok(())
     }
 
     /// Like [`Runtime::run`], but under a [`SnapshotPlan`]: the run captures
@@ -2431,169 +2605,113 @@ impl<'r, C> Exec<'r, C> {
     /// when the graph holds a task that cannot be captured (closure-based
     /// logic, or an inbox holding opaque values).
     fn snapshot_bytes(&self) -> Result<Vec<u8>, SnapError> {
-        let fp = self.capture.as_ref().map_or(0, |c| c.fingerprint);
         let mut w = SnapWriter::new();
-        w.header(fp);
+        w.header(self.capture.as_ref().map_or(0, |c| c.fingerprint));
+        self.codec(&mut w)?;
+        Ok(w.finish())
+    }
 
+    /// The snapshot codec for a whole run (see [`Codec`]).
+    fn codec<K: Codec>(&self, c: &mut K) -> Result<ExecState, SnapError> {
         // Run anchors: reporting stays relative to the original start.
-        w.u64(self.run_start_ns);
-        w.f64(self.run_start_j);
-
-        // Machine, actuator, and the task-fault RNG cursor.
-        self.rt.machine.snap_state(&mut w);
-        self.rt.actuator.snap_state(&mut w);
-        FaultPlan::snap_opt(&mut w, self.rt.task_faults.as_ref());
-
-        // Throttle flag (the limit is configuration).
-        w.bool(self.rt.throttle.active);
-
+        let run_start_ns = c.u64(self.run_start_ns)?;
+        let run_start_j = c.f64(self.run_start_j)?;
+        let rt = self.rt.state_codec(c)?;
+        let clock_ns = rt.machine.clock_ns();
+        if run_start_ns > clock_ns {
+            return Err(SnapError::Corrupt("run starts after the machine clock"));
+        }
         // Run-scoped cancellation root and scheduler cancel bookkeeping.
-        w.bool(self.run_cancel.local_flag());
-        w.u64(self.run_cancel.generation());
-        w.u64(self.last_cancel_gen);
-        w.bool(self.draining);
-
-        w.opt_u64(self.deadline_abs_ns);
-        w.u64(self.wake_epoch);
-
-        match &self.failure {
-            None => w.bool(false),
-            Some(f) => {
-                w.bool(true);
-                w.str(&f.message);
-                w.len(f.task_path.len());
-                for p in &f.task_path {
-                    w.str(p);
-                }
-                w.u64(f.worker as u64);
-                w.u64(f.t_ns);
-            }
+        let run_cancelled = c.bool(self.run_cancel.local_flag())?;
+        let cancel_generation = c.u64(self.run_cancel.generation())?;
+        let last_cancel_gen = c.u64(self.last_cancel_gen)?;
+        if last_cancel_gen > cancel_generation {
+            return Err(SnapError::Corrupt("cancel bookkeeping ahead of the token tree"));
         }
-
-        snap_stats(&mut w, &self.stats);
-        snap_totals(&mut w, &self.start_actuation);
-
-        w.len(self.pending_overhead_ns.len());
-        for &o in &self.pending_overhead_ns {
-            w.f64(o);
-        }
-
+        let draining = c.bool(self.draining)?;
+        let deadline_abs_ns = c.opt_u64(self.deadline_abs_ns)?;
+        let wake_epoch = c.u64(self.wake_epoch)?;
+        let failure = c.opt(self.failure.as_ref(), |c, f| {
+            Ok(TaskFailure {
+                message: c.str(&f.message)?,
+                task_path: c.seq(&f.task_path, |c, p| c.str(p))?,
+                worker: c.u64(f.worker as u64)? as usize,
+                t_ns: c.u64(f.t_ns)?,
+            })
+        })?;
+        let stats = self.stats.codec(c)?;
+        let start_actuation = self.start_actuation.codec(c)?;
+        let pending_overhead_ns = c.seq_fixed(
+            &self.pending_overhead_ns,
+            "pending-overhead worker count mismatch",
+            |c, &o| c.f64(o),
+        )?;
         // Task table, slot-exact: ids are slot indices and the free list
         // drives allocation order, so the layout itself is state.
-        w.len(self.tasks.len());
-        for slot in &self.tasks {
-            let Some(rec) = slot else {
-                w.bool(false);
-                continue;
-            };
-            w.bool(true);
-            let logic = rec
-                .logic
-                .as_ref()
-                .ok_or(SnapError::Unsupported("task logic absent at capture point"))?;
-            let (spec, phase) = logic
-                .snapshot_spec()
-                .ok_or(SnapError::Unsupported("run contains a non-snapshottable (closure) task"))?;
-            spec.snap_state(&mut w);
-            w.u8(phase);
-            match rec.parent {
-                None => w.bool(false),
-                Some((p, s)) => {
-                    w.bool(true);
-                    w.u64(p as u64);
-                    w.u64(s as u64);
-                }
+        let shepherds = self.shepherds.len();
+        let blank = TaskRecord::default();
+        let tasks = c.seq(&self.tasks, |c, slot| {
+            if !c.bool(slot.is_some())? {
+                return Ok(None);
             }
-            w.u64(rec.home_shepherd as u64);
-            w.u64(rec.pending_children as u64);
-            // Spec tasks complete with empty values, so a parked inbox is
-            // fully described by its length; anything else is opaque.
-            if rec.inbox.iter().any(|v| !v.is_none()) {
-                return Err(SnapError::Unsupported("task inbox holds opaque values"));
-            }
-            w.u64(rec.inbox.len() as u64);
-            w.bool(rec.resume_pending);
-            w.len(rec.staged_children.len());
-            for child in &rec.staged_children {
-                let (cs, cp) = child.snapshot_spec().ok_or(SnapError::Unsupported(
-                    "run contains a non-snapshottable (closure) task",
-                ))?;
-                cs.snap_state(&mut w);
-                w.u8(cp);
-            }
-            w.bool(rec.cancel.local_flag());
-        }
-
-        w.len(self.free.len());
-        for &id in &self.free {
-            w.u64(id as u64);
-        }
-
-        w.len(self.shepherds.len());
-        for s in &self.shepherds {
-            w.len(s.queue.len());
-            for &id in &s.queue {
-                w.u64(id as u64);
-            }
-            w.u64(s.active as u64);
-        }
-
-        w.len(self.workers.len());
-        for st in &self.workers {
-            match st {
-                WorkerState::Idle => w.u8(0),
-                WorkerState::Spinning { epoch_seen, since_ns } => {
-                    w.u8(1);
-                    w.u64(*epoch_seen);
-                    w.u64(*since_ns);
-                }
-                WorkerState::Running(seg) => {
-                    w.u8(2);
-                    match seg.task {
-                        None => w.bool(false),
-                        Some(t) => {
-                            w.bool(true);
-                            w.u64(t as u64);
-                        }
-                    }
-                    w.f64(seg.cpu_rem_ns);
-                    w.f64(seg.mem_rem_ns);
-                    w.u64(seg.spin_epoch);
-                }
-            }
-        }
-
-        // Monitors, each framed as a blob so restore can verify full
-        // consumption of every section.
-        w.len(self.rt.monitors.len());
-        for m in &self.rt.monitors {
-            let mut mw = SnapWriter::new();
-            m.snap_state(&mut mw);
-            w.blob(&mw.finish());
-        }
-
+            slot.as_ref().unwrap_or(&blank).codec(c, shepherds).map(Some)
+        })?;
+        let free = c.seq(&self.free, |c, &id| Ok(c.u64(id as u64)? as usize))?;
+        let shepherds = c.seq_fixed(&self.shepherds, "shepherd count mismatch", |c, s| {
+            let queue = c.seq(&s.queue, |c, &id| Ok(c.u64(id as u64)? as usize))?;
+            Ok((queue, c.u64(s.active as u64)? as usize))
+        })?;
+        let workers = c.seq_fixed(&self.workers, "worker count mismatch", |c, w| {
+            worker_codec(c, w, clock_ns)
+        })?;
+        let monitors = self.rt.monitors_codec(c)?;
         // Service run state: the live-request table plus the source's own
         // dynamic state (framed, so restore verifies full consumption).
         // Fired deadlines serialize as `None` and therefore never re-fire
         // after a resume.
-        match &self.service {
-            None => w.bool(false),
-            Some(svc) => {
-                w.bool(true);
-                w.u64(svc.next_shep as u64);
-                w.len(svc.live.len());
-                for (&req_id, entry) in &svc.live {
-                    w.u64(req_id);
-                    w.u64(entry.task as u64);
-                    w.opt_u64(entry.deadline_ns);
-                }
-                let mut sw = SnapWriter::new();
-                svc.source.snap_state(&mut sw);
-                w.blob(&sw.finish());
-            }
+        if c.bool(self.service.is_some())? != self.service.is_some() {
+            return Err(SnapError::Corrupt("service section does not match run mode"));
         }
-
-        Ok(w.finish())
+        let service = match &self.service {
+            None => None,
+            Some(svc) => {
+                let next_shep = c.u64(svc.next_shep as u64)? as usize;
+                if next_shep >= self.shepherds.len() {
+                    return Err(SnapError::Corrupt("service round-robin cursor out of range"));
+                }
+                let live = c.seq(svc.live.keys(), |c, &req_id| {
+                    let entry = svc.live.get(&req_id);
+                    Ok((
+                        c.u64(req_id)?,
+                        c.u64(entry.map_or(0, |e| e.task as u64))? as usize,
+                        c.opt_u64(entry.and_then(|e| e.deadline_ns))?,
+                    ))
+                })?;
+                let source = c.framed(|w| svc.source.snap_state(w))?;
+                Some(ServiceSnap { next_shep, live, source })
+            }
+        };
+        Ok(ExecState {
+            run_start_ns,
+            run_start_j,
+            rt,
+            run_cancelled,
+            cancel_generation,
+            last_cancel_gen,
+            draining,
+            deadline_abs_ns,
+            wake_epoch,
+            failure,
+            stats,
+            start_actuation,
+            pending_overhead_ns,
+            tasks,
+            free,
+            shepherds,
+            workers,
+            monitors,
+            service,
+        })
     }
 }
 
@@ -2603,100 +2721,59 @@ impl<C: 'static> Exec<'_, C> {
     /// Rebuild the entire run state from bytes written by `snapshot_bytes`.
     /// The runtime's static configuration must match the captured one; every
     /// structural reference (task ids, queue entries, shepherd and worker
-    /// counts) is validated before being installed.
+    /// counts) is validated before anything is installed.
     fn restore_exec(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut r = SnapReader::new(bytes);
         r.header(self.rt.config_fingerprint())?;
+        let st = self.codec(&mut r)?;
+        r.finish()?;
 
-        self.run_start_ns = r.u64()?;
-        self.run_start_j = r.f64()?;
-
-        self.rt.machine.restore_state(&mut r)?;
-        self.rt.actuator.restore_state(&mut r)?;
-        FaultPlan::restore_opt(&mut r, self.rt.task_faults.as_ref())?;
-
-        self.rt.throttle.active = r.bool()?;
-
-        self.run_cancel.restore_flag(r.bool()?);
-        self.run_cancel.restore_generation(r.u64()?);
-        self.last_cancel_gen = r.u64()?;
-        self.draining = r.bool()?;
-
-        self.deadline_abs_ns = r.opt_u64()?;
-        self.wake_epoch = r.u64()?;
-
-        self.failure = if r.bool()? {
-            let message = r.str()?;
-            let n = r.len()?;
-            let mut task_path = Vec::with_capacity(n);
-            for _ in 0..n {
-                task_path.push(r.str()?);
-            }
-            Some(TaskFailure { message, task_path, worker: r.u64()? as usize, t_ns: r.u64()? })
-        } else {
-            None
-        };
-
-        self.stats = restore_stats(&mut r)?;
-        self.start_actuation = restore_totals(&mut r)?;
-
-        let n_overhead = r.len()?;
-        if n_overhead != self.pending_overhead_ns.len() {
-            return Err(SnapError::Corrupt("pending-overhead worker count mismatch"));
-        }
-        for o in self.pending_overhead_ns.iter_mut() {
-            *o = r.f64()?;
+        // Teardown reports actuation as deltas from the run start.
+        let (start, end) = (&st.start_actuation, st.rt.actuator.totals());
+        if start.attempts > end.attempts
+            || start.verify_failures > end.verify_failures
+            || start.failed_applies > end.failed_applies
+            || start.forced_resets > end.forced_resets
+            || start.breaker_trips > end.breaker_trips
+        {
+            return Err(SnapError::Corrupt("run-start actuation ahead of the actuator"));
         }
 
-        // Task table.
-        let n_slots = r.len()?;
-        let mut tasks: Vec<Option<TaskRecord<C>>> = Vec::with_capacity(n_slots);
-        let mut flags: Vec<bool> = vec![false; n_slots];
-        let mut live: usize = 0;
-        for flag_slot in flags.iter_mut() {
-            if !r.bool()? {
-                tasks.push(None);
-                continue;
-            }
-            live += 1;
-            let spec = crate::spec::TaskSpec::restore_state(&mut r)?;
-            let phase = r.u8()?;
-            let parent = if r.bool()? {
-                Some((r.u64()? as usize, r.u64()? as usize))
-            } else {
-                None
-            };
-            let home_shepherd = r.u64()? as usize;
-            if home_shepherd >= self.shepherds.len() {
-                return Err(SnapError::Corrupt("task home shepherd out of range"));
-            }
-            let pending_children = r.u64()? as usize;
-            let inbox_len = r.u64()? as usize;
-            if inbox_len > (1 << 24) {
-                return Err(SnapError::Corrupt("task inbox absurdly large"));
-            }
-            let resume_pending = r.bool()?;
-            let n_staged = r.len()?;
-            let mut staged: Vec<BoxTask<C>> = Vec::with_capacity(n_staged);
-            for _ in 0..n_staged {
-                let cs = crate::spec::TaskSpec::restore_state(&mut r)?;
-                let cp = r.u8()?;
-                staged.push(Box::new(SpecTask::resume(cs, cp)));
-            }
-            *flag_slot = r.bool()?;
-            let mut inbox: Vec<TaskValue> = Vec::new();
-            inbox.resize_with(inbox_len, TaskValue::none);
-            tasks.push(Some(TaskRecord {
-                logic: Some(Box::new(SpecTask::resume(spec, phase))),
-                parent,
-                home_shepherd,
-                pending_children,
-                inbox,
-                resume_pending,
-                staged_children: staged,
-                cancel: CancelToken::new(), // placeholder, rewired below
-            }));
+        // Restore-side step: rebuild the task records from their specs.
+        let mut flags: Vec<bool> = Vec::with_capacity(st.tasks.len());
+        let mut tasks: Vec<Option<TaskRecord<C>>> = Vec::with_capacity(st.tasks.len());
+        for slot in st.tasks {
+            flags.push(slot.as_ref().is_some_and(|t| t.cancelled));
+            tasks.push(match slot {
+                None => None,
+                Some(t) => {
+                    let children = match &t.spec {
+                        TaskSpec::Leaf { .. } => 0,
+                        TaskSpec::ForkJoin { children, .. } => children.len(),
+                    };
+                    if t.inbox_len > children {
+                        return Err(SnapError::Corrupt("task inbox exceeds its child count"));
+                    }
+                    let mut inbox: Vec<TaskValue> = Vec::new();
+                    inbox.resize_with(t.inbox_len, TaskValue::none);
+                    Some(TaskRecord {
+                        logic: Some(Box::new(SpecTask::resume(t.spec, t.phase))),
+                        parent: t.parent,
+                        home_shepherd: t.home_shepherd,
+                        pending_children: t.pending_children,
+                        inbox,
+                        resume_pending: t.resume_pending,
+                        staged_children: t
+                            .staged
+                            .into_iter()
+                            .map(|(s, p)| Box::new(SpecTask::resume(s, p)) as BoxTask<C>)
+                            .collect(),
+                        cancel: CancelToken::new(), // placeholder, rewired below
+                    })
+                }
+            });
         }
+        let live = tasks.iter().flatten().count();
 
         // Rebuild the cancellation tree parent-first (slot reuse means a
         // child's id can be lower than its parent's, so a DFS from the roots
@@ -2711,9 +2788,12 @@ impl<C: 'static> Exec<'_, C> {
             let Some(rec) = slot else { continue };
             match rec.parent {
                 None => roots.push(id),
-                Some((p, _)) => {
-                    if p >= tasks.len() || tasks[p].is_none() {
+                Some((p, s)) => {
+                    let Some(parent) = tasks.get(p).and_then(Option::as_ref) else {
                         return Err(SnapError::Corrupt("task parent is not live"));
+                    };
+                    if s >= parent.inbox.len() {
+                        return Err(SnapError::Corrupt("task parent slot out of range"));
                     }
                     children_of[p].push(id);
                 }
@@ -2755,123 +2835,56 @@ impl<C: 'static> Exec<'_, C> {
         if visited != live {
             return Err(SnapError::Corrupt("task graph is not a tree"));
         }
+        // A parent waits on exactly its staged and its live children.
+        for (rec, children) in tasks.iter().zip(&children_of) {
+            if rec.as_ref().is_some_and(|r| {
+                r.pending_children != r.staged_children.len() + children.len()
+            }) {
+                return Err(SnapError::Corrupt("task pending-children count disagrees with graph"));
+            }
+        }
 
         // Free list, order-exact (allocation pops from the back).
-        let n_free = r.len()?;
-        let mut free: Vec<TaskId> = Vec::with_capacity(n_free);
+        let is_live = |id: TaskId| tasks.get(id).is_some_and(Option::is_some);
         let mut seen_free = vec![false; tasks.len()];
-        for _ in 0..n_free {
-            let id = r.u64()? as usize;
+        for &id in &st.free {
             if id >= tasks.len() || tasks[id].is_some() || seen_free[id] {
                 return Err(SnapError::Corrupt("free-list entry is not a free slot"));
             }
             seen_free[id] = true;
-            free.push(id);
         }
-
-        // Shepherd queues.
-        let n_sheps = r.len()?;
-        if n_sheps != self.shepherds.len() {
-            return Err(SnapError::Corrupt("shepherd count mismatch"));
+        if st.shepherds.iter().flat_map(|(queue, _)| queue).any(|&id| !is_live(id)) {
+            return Err(SnapError::Corrupt("queued task id is not live"));
         }
-        for shep in self.shepherds.iter_mut() {
-            let qn = r.len()?;
-            let mut queue = VecDeque::with_capacity(qn);
-            for _ in 0..qn {
-                let id = r.u64()? as usize;
-                if id >= tasks.len() || tasks[id].is_none() {
-                    return Err(SnapError::Corrupt("queued task id is not live"));
-                }
-                queue.push_back(id);
-            }
-            shep.queue = queue;
-            shep.active = r.u64()? as usize;
+        let running_dead = st.workers.iter().any(|w| {
+            matches!(w, WorkerState::Running(Segment { task: Some(id), .. }) if !is_live(*id))
+        });
+        if running_dead {
+            return Err(SnapError::Corrupt("running task id is not live"));
         }
-
-        // Worker states.
-        let n_workers = r.len()?;
-        if n_workers != self.workers.len() {
-            return Err(SnapError::Corrupt("worker count mismatch"));
-        }
-        let mut workers: Vec<WorkerState> = Vec::with_capacity(n_workers);
-        for _ in 0..n_workers {
-            workers.push(match r.u8()? {
-                0 => WorkerState::Idle,
-                1 => WorkerState::Spinning { epoch_seen: r.u64()?, since_ns: r.u64()? },
-                2 => {
-                    let task = if r.bool()? {
-                        let id = r.u64()? as usize;
-                        if id >= tasks.len() || tasks[id].is_none() {
-                            return Err(SnapError::Corrupt("running task id is not live"));
-                        }
-                        Some(id)
-                    } else {
-                        None
-                    };
-                    WorkerState::Running(Segment {
-                        task,
-                        cpu_rem_ns: r.f64()?,
-                        mem_rem_ns: r.f64()?,
-                        spin_epoch: r.u64()?,
-                        // Snapshots serialize barrier-folded remaining work;
-                        // rates and the completion time are re-derived below.
-                        fold_ns: self.rt.machine.now_ns(),
-                        speed: 1.0,
-                        phi: 1.0,
-                        completion_abs: 0.0,
-                    })
-                }
-                _ => return Err(SnapError::Corrupt("unknown worker state tag")),
-            });
-        }
-
-        // Monitors (framed; each section must be fully consumed).
-        let n_monitors = r.len()?;
-        if n_monitors != self.rt.monitors.len() {
-            return Err(SnapError::Corrupt("monitor count mismatch"));
-        }
-        {
-            let rt = &mut *self.rt;
-            for m in &mut rt.monitors {
-                let section = r.blob()?;
-                let mut sub = SnapReader::new(section);
-                m.restore_state(&rt.machine, &mut sub)?;
-                sub.finish()?;
-            }
-            // The throttle *limit* is configuration, deliberately outside
-            // the snapshot (one snapshot forks across limit variants), but
-            // monitors that drive the limit as policy re-apply their
-            // restored ladder level here.
-            for m in &rt.monitors {
-                m.restore_throttle(&mut rt.throttle);
+        // A shepherd's active count is its workers running a task.
+        let mut active = vec![0; st.shepherds.len()];
+        for (w, state) in st.workers.iter().enumerate() {
+            if matches!(state, WorkerState::Running(Segment { task: Some(_), .. })) {
+                active[self.worker_shep[w]] += 1;
             }
         }
-
-        // Service section: presence must match the execution mode, every
-        // request must map to a live parentless tree, and every root must
-        // be a request.
-        let svc_present = r.bool()?;
-        if svc_present != self.service.is_some() {
-            return Err(SnapError::Corrupt("service section does not match run mode"));
+        if st.shepherds.iter().zip(&active).any(|((_, a), n)| a != n) {
+            return Err(SnapError::Corrupt("shepherd active count disagrees with workers"));
         }
-        if let Some(svc) = self.service.as_mut() {
-            let next_shep = r.u64()? as usize;
-            if next_shep >= self.shepherds.len() {
-                return Err(SnapError::Corrupt("service round-robin cursor out of range"));
-            }
-            let n_live = r.len()?;
-            if n_live != roots.len() {
+
+        // Service section: every request must map to a live parentless
+        // tree, and every root must be a request.
+        let mut service = None;
+        if let Some(snap) = st.service {
+            if snap.live.len() != roots.len() {
                 return Err(SnapError::Corrupt("service request count does not match roots"));
             }
             let mut live_map: BTreeMap<u64, LiveRequest> = BTreeMap::new();
             let mut task_req: BTreeMap<TaskId, u64> = BTreeMap::new();
             let mut deadlines: BTreeSet<(u64, u64)> = BTreeSet::new();
-            for _ in 0..n_live {
-                let req_id = r.u64()?;
-                let task = r.u64()? as usize;
-                let deadline_ns = r.opt_u64()?;
-                let is_root = task < tasks.len()
-                    && tasks[task].as_ref().is_some_and(|rec| rec.parent.is_none());
+            for (req_id, task, deadline_ns) in snap.live {
+                let is_root = tasks.get(task).and_then(Option::as_ref).is_some_and(|rec| rec.parent.is_none());
                 if !is_root {
                     return Err(SnapError::Corrupt("service request task is not a live root"));
                 }
@@ -2884,22 +2897,59 @@ impl<C: 'static> Exec<'_, C> {
                     deadlines.insert((d, req_id));
                 }
             }
+            service = Some((snap.next_shep, live_map, task_req, deadlines, snap.source));
+        }
+
+        // Install: the runtime block and its monitors first (monitors
+        // restore against the installed machine), then the run itself.
+        self.rt.install(st.rt, st.monitors)?;
+        // The throttle *limit* is configuration, deliberately outside the
+        // snapshot (one snapshot forks across limit variants), but monitors
+        // that drive the limit as policy re-apply their restored ladder
+        // level here.
+        for m in &self.rt.monitors {
+            m.restore_throttle(&mut self.rt.throttle);
+        }
+        if let (Some(svc), Some((next_shep, live, task_req, deadlines, source))) =
+            (self.service.as_mut(), service)
+        {
             svc.next_shep = next_shep;
-            svc.live = live_map;
+            svc.live = live;
             svc.task_req = task_req;
             svc.deadlines = deadlines;
-            let section = r.blob()?;
-            let mut sub = SnapReader::new(section);
+            let mut sub = SnapReader::new(&source);
             svc.source.restore_state(&mut sub)?;
             sub.finish()?;
+            // The request table and the source's in-flight attempts must
+            // name the same requests.
+            if svc.source.counters().in_flight != svc.live.len() as u64
+                || svc.live.keys().any(|&id| !svc.source.owns(id))
+            {
+                return Err(SnapError::Corrupt("service requests disagree with their source"));
+            }
         }
-        r.finish()?;
+        self.run_start_ns = st.run_start_ns;
+        self.run_start_j = st.run_start_j;
+        self.run_cancel.restore_flag(st.run_cancelled);
+        self.run_cancel.restore_generation(st.cancel_generation);
+        self.last_cancel_gen = st.last_cancel_gen;
+        self.draining = st.draining;
+        self.deadline_abs_ns = st.deadline_abs_ns;
+        self.wake_epoch = st.wake_epoch;
+        self.failure = st.failure;
+        self.stats = st.stats;
+        self.start_actuation = st.start_actuation;
+        self.pending_overhead_ns = st.pending_overhead_ns;
+        for (shep, (queue, active)) in self.shepherds.iter_mut().zip(st.shepherds) {
+            shep.queue = queue.into();
+            shep.active = active;
+        }
 
-        // Commit and rebuild derived state.
+        // Rebuild derived state.
         self.tasks = tasks;
-        self.free = free;
+        self.free = st.free;
         self.live_tasks = live as u64;
-        self.workers = workers;
+        self.workers = st.workers;
         self.active_total = self.shepherds.iter().map(|s| s.active).sum();
         self.spinner_count = self
             .workers
@@ -2938,94 +2988,6 @@ impl<C: 'static> Exec<'_, C> {
     }
 }
 
-/// Serialize [`RunStats`] in declaration order.
-fn snap_stats(w: &mut SnapWriter, s: &RunStats) {
-    for v in [
-        s.tasks_completed,
-        s.steps,
-        s.steals,
-        s.spawned,
-        s.resumes,
-        s.monitor_fires,
-        s.spin_entries,
-        s.duty_writes,
-        s.duty_write_attempts,
-        s.duty_verify_failures,
-        s.failed_duty_applies,
-        s.forced_duty_resets,
-        s.breaker_trips,
-        s.throttled_worker_ns,
-        s.peak_live_tasks,
-        s.tasks_cancelled,
-        s.cancellations,
-        s.task_panics,
-        s.lost_wakes,
-        s.wake_recoveries,
-        s.requests_shed,
-        s.retries_spent,
-        s.slo_violations,
-    ] {
-        w.u64(v);
-    }
-}
-
-/// Restore [`RunStats`] written by [`snap_stats`].
-fn restore_stats(r: &mut SnapReader<'_>) -> Result<RunStats, SnapError> {
-    Ok(RunStats {
-        tasks_completed: r.u64()?,
-        steps: r.u64()?,
-        steals: r.u64()?,
-        spawned: r.u64()?,
-        resumes: r.u64()?,
-        monitor_fires: r.u64()?,
-        spin_entries: r.u64()?,
-        duty_writes: r.u64()?,
-        duty_write_attempts: r.u64()?,
-        duty_verify_failures: r.u64()?,
-        failed_duty_applies: r.u64()?,
-        forced_duty_resets: r.u64()?,
-        breaker_trips: r.u64()?,
-        throttled_worker_ns: r.u64()?,
-        peak_live_tasks: r.u64()?,
-        tasks_cancelled: r.u64()?,
-        cancellations: r.u64()?,
-        task_panics: r.u64()?,
-        lost_wakes: r.u64()?,
-        wake_recoveries: r.u64()?,
-        requests_shed: r.u64()?,
-        retries_spent: r.u64()?,
-        slo_violations: r.u64()?,
-    })
-}
-
-/// Serialize [`ActuationTotals`] in declaration order.
-fn snap_totals(w: &mut SnapWriter, t: &ActuationTotals) {
-    for v in [
-        t.writes,
-        t.attempts,
-        t.verify_failures,
-        t.failed_applies,
-        t.forced_resets,
-        t.breaker_trips,
-        t.open_breakers,
-    ] {
-        w.u64(v);
-    }
-}
-
-/// Restore [`ActuationTotals`] written by [`snap_totals`].
-fn restore_totals(r: &mut SnapReader<'_>) -> Result<ActuationTotals, SnapError> {
-    Ok(ActuationTotals {
-        writes: r.u64()?,
-        attempts: r.u64()?,
-        verify_failures: r.u64()?,
-        failed_applies: r.u64()?,
-        forced_resets: r.u64()?,
-        breaker_trips: r.u64()?,
-        open_breakers: r.u64()?,
-    })
-}
-
 /// Backstop for the backstop: if an unwind ever crosses `run` (so `teardown`
 /// did not get its turn), the destructor still drives every core back to
 /// full duty. Stats are already lost at that point; core state must not be.
@@ -3042,9 +3004,12 @@ impl<C> Drop for Exec<'_, C> {
 mod tests {
     use super::*;
     use crate::adapters::{compute_leaf, fork_join, leaf, parallel_for};
-    use crate::monitor::PowerTrace;
+    use crate::monitor::{CancelAt, PowerTrace, Watchdog};
     use crate::task::TaskLogic;
+    use maestro_machine::snap::assert_rejects_corruption;
     use maestro_machine::{Cost, MachineConfig, NS_PER_SEC};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn runtime(workers: usize) -> Runtime {
         Runtime::new(Machine::new(MachineConfig::sandybridge_2x8()), RuntimeParams::qthreads(workers))
@@ -3881,6 +3846,14 @@ mod tests {
 
     #[test]
     fn restore_rejects_truncated_and_corrupt_bytes() {
+        // Every monitor kind rides along, so their sections are covered too.
+        let runtime = |workers| {
+            let mut rt = runtime(workers);
+            rt.add_monitor(Box::new(PowerTrace::new(500_000)));
+            rt.add_monitor(Box::new(Watchdog::new(1_000_000, Rc::new(Cell::new(0)))));
+            rt.add_monitor(Box::new(CancelAt::new(NS_PER_SEC, CancelToken::new())));
+            rt
+        };
         let spec = spec_tree(8, 3);
         let mut rt = runtime(4);
         let cap = rt
@@ -3902,6 +3875,13 @@ mod tests {
             rt3.resume_captured::<()>(&mut (), &garbage, &SnapshotPlan::none()).is_err(),
             "trailing corruption must not pass undetected"
         );
+
+        // Every prefix is rejected, and no single-byte flip panics — in
+        // decoding or in the resumed run that follows.
+        assert_rejects_corruption(&cap.bytes, |input| {
+            let plan = SnapshotPlan::suspend_at(3_000_000);
+            runtime(4).resume_captured::<()>(&mut (), input, &plan).map(drop)
+        });
     }
 
     #[test]

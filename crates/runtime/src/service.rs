@@ -29,7 +29,7 @@
 //! call (or appears in the terminal [`drain`](RequestSource::drain) when the
 //! run dies), never both.
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
 
 use crate::spec::TaskSpec;
 
@@ -76,16 +76,37 @@ pub struct ServiceCounters {
 }
 
 impl ServiceCounters {
+    /// The snapshot codec (see [`Codec`]): every counter in declaration
+    /// order.
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<ServiceCounters, SnapError> {
+        Ok(ServiceCounters {
+            arrived: c.u64(self.arrived)?,
+            completed: c.u64(self.completed)?,
+            shed: c.u64(self.shed)?,
+            failed: c.u64(self.failed)?,
+            cancelled: c.u64(self.cancelled)?,
+            in_flight: c.u64(self.in_flight)?,
+            pending_retry: c.u64(self.pending_retry)?,
+            retries_spent: c.u64(self.retries_spent)?,
+        })
+    }
+
     /// Left side minus right side of the conservation invariant — zero iff
-    /// the ledger balances.
+    /// the ledger balances. Computed without overflow (a decoded ledger can
+    /// hold any values) and saturated to the `i64` range.
     pub fn conservation_gap(&self) -> i64 {
-        self.arrived as i64
-            - (self.completed
-                + self.shed
-                + self.failed
-                + self.cancelled
-                + self.in_flight
-                + self.pending_retry) as i64
+        let accounted: i128 = [
+            self.completed,
+            self.shed,
+            self.failed,
+            self.cancelled,
+            self.in_flight,
+            self.pending_retry,
+        ]
+        .iter()
+        .map(|&v| i128::from(v))
+        .sum();
+        (i128::from(self.arrived) - accounted).clamp(i64::MIN.into(), i64::MAX.into()) as i64
     }
 }
 
@@ -128,11 +149,24 @@ pub trait RequestSource {
     /// Current aggregate accounting (the conservation ledger).
     fn counters(&self) -> ServiceCounters;
 
-    /// Serialize the source's dynamic state (RNG cursors, pending retries,
-    /// admission state, histograms) into `w`.
+    /// Whether `req_id` is an attempt this source has in flight. Restore
+    /// checks a decoded request table against it; the default accepts
+    /// every id.
+    fn owns(&self, req_id: u64) -> bool {
+        let _ = req_id;
+        true
+    }
+
+    /// Encode the source's dynamic state (RNG cursors, pending retries,
+    /// admission state, histograms) into `w`. Like the [`Monitor`] hooks,
+    /// implement this and [`RequestSource::restore_state`] as one-line calls
+    /// into a single [`maestro_machine::snap::Codec`] body.
+    ///
+    /// [`Monitor`]: crate::Monitor
     fn snap_state(&self, w: &mut SnapWriter);
 
-    /// Restore state captured by [`RequestSource::snap_state`].
+    /// Decode state written by [`RequestSource::snap_state`] and install it
+    /// only once it has fully decoded.
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 

@@ -14,7 +14,7 @@
 //! (see [`TaskSpec::into_task`]); closure-based tasks still run everywhere
 //! else, they just make a run uncapturable (a typed error, not a panic).
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError};
 use maestro_machine::Cost;
 
 use crate::task::{BoxTask, Step, TaskCtx, TaskLogic, TaskValue};
@@ -70,50 +70,37 @@ impl TaskSpec {
         Box::new(SpecTask::new(self))
     }
 
-    /// Serialize the tree into `w`.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        match self {
-            TaskSpec::Leaf { cost } => {
-                w.u8(0);
-                snap_cost(w, cost);
-            }
-            TaskSpec::ForkJoin { children, join_cost } => {
-                w.u8(1);
-                w.len(children.len());
-                for c in children {
-                    c.snap_state(w);
-                }
-                snap_cost(w, join_cost);
-            }
-        }
-    }
-
-    /// Rebuild a tree serialized by [`TaskSpec::snap_state`].
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<TaskSpec, SnapError> {
-        match r.u8()? {
-            0 => Ok(TaskSpec::Leaf { cost: restore_cost(r)? }),
-            1 => {
-                let n = r.len()?;
-                let mut children = Vec::with_capacity(n);
-                for _ in 0..n {
-                    children.push(TaskSpec::restore_state(r)?);
-                }
-                Ok(TaskSpec::ForkJoin { children, join_cost: restore_cost(r)? })
-            }
+    /// The snapshot codec for the tree (see [`Codec`]).
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<TaskSpec, SnapError> {
+        let (tag, children, cost) = match self {
+            TaskSpec::Leaf { cost } => (0, &[][..], cost),
+            TaskSpec::ForkJoin { children, join_cost } => (1, &children[..], join_cost),
+        };
+        match c.u8(tag)? {
+            0 => Ok(TaskSpec::Leaf { cost: cost_codec(c, cost)? }),
+            1 => Ok(TaskSpec::ForkJoin {
+                children: c.seq(children, |c, child| child.codec(c))?,
+                join_cost: cost_codec(c, cost)?,
+            }),
             _ => Err(SnapError::Corrupt("unknown task spec tag")),
         }
     }
 }
 
-fn snap_cost(w: &mut SnapWriter, c: &Cost) {
-    w.u64(c.cpu_cycles);
-    w.u64(c.mem_refs);
-    w.f64(c.mlp);
-    w.f64(c.intensity);
+/// The reader's placeholder spec (a free leaf); see [`Codec::seq`].
+impl Default for TaskSpec {
+    fn default() -> Self {
+        TaskSpec::Leaf { cost: Cost::ZERO }
+    }
 }
 
-fn restore_cost(r: &mut SnapReader<'_>) -> Result<Cost, SnapError> {
-    Ok(Cost { cpu_cycles: r.u64()?, mem_refs: r.u64()?, mlp: r.f64()?, intensity: r.f64()? })
+fn cost_codec<C: Codec>(c: &mut C, cost: &Cost) -> Result<Cost, SnapError> {
+    Ok(Cost {
+        cpu_cycles: c.u64(cost.cpu_cycles)?,
+        mem_refs: c.u64(cost.mem_refs)?,
+        mlp: c.f64(cost.mlp)?,
+        intensity: c.f64(cost.intensity)?,
+    })
 }
 
 /// The interpreter for a [`TaskSpec`]: a task whose entire dynamic state is
@@ -172,6 +159,7 @@ impl<C: 'static> TaskLogic<C> for SpecTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maestro_machine::snap::{assert_rejects_corruption, SnapReader, SnapWriter};
 
     fn cost(cycles: u64) -> Cost {
         Cost { cpu_cycles: cycles, mem_refs: cycles / 4, mlp: 2.0, intensity: 0.8 }
@@ -191,12 +179,17 @@ mod tests {
     fn serialization_round_trips() {
         let t = tree();
         let mut w = SnapWriter::new();
-        t.snap_state(&mut w);
+        t.codec(&mut w).unwrap();
         let bytes = w.finish();
         let mut r = SnapReader::new(&bytes);
-        let back = TaskSpec::restore_state(&mut r).unwrap();
+        let back = TaskSpec::default().codec(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back, t);
+        assert_rejects_corruption(&bytes, |input| {
+            let mut r = SnapReader::new(input);
+            TaskSpec::default().codec(&mut r)?;
+            r.finish()
+        });
     }
 
     #[test]
@@ -208,9 +201,9 @@ mod tests {
     #[test]
     fn corrupt_tag_is_rejected() {
         let mut w = SnapWriter::new();
-        w.u8(9);
+        w.u8(9).unwrap();
         let bytes = w.finish();
-        assert!(TaskSpec::restore_state(&mut SnapReader::new(&bytes)).is_err());
+        assert!(TaskSpec::default().codec(&mut SnapReader::new(&bytes)).is_err());
     }
 
     #[test]

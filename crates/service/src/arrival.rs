@@ -14,7 +14,7 @@
 //! precomputed and serialized; a resumed run therefore continues the exact
 //! stream the suspended run would have produced.
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError};
 
 /// The splitmix64 generator — tiny, seedable, and a single `u64` of state,
 /// which is all a snapshot has to carry.
@@ -172,28 +172,23 @@ impl ArrivalStream {
         Some(t)
     }
 
-    /// Serialize the dynamic cursor (the config is reconstruction input).
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.u64(self.rng.state());
-        w.opt_u64(self.next_ns);
-        w.u64(self.emitted);
-    }
-
-    /// Restore a cursor written by [`ArrivalStream::snap_state`].
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.rng = SplitMix64::from_state(r.u64()?);
-        self.next_ns = r.opt_u64()?;
-        self.emitted = r.u64()?;
-        if self.emitted > self.cfg.total_requests {
+    /// The snapshot codec for the dynamic cursor (see [`Codec`]); the
+    /// config is reconstruction input, carried over from `self`.
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
+        let rng = SplitMix64::from_state(c.u64(self.rng.state())?);
+        let next_ns = c.opt_u64(self.next_ns)?;
+        let emitted = c.u64(self.emitted)?;
+        if emitted > self.cfg.total_requests {
             return Err(SnapError::Corrupt("arrival stream emitted more than its total"));
         }
-        Ok(())
+        Ok(ArrivalStream { cfg: self.cfg.clone(), rng, next_ns, emitted })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maestro_machine::snap::{assert_rejects_corruption, SnapReader, SnapWriter};
 
     #[test]
     fn stream_is_deterministic_and_ordered() {
@@ -260,11 +255,16 @@ mod tests {
             got.push(s.pop_due(u64::MAX).unwrap());
         }
         let mut w = SnapWriter::new();
-        s.snap_state(&mut w);
+        s.codec(&mut w).unwrap();
         let bytes = w.finish();
-        let mut resumed = ArrivalStream::new(cfg, 0);
+        let fresh = ArrivalStream::new(cfg, 0);
         let mut r = SnapReader::new(&bytes);
-        resumed.restore_state(&mut r).unwrap();
+        let mut resumed = fresh.codec(&mut r).unwrap();
+        assert_rejects_corruption(&bytes, |input| {
+            let mut r = SnapReader::new(input);
+            fresh.codec(&mut r)?;
+            r.finish()
+        });
         while let Some(t) = resumed.pop_due(u64::MAX) {
             got.push(t);
         }

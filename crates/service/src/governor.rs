@@ -22,7 +22,7 @@
 //! [`Monitor::restore_throttle`] re-imposes the energy level on the
 //! (deliberately unserialized) throttle limit.
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
 use maestro_machine::Machine;
 use maestro_runtime::{Monitor, ThrottleState};
 
@@ -86,6 +86,25 @@ impl SloGovernor {
     }
 }
 
+impl SloGovernor {
+    /// The snapshot codec (see [`Codec`]): deadline, ladder and brownout
+    /// levels, transition counts.
+    fn codec<C: Codec>(&self, c: &mut C) -> Result<(u64, usize, u8, u64, u64), SnapError> {
+        let sh = self.shared.borrow();
+        let next_ns = c.u64(self.next_ns)?;
+        let energy_level = c.u64(sh.energy_level as u64)? as usize;
+        if energy_level > self.cfg.ladder.len() {
+            return Err(SnapError::Corrupt("energy level beyond the configured ladder"));
+        }
+        let brownout_level = c.u8(sh.brownout_level)?;
+        if brownout_level > self.cfg.max_brownout {
+            return Err(SnapError::Corrupt("brownout level beyond the configured maximum"));
+        }
+        let energy_steps = c.u64(sh.energy_steps)?;
+        Ok((next_ns, energy_level, brownout_level, energy_steps, c.u64(sh.brownout_steps)?))
+    }
+}
+
 impl Monitor for SloGovernor {
     fn next_due_ns(&self) -> Option<u64> {
         Some(self.next_ns)
@@ -124,12 +143,7 @@ impl Monitor for SloGovernor {
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
-        let sh = self.shared.borrow();
-        w.u64(self.next_ns);
-        w.u64(sh.energy_level as u64);
-        w.u8(sh.brownout_level);
-        w.u64(sh.energy_steps);
-        w.u64(sh.brownout_steps);
+        self.codec(w).expect("live state encodes");
     }
 
     fn restore_state(
@@ -137,20 +151,14 @@ impl Monitor for SloGovernor {
         _machine: &Machine,
         r: &mut SnapReader<'_>,
     ) -> Result<(), SnapError> {
-        self.next_ns = r.u64()?;
-        let energy_level = r.u64()? as usize;
-        if energy_level > self.cfg.ladder.len() {
-            return Err(SnapError::Corrupt("energy level beyond the configured ladder"));
-        }
-        let brownout_level = r.u8()?;
-        if brownout_level > self.cfg.max_brownout {
-            return Err(SnapError::Corrupt("brownout level beyond the configured maximum"));
-        }
+        let (next_ns, energy_level, brownout_level, energy_steps, brownout_steps) =
+            self.codec(r)?;
+        self.next_ns = next_ns;
         let mut sh = self.shared.borrow_mut();
         sh.energy_level = energy_level;
         sh.brownout_level = brownout_level;
-        sh.energy_steps = r.u64()?;
-        sh.brownout_steps = r.u64()?;
+        sh.energy_steps = energy_steps;
+        sh.brownout_steps = brownout_steps;
         Ok(())
     }
 
@@ -224,5 +232,35 @@ mod tests {
         g.restore_throttle(&mut throttle);
         assert!(throttle.active);
         assert_eq!(throttle.limit_per_shepherd, 4, "deepest rung");
+    }
+
+    #[test]
+    fn service_run_snapshot_rejects_corruption() {
+        use crate::{ServiceConfig, ServiceStack};
+        use maestro_machine::snap::assert_rejects_corruption;
+        use maestro_runtime::{Runtime, RuntimeParams, SnapshotPlan};
+
+        // A governed service run suspended mid-stream: the live-request
+        // table, the source's section and the governor's section all ride
+        // in the snapshot.
+        let cfg = ServiceConfig::simple(7, 40_000.0, 40, 2_000_000);
+        let build = || {
+            let stack = ServiceStack::new(&cfg, Some(&GovernorConfig::new(1_000_000)), 0);
+            let machine = Machine::new(MachineConfig::sandybridge_2x8());
+            let mut rt = Runtime::new(machine, RuntimeParams::qthreads(4)).unwrap();
+            rt.add_monitor(Box::new(stack.governor.expect("governed stack")));
+            (rt, stack.source)
+        };
+        let (mut rt, source) = build();
+        let cap = rt
+            .run_service_captured(&mut (), source, &SnapshotPlan::suspend_at(150_000))
+            .unwrap()
+            .suspended()
+            .expect("suspends mid-stream");
+        assert_rejects_corruption(&cap.bytes, |input| {
+            let (mut rt, source) = build();
+            let plan = SnapshotPlan::suspend_at(250_000);
+            rt.resume_service_captured(&mut (), source, input, &plan).map(drop)
+        });
     }
 }

@@ -16,7 +16,7 @@
 //! commutative by construction; the parallel Pareto sweep relies on that to
 //! produce byte-identical reports for any `--jobs N`.
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError, SnapWriter};
 
 /// Number of buckets: 8 unit buckets + 61 magnitudes × 8 sub-buckets.
 pub const BUCKETS: usize = 496;
@@ -117,48 +117,47 @@ impl LatencyHist {
         None
     }
 
-    /// Serialize sparsely: total, then (index, count) for occupied buckets.
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        w.u64(self.total);
-        let occupied = self.counts.iter().filter(|&&c| c > 0).count();
-        w.len(occupied);
-        for (idx, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                w.u64(idx as u64);
-                w.u64(c);
-            }
-        }
-    }
-
-    /// Restore a histogram written by [`LatencyHist::snap_state`].
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let total = r.u64()?;
-        let n = r.len()?;
+    /// The snapshot codec (see [`Codec`]), sparse: total, then
+    /// `(index, count)` for occupied buckets.
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
+        let total = c.u64(self.total)?;
+        let occupied: Vec<(u64, u64)> = (0u64..)
+            .zip(self.counts.iter())
+            .filter(|&(_, &n)| n > 0)
+            .map(|(idx, &n)| (idx, n))
+            .collect();
         let mut h = LatencyHist::new();
         let mut sum = 0u64;
-        for _ in 0..n {
-            let idx = r.u64()? as usize;
+        c.seq(&occupied, |c, &(idx, n)| {
+            let idx = c.u64(idx)? as usize;
             if idx >= BUCKETS {
                 return Err(SnapError::Corrupt("histogram bucket index out of range"));
             }
-            let c = r.u64()?;
-            if h.counts[idx] != 0 || c == 0 {
+            let n = c.u64(n)?;
+            if h.counts[idx] != 0 || n == 0 {
                 return Err(SnapError::Corrupt("histogram bucket entry invalid"));
             }
-            h.counts[idx] = c;
-            sum = sum.checked_add(c).ok_or(SnapError::Corrupt("histogram count overflow"))?;
-        }
+            h.counts[idx] = n;
+            sum = sum.checked_add(n).ok_or(SnapError::Corrupt("histogram count overflow"))?;
+            Ok(())
+        })?;
         if sum != total {
             return Err(SnapError::Corrupt("histogram total does not match buckets"));
         }
         h.total = total;
         Ok(h)
     }
+
+    /// Encode into `w` through [`LatencyHist::codec`].
+    pub fn snap_state(&self, w: &mut SnapWriter) {
+        self.codec(w).expect("live state encodes");
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maestro_machine::snap::{assert_rejects_corruption, SnapReader, SnapWriter};
 
     #[test]
     fn unit_buckets_are_exact() {
@@ -214,8 +213,14 @@ mod tests {
         let mut w = SnapWriter::new();
         h.snap_state(&mut w);
         let bytes = w.finish();
+        let fresh = LatencyHist::new();
         let mut r = SnapReader::new(&bytes);
-        let back = LatencyHist::restore_state(&mut r).unwrap();
+        let back = fresh.codec(&mut r).unwrap();
         assert_eq!(h, back);
+        assert_rejects_corruption(&bytes, |input| {
+            let mut r = SnapReader::new(input);
+            fresh.codec(&mut r)?;
+            r.finish()
+        });
     }
 }

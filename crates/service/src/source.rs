@@ -30,7 +30,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
 use maestro_machine::Cost;
 use maestro_runtime::{RequestSource, ServiceCounters, ServiceInjection, TaskSpec};
 
@@ -437,127 +437,126 @@ impl RequestSource for ServiceSource {
         self.shared.borrow().counters
     }
 
+    fn owns(&self, req_id: u64) -> bool {
+        self.inflight.contains_key(&req_id)
+    }
+
     fn snap_state(&self, w: &mut SnapWriter) {
-        self.arrivals.snap_state(w);
-        w.u64(self.class_rng.state());
-        w.u64(self.next_req_id);
-        w.u64(self.retry_seq);
-        w.len(self.inflight.len());
-        for (&id, att) in &self.inflight {
-            w.u64(id);
-            w.u8(att.class);
-            w.u64(att.arrival_ns);
-            w.u64(att.attempt as u64);
-        }
-        w.len(self.retries.len());
-        for (&(due, seq), item) in &self.retries {
-            w.u64(due);
-            w.u64(seq);
-            w.u8(item.class);
-            w.u64(item.arrival_ns);
-            w.u64(item.attempt as u64);
-        }
-        w.len(self.budgets_mt.len());
-        for &b in &self.budgets_mt {
-            w.u64(b);
-        }
-        let sh = self.shared.borrow();
-        let c = sh.counters;
-        for v in [
-            c.arrived,
-            c.completed,
-            c.shed,
-            c.failed,
-            c.cancelled,
-            c.in_flight,
-            c.pending_retry,
-            c.retries_spent,
-        ] {
-            w.u64(v);
-        }
-        sh.window.snap_state(w);
-        sh.total.snap_state(w);
-        w.u64(sh.degraded_injections);
+        self.codec(w).expect("live state encodes");
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.arrivals.restore_state(r)?;
-        self.class_rng = SplitMix64::from_state(r.u64()?);
-        self.next_req_id = r.u64()?;
-        self.retry_seq = r.u64()?;
+        let st = self.codec(r)?;
+        self.arrivals = st.arrivals;
+        self.class_rng = st.class_rng;
+        self.next_req_id = st.next_req_id;
+        self.retry_seq = st.retry_seq;
+        self.inflight = st.inflight;
+        self.retries = st.retries;
+        self.budgets_mt = st.budgets_mt;
+        let mut sh = self.shared.borrow_mut();
+        sh.counters = st.counters;
+        sh.window = st.window;
+        sh.total = st.total;
+        sh.degraded_injections = st.degraded_injections;
+        Ok(())
+    }
+}
+
+/// Source state decoded by `ServiceSource::codec`.
+struct SourceState {
+    arrivals: ArrivalStream,
+    class_rng: SplitMix64,
+    next_req_id: u64,
+    retry_seq: u64,
+    inflight: BTreeMap<u64, Attempt>,
+    retries: BTreeMap<(u64, u64), RetryItem>,
+    budgets_mt: Vec<u64>,
+    counters: ServiceCounters,
+    window: LatencyHist,
+    total: LatencyHist,
+    degraded_injections: u64,
+}
+
+impl ServiceSource {
+    /// The snapshot codec (see [`Codec`]): arrival and class RNG cursors,
+    /// id counters, the in-flight and pending-retry tables, retry budgets,
+    /// the ledger, both histograms, and the brownout tally.
+    fn codec<C: Codec>(&self, c: &mut C) -> Result<SourceState, SnapError> {
         let n_classes = self.cfg.classes.len();
-        let n_inflight = r.len()?;
-        let mut inflight = BTreeMap::new();
-        for _ in 0..n_inflight {
-            let id = r.u64()?;
-            let class = r.u8()?;
-            if (class as usize) >= n_classes {
-                return Err(SnapError::Corrupt("in-flight attempt class out of range"));
+        // `(class, arrival_ns, attempt)`, with the class checked against
+        // the configured classes.
+        let attempt = |c: &mut C, a: Option<(u8, u64, u32)>, what| {
+            let (class, arrival_ns, attempt) = a.unwrap_or_default();
+            let class = c.u8(class)?;
+            if usize::from(class) >= n_classes {
+                return Err(SnapError::Corrupt(what));
             }
-            let arrival_ns = r.u64()?;
-            let attempt = r.u64()? as u32;
+            Ok((class, c.u64(arrival_ns)?, c.u64(u64::from(attempt))? as u32))
+        };
+        let arrivals = self.arrivals.codec(c)?;
+        let class_rng = SplitMix64::from_state(c.u64(self.class_rng.state())?);
+        let next_req_id = c.u64(self.next_req_id)?;
+        let retry_seq = c.u64(self.retry_seq)?;
+        let inflight_list = c.seq(self.inflight.keys(), |c, &id| {
+            let a = self.inflight.get(&id).map(|a| (a.class, a.arrival_ns, a.attempt));
+            Ok((c.u64(id)?, attempt(c, a, "in-flight attempt class out of range")?))
+        })?;
+        let retry_list = c.seq(self.retries.keys(), |c, &(due, seq)| {
+            let a = self.retries.get(&(due, seq)).map(|r| (r.class, r.arrival_ns, r.attempt));
+            Ok((c.u64(due)?, c.u64(seq)?, attempt(c, a, "pending-retry class out of range")?))
+        })?;
+        let budgets_mt =
+            c.seq_fixed(&self.budgets_mt, "retry-budget class count mismatch", |c, &b| c.u64(b))?;
+        let sh = self.shared.borrow();
+        let counters = sh.counters.codec(c)?;
+        if counters.conservation_gap() != 0 {
+            return Err(SnapError::Corrupt("restored counters violate conservation"));
+        }
+        let mut inflight = BTreeMap::new();
+        for (id, (class, arrival_ns, attempt)) in inflight_list {
             if inflight.insert(id, Attempt { class, arrival_ns, attempt }).is_some() {
                 return Err(SnapError::Corrupt("duplicate in-flight attempt id"));
             }
         }
-        let n_retries = r.len()?;
         let mut retries = BTreeMap::new();
-        for _ in 0..n_retries {
-            let due = r.u64()?;
-            let seq = r.u64()?;
-            let class = r.u8()?;
-            if (class as usize) >= n_classes {
-                return Err(SnapError::Corrupt("pending-retry class out of range"));
-            }
-            let arrival_ns = r.u64()?;
-            let attempt = r.u64()? as u32;
-            let item = RetryItem { class, arrival_ns, attempt };
-            if retries.insert((due, seq), item).is_some() {
+        for (due, seq, (class, arrival_ns, attempt)) in retry_list {
+            if retries.insert((due, seq), RetryItem { class, arrival_ns, attempt }).is_some() {
                 return Err(SnapError::Corrupt("duplicate pending-retry key"));
             }
         }
-        let n_budgets = r.len()?;
-        if n_budgets != n_classes {
-            return Err(SnapError::Corrupt("retry-budget class count mismatch"));
+        // Ids and retry sequence numbers are handed out in increasing order.
+        if inflight.keys().next_back().is_some_and(|&id| id >= next_req_id)
+            || retries.keys().any(|&(_, seq)| seq >= retry_seq)
+        {
+            return Err(SnapError::Corrupt("id counters behind the tables"));
         }
-        for b in self.budgets_mt.iter_mut() {
-            *b = r.u64()?;
-        }
-        let counters = ServiceCounters {
-            arrived: r.u64()?,
-            completed: r.u64()?,
-            shed: r.u64()?,
-            failed: r.u64()?,
-            cancelled: r.u64()?,
-            in_flight: r.u64()?,
-            pending_retry: r.u64()?,
-            retries_spent: r.u64()?,
-        };
-        if counters.conservation_gap() != 0 {
-            return Err(SnapError::Corrupt("restored counters violate conservation"));
-        }
-        if counters.in_flight as usize != inflight.len()
-            || counters.pending_retry as usize != retries.len()
+        if C::DECODING
+            && (counters.in_flight as usize != inflight.len()
+                || counters.pending_retry as usize != retries.len())
         {
             return Err(SnapError::Corrupt("restored counters disagree with tables"));
         }
-        let window = LatencyHist::restore_state(r)?;
-        let total = LatencyHist::restore_state(r)?;
-        let degraded = r.u64()?;
-        self.inflight = inflight;
-        self.retries = retries;
-        let mut sh = self.shared.borrow_mut();
-        sh.counters = counters;
-        sh.window = window;
-        sh.total = total;
-        sh.degraded_injections = degraded;
-        Ok(())
+        Ok(SourceState {
+            arrivals,
+            class_rng,
+            next_req_id,
+            retry_seq,
+            inflight,
+            retries,
+            budgets_mt,
+            counters,
+            window: sh.window.codec(c)?,
+            total: sh.total.codec(c)?,
+            degraded_injections: c.u64(sh.degraded_injections)?,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maestro_machine::snap::{assert_rejects_corruption};
 
     fn drive(cfg: ServiceConfig, complete_after_ns: u64) -> ServiceCounters {
         // A tiny hand-rolled driver standing in for the scheduler: injects
@@ -678,6 +677,11 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         back.restore_state(&mut r).unwrap();
         r.finish().unwrap();
+        assert_rejects_corruption(&bytes, |input| {
+            let mut r = SnapReader::new(input);
+            back.codec(&mut r)?;
+            r.finish()
+        });
         assert_eq!(src.counters(), back.counters());
         assert_eq!(src.next_due_ns(), back.next_due_ns());
         assert_eq!(
