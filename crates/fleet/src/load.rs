@@ -141,9 +141,9 @@ mod tests {
         assert!(distinct >= 4, "rolling wave must spread phases: {targets:?}");
         // And node i at time 0 matches node 0 at i/n of a period later.
         let period = LoadParams::default().wave_period_ns;
-        for i in 0..n {
+        for (i, &target) in targets.iter().enumerate() {
             let shifted = profile(0, n).target(i as u64 * period / n as u64).0;
-            assert_eq!(targets[i], shifted, "node {i}");
+            assert_eq!(target, shifted, "node {i}");
         }
     }
 

@@ -29,7 +29,7 @@
 //! (performance), the cap governor fails toward the cap being respected.
 
 use maestro_machine::snap::{Codec, SnapError};
-use maestro_machine::{CoreActivity, DutyCycle, Machine, MachineConfig, MachineState};
+use maestro_machine::{CoreActivity, DutyCycle, Machine, MachineConfig};
 use maestro_rcr::{
     BudgetLease, LeaseDecision, LeaseSlot, Supervisor, SupervisorConfig, SupervisorState,
 };
@@ -221,7 +221,7 @@ pub struct NodeStats {
 }
 
 /// One node of the fleet. See the module docs for the model.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct NodeSim {
     cfg: NodeConfig,
     faults: FleetFaultPlan,
@@ -594,10 +594,11 @@ impl NodeSim {
         let incarnation = c.u32(self.incarnation)?;
         // The daemon incarnation's fault stream depends on the incarnation
         // number: the reader decodes into a supervisor rebuilt to match.
-        let rebuilt = C::DECODING.then(|| {
-            Self::build_supervisor(&self.machine, &self.cfg, &self.faults, incarnation)
-        });
-        let sup = rebuilt.as_ref().unwrap_or(&self.sup).codec(c)?;
+        let sup = if C::DECODING {
+            Self::build_supervisor(&self.machine, &self.cfg, &self.faults, incarnation).codec(c)?
+        } else {
+            self.sup.codec(c)?
+        };
         let lease = self.lease.codec(c)?;
         let lease_totals = (
             c.u64(self.lease_totals.0)?,
@@ -609,78 +610,59 @@ impl NodeSim {
         // A running node's next decision lies ahead of its clock; an
         // overdue one would make the catch-up loop spin through every
         // missed period.
-        if machine.powered() && governor_due_ns <= machine.clock_ns() {
+        if machine.as_ref().is_some_and(|m| m.powered() && governor_due_ns <= m.now_ns()) {
             return Err(SnapError::Corrupt("node governor decision already overdue"));
         }
-        Ok(NodeState {
+        let load_active = c.u8(self.load_active)?;
+        let load_due_ns = c.u64(self.load_due_ns)?;
+        let crash_idx = c.len(self.crash_idx)?;
+        let restart_due_ns = c.opt_u64(self.restart_due_ns)?;
+        let stats = NodeStats {
+            crashes: c.u64(self.stats.crashes)?,
+            restarts: c.u64(self.stats.restarts)?,
+            gave_up: c.bool(self.stats.gave_up)?,
+            throttle_steps: c.u64(self.stats.throttle_steps)?,
+            max_throttle_level: c.u8(self.stats.max_throttle_level)?,
+            dark_periods: c.u64(self.stats.dark_periods)?,
+            ..NodeStats::default()
+        };
+        let inbox = c.seq(&self.inbox, |c, (arrive, l)| Ok((c.u64(*arrive)?, l.codec(c)?)))?;
+        let trace = c.seq(&self.trace, |c, (t, e)| Ok((c.u64(*t)?, e.codec(c)?)))?;
+        let node = machine.map(|machine| NodeSim {
             machine,
             incarnation,
-            rebuilt,
-            sup,
             lease,
             lease_totals,
             throttle_level,
             governor_due_ns,
-            load_active: c.u8(self.load_active)?,
-            load_due_ns: c.u64(self.load_due_ns)?,
-            crash_idx: c.len(self.crash_idx)?,
-            restart_due_ns: c.opt_u64(self.restart_due_ns)?,
-            stats: NodeStats {
-                crashes: c.u64(self.stats.crashes)?,
-                restarts: c.u64(self.stats.restarts)?,
-                gave_up: c.bool(self.stats.gave_up)?,
-                throttle_steps: c.u64(self.stats.throttle_steps)?,
-                max_throttle_level: c.u8(self.stats.max_throttle_level)?,
-                dark_periods: c.u64(self.stats.dark_periods)?,
-                ..NodeStats::default()
-            },
-            inbox: c.seq(&self.inbox, |c, (arrive, l)| Ok((c.u64(*arrive)?, l.codec(c)?)))?,
-            trace: c.seq(&self.trace, |c, (t, e)| Ok((c.u64(*t)?, e.codec(c)?)))?,
-        })
+            load_active,
+            load_due_ns,
+            crash_idx,
+            restart_due_ns,
+            stats,
+            inbox,
+            trace,
+            ..self.clone()
+        });
+        Ok(NodeState { node, sup })
     }
 
     /// Install state decoded by [`NodeSim::codec`].
     pub fn install(&mut self, st: NodeState) {
-        self.machine.install(st.machine);
-        self.incarnation = st.incarnation;
-        if let Some(sup) = st.rebuilt {
-            self.sup = sup;
+        if let Some(node) = st.node {
+            *self = node;
         }
         self.sup.install(st.sup);
-        self.lease = st.lease;
-        self.lease_totals = st.lease_totals;
-        self.throttle_level = st.throttle_level;
-        self.governor_due_ns = st.governor_due_ns;
-        self.load_active = st.load_active;
-        self.load_due_ns = st.load_due_ns;
-        self.crash_idx = st.crash_idx;
-        self.restart_due_ns = st.restart_due_ns;
-        self.stats = st.stats;
-        self.inbox = st.inbox;
-        self.trace = st.trace;
     }
 }
 
 /// Node state decoded by [`NodeSim::codec`], installed by
-/// [`NodeSim::install`].
+/// [`NodeSim::install`]: a copy of the node carrying the decoded state
+/// (`None` on the writer), and its supervisor's decoded state.
 #[derive(Debug)]
 pub struct NodeState {
-    machine: MachineState,
-    incarnation: u32,
-    /// The supervisor rebuilt for the decoded incarnation (reader only).
-    rebuilt: Option<Supervisor>,
+    node: Option<NodeSim>,
     sup: SupervisorState,
-    lease: LeaseSlot,
-    lease_totals: (u64, u64, u64),
-    throttle_level: u8,
-    governor_due_ns: u64,
-    load_active: u8,
-    load_due_ns: u64,
-    crash_idx: usize,
-    restart_due_ns: Option<u64>,
-    stats: NodeStats,
-    inbox: Vec<(u64, BudgetLease)>,
-    trace: Vec<(u64, NodeEvent)>,
 }
 
 #[cfg(test)]

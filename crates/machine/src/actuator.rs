@@ -26,7 +26,6 @@ use crate::duty::DutyCycle;
 use crate::engine::Machine;
 use crate::fault::{DutyWriteEffect, FaultPlan};
 use crate::msr::{MsrDevice, IA32_CLOCK_MODULATION};
-use crate::fault::FaultCursor;
 use crate::snap::{Codec, SnapError};
 use crate::topology::CoreId;
 
@@ -157,22 +156,6 @@ pub struct Actuator {
     trips: u64,
 }
 
-/// Actuator state decoded by [`Actuator::codec`], installed by
-/// [`Actuator::install`].
-#[derive(Debug)]
-pub struct ActuatorState {
-    health: Vec<ActuationHealth>,
-    trips: u64,
-    cursor: Option<FaultCursor>,
-}
-
-impl ActuatorState {
-    /// What [`Actuator::totals`] reports once this state is installed.
-    pub fn totals(&self) -> ActuationTotals {
-        sum_totals(&self.health, self.trips).expect("checked when decoded")
-    }
-}
-
 /// Aggregate per-core counters, or `None` when a sum overflows (only a
 /// corrupt snapshot can hold such counters).
 fn sum_totals(health: &[ActuationHealth], trips: u64) -> Option<ActuationTotals> {
@@ -289,8 +272,9 @@ impl Actuator {
     /// The snapshot codec for the actuator's dynamic state: per-core health,
     /// breaker positions, trip count, fault-plan cursor (see [`Codec`]).
     /// Configuration is not captured; restore into an actuator built with
-    /// the same config.
-    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<ActuatorState, SnapError> {
+    /// the same config. Decoding yields a copy of this actuator carrying the
+    /// decoded state (`None` on the writer).
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Option<Actuator>, SnapError> {
         let health = c.seq_fixed(&self.health, "actuator core count mismatch", |c, h| {
             let open = match h.breaker {
                 BreakerState::Closed => None,
@@ -314,14 +298,11 @@ impl Actuator {
             return Err(SnapError::Corrupt("actuation counters overflow"));
         }
         let cursor = FaultPlan::cursor_codec(self.faults.as_ref(), c)?;
-        Ok(ActuatorState { health, trips, cursor })
-    }
-
-    /// Install state decoded by [`Actuator::codec`].
-    pub fn install(&mut self, st: ActuatorState) {
-        self.health = st.health;
-        self.trips = st.trips;
-        FaultPlan::install_cursor(self.faults.as_ref(), st.cursor);
+        Ok(C::DECODING.then(|| {
+            let a = Actuator { health, trips, ..self.clone() };
+            FaultPlan::install_cursor(a.faults.as_ref(), cursor);
+            a
+        }))
     }
 
     /// The recovery path: pin `core` at FULL via modulation disable, which

@@ -154,29 +154,6 @@ struct SocketState {
     pstate: PState,
 }
 
-/// Machine state decoded by [`Machine::codec`], installed by
-/// [`Machine::install`].
-#[derive(Debug)]
-pub struct MachineState {
-    clock_ns: u64,
-    duty: Vec<DutyCycle>,
-    activity: Vec<CoreActivity>,
-    sockets: Vec<SocketState>,
-    powered: bool,
-}
-
-impl MachineState {
-    /// Virtual time of the decoded state, nanoseconds.
-    pub fn clock_ns(&self) -> u64 {
-        self.clock_ns
-    }
-
-    /// Whether the decoded machine has power.
-    pub fn powered(&self) -> bool {
-        self.powered
-    }
-}
-
 /// Per-socket cached power aggregates, maintained incrementally.
 ///
 /// The inputs to the non-leakage power sum (activity, duty, P-state) only
@@ -625,7 +602,10 @@ impl Machine {
     /// are recomputed lazily after restore and are byte-identical to the
     /// captured run's values because the refresh uses the same expression
     /// and summation order.
-    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<MachineState, SnapError> {
+    ///
+    /// Decoding yields a copy of this machine carrying the decoded state
+    /// (`None` on the writer); install it by assignment.
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Option<Machine>, SnapError> {
         if !C::DECODING {
             self.sync_all();
         }
@@ -647,8 +627,7 @@ impl Machine {
                         let (intensity, ocr) = (c.f64(intensity)?, c.f64(ocr)?);
                         // The power and contention models take non-negative
                         // finite inputs; anything else is a corrupt blob.
-                        if !(intensity >= 0.0 && intensity.is_finite())
-                            || !(ocr >= 0.0 && ocr.is_finite())
+                        if !(intensity >= 0.0 && intensity.is_finite() && ocr >= 0.0 && ocr.is_finite())
                         {
                             return Err(SnapError::Corrupt("core activity out of range"));
                         }
@@ -667,18 +646,11 @@ impl Machine {
             })
         })?;
         let powered = c.bool(self.powered)?;
-        Ok(MachineState { clock_ns, duty, activity, sockets, powered })
-    }
-
-    /// Install state decoded by [`Machine::codec`] into this machine, which
-    /// must have been built from the same configuration.
-    pub fn install(&mut self, st: MachineState) {
-        self.clock_ns = st.clock_ns;
-        self.duty = st.duty;
-        self.activity = st.activity;
-        self.sockets = st.sockets;
-        self.powered = st.powered;
-        self.rebuild_core_arrays();
+        Ok(C::DECODING.then(|| {
+            let mut m = Machine { clock_ns, duty, activity, sockets, powered, ..self.clone() };
+            m.rebuild_core_arrays();
+            m
+        }))
     }
 
     fn socket_of_checked(&self, core: CoreId) -> Result<SocketId, MsrError> {
@@ -1089,11 +1061,10 @@ mod tests {
         let mut w = SnapWriter::new();
         m.codec(&mut w).unwrap();
         let bytes = w.finish();
-        let mut fresh = machine();
+        let fresh = machine();
         let mut r = SnapReader::new(&bytes);
-        let st = fresh.codec(&mut r).unwrap();
+        let mut fresh = fresh.codec(&mut r).unwrap().expect("decoded");
         r.finish().unwrap();
-        fresh.install(st);
         assert!(!fresh.powered());
         assert_eq!(fresh.node_power_w(), 0.0);
         // Both machines cool identically after restore.
@@ -1118,10 +1089,8 @@ mod tests {
         one_busy.codec(&mut w).unwrap();
         assert_rejects_corruption(&w.finish(), |input| {
             let mut r = SnapReader::new(input);
-            let st = fresh.codec(&mut r)?;
+            let mut restored = fresh.codec(&mut r)?.expect("decoded");
             r.finish()?;
-            let mut restored = machine();
-            restored.install(st);
             for s in restored.topology().all_sockets() {
                 restored.contention_factor(s);
             }

@@ -52,13 +52,13 @@ pub mod thermal;
 pub mod topology;
 
 pub use actuator::{
-    ActuationHealth, ActuationTotals, Actuator, ActuatorConfig, ActuatorState, ApplyOutcome, BreakerState,
+    ActuationHealth, ActuationTotals, Actuator, ActuatorConfig, ApplyOutcome, BreakerState,
 };
 pub use contention::MemoryParams;
 pub use cost::Cost;
 pub use duty::DutyCycle;
 pub use dvfs::{DvfsParams, PState};
-pub use engine::{CoreActivity, Machine, MachineConfig, MachineState};
+pub use engine::{CoreActivity, Machine, MachineConfig};
 pub use fault::{DutyWriteEffect, FaultCursor, FaultPlan, FaultyMsr, StallWindow, StuckWindow};
 pub use msr::{
     MsrDevice, MsrError, IA32_CLOCK_MODULATION, IA32_PERF_CTL, IA32_THERM_STATUS,

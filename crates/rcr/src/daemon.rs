@@ -16,7 +16,7 @@
 //! fault reachable through a `FaultPlan` panics.
 
 use maestro_machine::snap::{Codec, SnapError};
-use maestro_machine::{FaultCursor, FaultPlan, FaultyMsr, Machine, SocketId};
+use maestro_machine::{FaultPlan, FaultyMsr, Machine, SocketId};
 use maestro_rapl::{NodeProbe, NodeProbeCheckpoint, PowerWindow, ProbeError, RetryPolicy};
 
 use crate::blackboard::{Blackboard, HealthFlags, SocketSnapshot};
@@ -80,19 +80,6 @@ impl DaemonHealth {
             outlier_periods: c.u64(self.outlier_periods)?,
         })
     }
-}
-
-/// Daemon state decoded by [`RcrDaemon::codec`], installed by
-/// [`RcrDaemon::install`].
-#[derive(Debug)]
-pub struct DaemonState {
-    probe: NodeProbeCheckpoint,
-    windows: Vec<PowerWindow>,
-    next_due_ns: u64,
-    samples_taken: u64,
-    health: DaemonHealth,
-    history: Option<SampleHistory>,
-    cursor: Option<FaultCursor>,
 }
 
 /// Saved daemon state, sufficient for a restarted incarnation to continue
@@ -255,8 +242,9 @@ impl RcrDaemon {
     /// incarnation is captured. The shared blackboard is owned by the
     /// enclosing run and captured separately. Decoding requires a daemon
     /// built with the same configuration (period, history capacity, fault
-    /// plan presence, machine topology).
-    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<DaemonState, SnapError> {
+    /// plan presence, machine topology), and yields a copy of this daemon
+    /// carrying the decoded state (`None` on the writer).
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Option<RcrDaemon>, SnapError> {
         let probe = self.probe.checkpoint().codec(c, self.windows.len())?;
         c.check_u64(self.period_ns, "daemon period mismatch")?;
         let windows =
@@ -269,18 +257,13 @@ impl RcrDaemon {
         }
         let history = self.history.as_ref().map(|h| h.codec(c)).transpose()?;
         let cursor = FaultPlan::cursor_codec(self.faults.as_ref(), c)?;
-        Ok(DaemonState { probe, windows, next_due_ns, samples_taken, health, history, cursor })
-    }
-
-    /// Install state decoded by [`RcrDaemon::codec`].
-    pub fn install(&mut self, st: DaemonState) {
-        self.probe.restore(&st.probe);
-        self.windows = st.windows;
-        self.next_due_ns = st.next_due_ns;
-        self.samples_taken = st.samples_taken;
-        self.health = st.health;
-        self.history = st.history;
-        FaultPlan::install_cursor(self.faults.as_ref(), st.cursor);
+        Ok(C::DECODING.then(|| {
+            let mut d =
+                RcrDaemon { windows, next_due_ns, samples_taken, health, history, ..self.clone() };
+            d.probe.restore(&probe);
+            FaultPlan::install_cursor(d.faults.as_ref(), cursor);
+            d
+        }))
     }
 
     fn schedule_next(&mut self, now: u64) {
@@ -569,14 +552,14 @@ mod tests {
             m2.advance((m.now_ns() - m2.now_ns()).min(100_000_000));
         }
         let mut r = SnapReader::new(&bytes);
-        let st = b.codec(&mut r).unwrap();
+        let decoded = b.codec(&mut r).unwrap().expect("decoded");
         r.finish().unwrap();
         assert_rejects_corruption(&bytes, |input| {
             let mut r = SnapReader::new(input);
             b.codec(&mut r)?;
             r.finish()
         });
-        b.install(st);
+        b = decoded;
 
         run_daemon(&mut m, &mut a, NS_PER_SEC);
         run_daemon(&mut m2, &mut b, NS_PER_SEC);

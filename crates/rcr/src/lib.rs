@@ -46,9 +46,7 @@ pub mod supervisor;
 
 pub use blackboard::{Blackboard, BlackboardState, HealthFlags, MeterDesc, SocketSnapshot};
 pub use classify::{Level, MeterThresholds, ThrottleSignals};
-pub use daemon::{
-    DaemonCheckpoint, DaemonHealth, DaemonState, DropReason, RcrDaemon, SampleOutcome,
-};
+pub use daemon::{DaemonCheckpoint, DaemonHealth, DropReason, RcrDaemon, SampleOutcome};
 pub use lease::{BudgetLease, LeaseDecision, LeaseSlot};
 pub use supervisor::{
     Supervisor, SupervisorConfig, SupervisorOutcome, SupervisorState, SupervisorStats,

@@ -23,11 +23,11 @@
 //! energy optimization, honest reporting.
 
 use maestro_machine::snap::{Codec, SnapError};
-use maestro_machine::{FaultCursor, FaultPlan, Machine};
+use maestro_machine::{FaultPlan, Machine};
 use maestro_rapl::RetryPolicy;
 
 use crate::blackboard::{Blackboard, BlackboardState};
-use crate::daemon::{DaemonCheckpoint, DaemonHealth, DaemonState, RcrDaemon, SampleOutcome};
+use crate::daemon::{DaemonCheckpoint, DaemonHealth, RcrDaemon, SampleOutcome};
 use crate::DEFAULT_SAMPLE_PERIOD_NS;
 
 /// Restart policy for a supervised daemon.
@@ -99,23 +99,19 @@ impl SupervisorOutcome {
 }
 
 /// Supervisor state decoded by [`Supervisor::codec`], installed by
-/// [`Supervisor::install`].
+/// [`Supervisor::install`]: a copy of the supervisor carrying the decoded
+/// state, plus the shared blackboard's records, which are published only
+/// when installed.
 #[derive(Debug)]
 pub struct SupervisorState {
+    supervisor: Option<Supervisor>,
     blackboard: BlackboardState,
-    cursor: Option<FaultCursor>,
-    daemon: Option<DaemonState>,
-    checkpoint: Option<DaemonCheckpoint>,
-    down_until_ns: u64,
-    next_due_ns: u64,
-    dead_health: DaemonHealth,
-    stats: SupervisorStats,
 }
 
 /// Supervises an [`RcrDaemon`]: restarts it on death with exponential
 /// backoff, re-attaches the shared blackboard (bumping its epoch), and
 /// restores the measurement checkpoint so energy accounting survives.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Supervisor {
     cfg: SupervisorConfig,
     blackboard: Blackboard,
@@ -244,7 +240,7 @@ impl Supervisor {
         let cursor = FaultPlan::cursor_codec(self.faults.as_ref(), c)?;
         let daemon = match (c.bool(self.daemon.is_some())?, &self.daemon) {
             (false, _) => None,
-            (true, Some(d)) => Some(d.codec(c)?),
+            (true, Some(d)) => d.codec(c)?,
             (true, None) => {
                 return Err(SnapError::Corrupt("snapshot has a live daemon, target has none"))
             }
@@ -256,38 +252,39 @@ impl Supervisor {
                 samples_taken: c.u64(cp.samples_taken)?,
             })
         })?;
-        Ok(SupervisorState {
-            blackboard,
-            cursor,
-            daemon,
-            checkpoint,
-            down_until_ns: c.u64(self.down_until_ns)?,
-            next_due_ns: c.u64(self.next_due_ns)?,
-            dead_health: self.dead_health.codec(c)?,
-            stats: SupervisorStats {
-                kills: c.u64(self.stats.kills)?,
-                wedge_kills: c.u64(self.stats.wedge_kills)?,
-                restarts: c.u64(self.stats.restarts)?,
-                gave_up: c.bool(self.stats.gave_up)?,
-            },
-        })
+        let down_until_ns = c.u64(self.down_until_ns)?;
+        let next_due_ns = c.u64(self.next_due_ns)?;
+        let dead_health = self.dead_health.codec(c)?;
+        let stats = SupervisorStats {
+            kills: c.u64(self.stats.kills)?,
+            wedge_kills: c.u64(self.stats.wedge_kills)?,
+            restarts: c.u64(self.stats.restarts)?,
+            gave_up: c.bool(self.stats.gave_up)?,
+        };
+        // A snapshot taken while the daemon was down discards the freshly
+        // built incarnation without tallying a kill.
+        let supervisor = C::DECODING.then(|| {
+            let s = Supervisor {
+                daemon,
+                checkpoint,
+                down_until_ns,
+                next_due_ns,
+                dead_health,
+                stats,
+                ..self.clone()
+            };
+            FaultPlan::install_cursor(s.faults.as_ref(), cursor);
+            s
+        });
+        Ok(SupervisorState { supervisor, blackboard })
     }
 
     /// Install state decoded by [`Supervisor::codec`].
     pub fn install(&mut self, st: SupervisorState) {
-        self.blackboard.install(st.blackboard);
-        FaultPlan::install_cursor(self.faults.as_ref(), st.cursor);
-        match (st.daemon, self.daemon.as_mut()) {
-            (Some(ds), Some(d)) => d.install(ds),
-            // The snapshot was taken while the daemon was down; discard the
-            // freshly built incarnation without tallying a kill.
-            _ => self.daemon = None,
+        if let Some(s) = st.supervisor {
+            *self = s;
         }
-        self.checkpoint = st.checkpoint;
-        self.down_until_ns = st.down_until_ns;
-        self.next_due_ns = st.next_due_ns;
-        self.dead_health = st.dead_health;
-        self.stats = st.stats;
+        self.blackboard.install(st.blackboard);
     }
 
     fn backoff_for_restart(&self, nth: u64) -> u64 {

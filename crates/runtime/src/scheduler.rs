@@ -20,8 +20,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
 use maestro_machine::{
-    fingerprint, ActuationTotals, Actuator, ActuatorConfig, ActuatorState, CoreActivity, CoreId,
-    Cost, DutyCycle, FaultCursor, FaultPlan, Machine, MachineState, SocketId,
+    fingerprint, ActuationTotals, Actuator, ActuatorConfig, CoreActivity, CoreId, Cost, DutyCycle,
+    FaultCursor, FaultPlan, Machine, SocketId,
 };
 
 use crate::cancel::CancelToken;
@@ -499,8 +499,8 @@ impl ServiceCtl {
 
 /// The runtime block decoded by `Runtime::state_codec`.
 struct RuntimeState {
-    machine: MachineState,
-    actuator: ActuatorState,
+    machine: Option<Machine>,
+    actuator: Option<Actuator>,
     task_faults: Option<FaultCursor>,
     throttled: bool,
 }
@@ -540,8 +540,9 @@ impl<C> TaskRecord<C> {
     /// Task logic travels as its spec and phase: the writer's capture step
     /// asks the live logic (and each staged child) for them, and fails with
     /// a typed error for closure-based logic or an inbox holding opaque
-    /// values. The reader's placeholder has no logic to ask.
-    fn codec<K: Codec>(&self, c: &mut K, shepherds: usize) -> Result<TaskSnap, SnapError> {
+    /// values. The reader's placeholder has no logic to ask; decoding yields
+    /// the record's plain-data form (`None` on the writer).
+    fn codec<K: Codec>(&self, c: &mut K, shepherds: usize) -> Result<Option<TaskSnap>, SnapError> {
         let closure = SnapError::Unsupported("run contains a non-snapshottable (closure) task");
         let (spec, phase) = match &self.logic {
             Some(logic) => logic.snapshot_spec().ok_or(closure.clone())?,
@@ -572,17 +573,20 @@ impl<C> TaskRecord<C> {
         if inbox_len > (1 << 24) {
             return Err(SnapError::Corrupt("task inbox absurdly large"));
         }
-        Ok(TaskSnap {
+        let resume_pending = c.bool(self.resume_pending)?;
+        let staged = c.seq(&staged, |c, (s, p)| Ok((s.codec(c)?, c.u8(*p)?)))?;
+        let cancelled = c.bool(self.cancel.local_flag())?;
+        Ok(K::DECODING.then_some(TaskSnap {
             spec,
             phase,
             parent,
             home_shepherd,
             pending_children,
             inbox_len,
-            resume_pending: c.bool(self.resume_pending)?,
-            staged: c.seq(&staged, |c, (s, p)| Ok((s.codec(c)?, c.u8(*p)?)))?,
-            cancelled: c.bool(self.cancel.local_flag())?,
-        })
+            resume_pending,
+            staged,
+            cancelled,
+        }))
     }
 }
 
@@ -810,8 +814,10 @@ impl Runtime {
     /// Install decoded runtime state, then restore every monitor from its
     /// section, in registration order, against the installed machine.
     fn install(&mut self, st: RuntimeState, monitors: Vec<Vec<u8>>) -> Result<(), SnapError> {
-        self.machine.install(st.machine);
-        self.actuator.install(st.actuator);
+        if let (Some(machine), Some(actuator)) = (st.machine, st.actuator) {
+            self.machine = machine;
+            self.actuator = actuator;
+        }
         FaultPlan::install_cursor(self.task_faults.as_ref(), st.task_faults);
         self.throttle.active = st.throttled;
         for (m, section) in self.monitors.iter_mut().zip(&monitors) {
@@ -2617,7 +2623,7 @@ impl<'r, C> Exec<'r, C> {
         let run_start_ns = c.u64(self.run_start_ns)?;
         let run_start_j = c.f64(self.run_start_j)?;
         let rt = self.rt.state_codec(c)?;
-        let clock_ns = rt.machine.clock_ns();
+        let clock_ns = rt.machine.as_ref().unwrap_or(&self.rt.machine).now_ns();
         if run_start_ns > clock_ns {
             return Err(SnapError::Corrupt("run starts after the machine clock"));
         }
@@ -2654,7 +2660,7 @@ impl<'r, C> Exec<'r, C> {
             if !c.bool(slot.is_some())? {
                 return Ok(None);
             }
-            slot.as_ref().unwrap_or(&blank).codec(c, shepherds).map(Some)
+            slot.as_ref().unwrap_or(&blank).codec(c, shepherds)
         })?;
         let free = c.seq(&self.free, |c, &id| Ok(c.u64(id as u64)? as usize))?;
         let shepherds = c.seq_fixed(&self.shepherds, "shepherd count mismatch", |c, s| {
@@ -2729,7 +2735,8 @@ impl<C: 'static> Exec<'_, C> {
         r.finish()?;
 
         // Teardown reports actuation as deltas from the run start.
-        let (start, end) = (&st.start_actuation, st.rt.actuator.totals());
+        let start = &st.start_actuation;
+        let end = st.rt.actuator.as_ref().map_or(*start, Actuator::totals);
         if start.attempts > end.attempts
             || start.verify_failures > end.verify_failures
             || start.failed_applies > end.failed_applies

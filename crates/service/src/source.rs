@@ -189,6 +189,7 @@ struct RetryItem {
 }
 
 /// The concrete [`RequestSource`] the scheduler drives.
+#[derive(Clone)]
 pub struct ServiceSource {
     cfg: ServiceConfig,
     shared: ServiceHandle,
@@ -447,13 +448,9 @@ impl RequestSource for ServiceSource {
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let st = self.codec(r)?;
-        self.arrivals = st.arrivals;
-        self.class_rng = st.class_rng;
-        self.next_req_id = st.next_req_id;
-        self.retry_seq = st.retry_seq;
-        self.inflight = st.inflight;
-        self.retries = st.retries;
-        self.budgets_mt = st.budgets_mt;
+        if let Some(source) = st.source {
+            *self = source;
+        }
         let mut sh = self.shared.borrow_mut();
         sh.counters = st.counters;
         sh.window = st.window;
@@ -463,15 +460,11 @@ impl RequestSource for ServiceSource {
     }
 }
 
-/// Source state decoded by `ServiceSource::codec`.
+/// Source state decoded by `ServiceSource::codec`: a copy of the source
+/// carrying the decoded state (`None` on the writer), and its part of the
+/// shared ledger, written through only when installed.
 struct SourceState {
-    arrivals: ArrivalStream,
-    class_rng: SplitMix64,
-    next_req_id: u64,
-    retry_seq: u64,
-    inflight: BTreeMap<u64, Attempt>,
-    retries: BTreeMap<(u64, u64), RetryItem>,
-    budgets_mt: Vec<u64>,
+    source: Option<ServiceSource>,
     counters: ServiceCounters,
     window: LatencyHist,
     total: LatencyHist,
@@ -537,7 +530,7 @@ impl ServiceSource {
         {
             return Err(SnapError::Corrupt("restored counters disagree with tables"));
         }
-        Ok(SourceState {
+        let source = C::DECODING.then(|| ServiceSource {
             arrivals,
             class_rng,
             next_req_id,
@@ -545,6 +538,10 @@ impl ServiceSource {
             inflight,
             retries,
             budgets_mt,
+            ..self.clone()
+        });
+        Ok(SourceState {
+            source,
             counters,
             window: sh.window.codec(c)?,
             total: sh.total.codec(c)?,
