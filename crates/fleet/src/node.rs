@@ -649,10 +649,9 @@ impl NodeSim {
 
     /// Install state decoded by [`NodeSim::codec`].
     pub fn install(&mut self, st: NodeState) {
-        if let Some(node) = st.node {
+        if let Some(node) = st.into_node() {
             *self = node;
         }
-        self.sup.install(st.sup);
     }
 }
 
@@ -663,6 +662,16 @@ impl NodeSim {
 pub struct NodeState {
     node: Option<NodeSim>,
     sup: SupervisorState,
+}
+
+impl NodeState {
+    /// The decoded node with its supervisor state installed (`None` for
+    /// state built on the writer).
+    pub fn into_node(self) -> Option<NodeSim> {
+        let mut node = self.node?;
+        node.sup.install(self.sup);
+        Some(node)
+    }
 }
 
 #[cfg(test)]

@@ -441,24 +441,21 @@ impl Fleet {
     pub fn restore_node(cfg: &FleetConfig, bytes: &[u8]) -> Result<(NodeSim, u64), SnapError> {
         let mut r = SnapReader::new(bytes);
         r.header(cfg.snapshot_fingerprint())?;
-        let (node, st, captured_ns) = Self::node_codec(&mut r, cfg, 0, 0, None)?;
+        let (st, captured_ns) = Self::node_codec(&mut r, cfg, 0, 0, None)?;
         r.finish()?;
-        let mut node = node.expect("the reader builds the node");
-        node.install(st);
-        Ok((node, captured_ns))
+        Ok((st.into_node().expect("the reader decodes a node"), captured_ns))
     }
 
     /// The node snapshot layout (see [`Codec`]): node index, fleet clock,
     /// then the node's state. The writer encodes `live`; the reader decodes
-    /// into a node freshly built for the decoded index and returns it.
-    #[allow(clippy::type_complexity)]
+    /// into a node freshly built for the decoded index.
     fn node_codec<C: Codec>(
         c: &mut C,
         cfg: &FleetConfig,
         id: usize,
         now_ns: u64,
         live: Option<&NodeSim>,
-    ) -> Result<(Option<NodeSim>, NodeState, u64), SnapError> {
+    ) -> Result<(NodeState, u64), SnapError> {
         let id = c.len(id)?;
         if id >= cfg.nodes {
             return Err(SnapError::Corrupt("node index out of range for fleet config"));
@@ -466,7 +463,7 @@ impl Fleet {
         let captured_ns = c.u64(now_ns)?;
         let fresh = live.is_none().then(|| NodeSim::new(cfg.node_config(id), cfg.faults.clone()));
         let st = live.or(fresh.as_ref()).expect("a live or fresh node").codec(c)?;
-        Ok((fresh, st, captured_ns))
+        Ok((st, captured_ns))
     }
 }
 
