@@ -20,7 +20,7 @@
 //!   P-state), because the closed form assumes constant power;
 //! * at reads of energy, temperature, or instantaneous power (including the
 //!   RAPL/THERM MSRs);
-//! * at snapshot capture ([`Machine::snap_state`]), which folds everything
+//! * at snapshot capture ([`Machine::codec`]), which folds everything
 //!   so the serialized state is anchor-free.
 //!
 //! Because the integral over an un-synced window is evaluated in a single

@@ -2492,7 +2492,7 @@ impl<'r, C> Exec<'r, C> {
         // Every fence — capture-free extra fence, cadence capture, or
         // suspension — is a full integration barrier: the machine folds all
         // lazy thermal/energy state to the fence time. A capturing fence
-        // would fold implicitly inside `snap_state`; doing it for *every*
+        // would fold implicitly inside `Machine::codec`; doing it for *every*
         // fence keeps the sync schedule (and therefore the float bits) of a
         // fence-matched unbroken run identical to a suspended/resumed one.
         let any_fence_due = self.capture.as_ref().is_some_and(|ctl| {
