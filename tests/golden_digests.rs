@@ -8,13 +8,20 @@
 //!   resumed on a fresh facade;
 //! * every `svc-*` scenario at test scale, suspended inside the first burst
 //!   window and resumed on a fresh facade and service stack;
-//! * one `fleet-*` node snapshot, taken halfway through the smoke drill.
+//! * one `fleet-*` node snapshot, taken halfway through the smoke drill;
+//! * the paper tables at test scale — Table I, Tables IV-VII, and the
+//!   mechanism ablation with its DVFS and power-cap rows — over the
+//!   rendered table and the `Debug` form of every row (which prints each
+//!   float in its shortest round-trip form, so every bit counts).
 //!
 //! A change that alters any of these on purpose re-baselines the table
 //! (the failure message prints the full recomputed table) and says why.
 
 use maestro::{Maestro, MaestroSnapshot, RunReport};
-use maestro_bench::experiments::service_at_scale;
+use maestro_bench::experiments::{
+    ablation, service_at_scale, table1, throttling_table, ThrottleTarget,
+};
+use maestro_bench::format::{render_ablation, render_compiler_rows, render_throttling};
 use maestro_bench::scenario::{
     fleet_scenario, scenario, service_facade, SCENARIO_NAMES, SERVICE_SCENARIO_NAMES,
 };
@@ -37,6 +44,12 @@ const GOLDEN: &[(&str, u64)] = &[
     ("svc-pareto-mid", 0x1e154d2cd59eff2a),
     ("svc-pareto-relaxed", 0x55af12be7608a4c6),
     ("fleet-smoke", 0xaf6ebdf683b8bf5d),
+    ("table1", 0x531b88d5bdeb3d1f),
+    ("table4", 0x09a37e9752d65c76),
+    ("table5", 0x3f384d1d1aa449c4),
+    ("table6", 0x360fde5bd631ac15),
+    ("table7", 0x52edf08c003f9029),
+    ("ablation", 0x81800b80a94c5817),
 ];
 
 /// Batch suspension point: mid-run for every batch scenario.
@@ -124,12 +137,41 @@ fn fleet_digest(name: &str) -> u64 {
     fingerprint(&buf)
 }
 
+/// Paper tables, one worker thread each so cell order is fixed.
+fn paper_table_digest(name: &str) -> u64 {
+    let text = match name {
+        "table1" => {
+            let rows = table1(Scale::Test, 1);
+            format!("{}{rows:?}", render_compiler_rows(name, &rows))
+        }
+        "ablation" => {
+            let rows = ablation(Scale::Test, 1);
+            format!("{}{rows:?}", render_ablation(&rows))
+        }
+        _ => {
+            let target = match name {
+                "table4" => ThrottleTarget::Lulesh,
+                "table5" => ThrottleTarget::Dijkstra,
+                "table6" => ThrottleTarget::Health,
+                "table7" => ThrottleTarget::Strassen,
+                _ => unreachable!("unknown paper table {name}"),
+            };
+            let rows = throttling_table(Scale::Test, target, 1);
+            format!("{}{rows:?}", render_throttling(name, &rows))
+        }
+    };
+    fingerprint(text.as_bytes())
+}
+
 #[test]
 fn every_scenario_matches_its_golden_digest() {
     let mut computed: Vec<(&str, u64)> = Vec::new();
     computed.extend(SCENARIO_NAMES.iter().map(|&n| (n, batch_digest(n))));
     computed.extend(SERVICE_SCENARIO_NAMES.iter().map(|&n| (n, service_digest(n))));
     computed.push(("fleet-smoke", fleet_digest("fleet-smoke")));
+    for name in ["table1", "table4", "table5", "table6", "table7", "ablation"] {
+        computed.push((name, paper_table_digest(name)));
+    }
 
     let table: String =
         computed.iter().map(|(n, h)| format!("    ({n:?}, {h:#018x}),\n")).collect();
