@@ -65,7 +65,7 @@ pub use adapters::{compute_leaf, fork_join, leaf, parallel_for, sequential, sing
 pub use cancel::CancelToken;
 pub use events::EventQueue;
 pub use monitor::{CancelAt, Monitor, ThrottleState, Watchdog};
-pub use params::{EventDriver, ParamsError, RuntimeParams};
+pub use params::{ParamsError, RuntimeParams};
 pub use report::{RunOutcome, RunStats};
 pub use scheduler::{
     CapturedRun, RunCapture, RunEnd, RunLimit, Runtime, RuntimeError, SnapshotPlan, TaskFailure,

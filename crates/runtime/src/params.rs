@@ -14,7 +14,6 @@
 //!   pool; Qthreads' per-shepherd queues keep the slope near zero. Workload
 //!   profiles select the slope matching the runtime being simulated.
 
-use maestro_machine::DutyCycle;
 use serde::{Deserialize, Serialize};
 
 /// A structurally invalid [`RuntimeParams`].
@@ -40,43 +39,11 @@ impl std::fmt::Display for ParamsError {
 
 impl std::error::Error for ParamsError {}
 
-/// How worker threads are pinned to cores.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum Placement {
-    /// Fill socket 0 first, then socket 1 (`OMP_PROC_BIND=close`).
-    Block,
-    /// Round-robin across sockets (`OMP_PROC_BIND=spread`) — balances
-    /// shepherd populations and memory bandwidth, the Qthreads default.
-    Scatter,
-}
-
-/// How the scheduler finds the next virtual-time event.
-///
-/// Both drivers run the *same* simulation — identical folds, identical
-/// machine calls, byte-identical reports. They differ only in how the next
-/// event time and the due set are computed, which is exactly what makes
-/// `Scan` a cheap differential oracle for the queue bookkeeping (see
-/// `tests/event_driver.rs`).
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub enum EventDriver {
-    /// Priority-queue lookup: next event is a heap peek, due events are
-    /// heap pops. O(log workers) per event. The default.
-    #[default]
-    Queue,
-    /// Reference driver: next event is a linear scan over worker segments
-    /// and monitors, due events are found by re-scanning. O(workers) per
-    /// event — the shape of the pre-event-queue scheduler, kept as the
-    /// differential-testing oracle.
-    Scan,
-}
-
 /// Tunable costs and policies of the tasking runtime.
 #[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct RuntimeParams {
     /// Number of worker threads.
     pub workers: usize,
-    /// Worker-to-core pinning policy.
-    pub placement: Placement,
     /// Cycles to pop + begin a task from the local shepherd queue.
     pub dispatch_cycles: u64,
     /// Extra cycles when the task was stolen from another shepherd.
@@ -97,12 +64,6 @@ pub struct RuntimeParams {
     /// lines, coherence storms in barrier-separated parallel loops — and,
     /// unlike the dispatch lump, it causes no artificial load imbalance.
     pub work_dilation_per_worker: f64,
-    /// When a worker is throttled into the spin loop, drop its duty cycle to
-    /// this level (the paper uses the hardware minimum, 1/32).
-    pub spin_duty: DutyCycle,
-    /// Whether throttled spinners use the low-power duty state at all
-    /// (disabling this models a naive full-speed spin loop).
-    pub low_power_spin: bool,
     /// Wall-clock (virtual-time) budget for one run, nanoseconds from the
     /// run's start. A run that has not completed when the clock reaches the
     /// deadline ends in `RuntimeError::DeadlineExceeded` with partial stats
@@ -113,30 +74,22 @@ pub struct RuntimeParams {
     /// backstop against zero-cost livelock. Exceeding it ends the run in
     /// `RuntimeError::DeadlineExceeded`. `None` (the default) disables it.
     pub step_budget: Option<u64>,
-    /// Event-lookup strategy ([`EventDriver::Queue`] unless testing). Not
-    /// part of the snapshot config fingerprint: both drivers produce
-    /// bit-identical machine state, so snapshots interoperate across them.
-    pub event_driver: EventDriver,
 }
 
 impl RuntimeParams {
     /// Qthreads/MAESTRO-like defaults for `workers` workers: cheap
-    /// per-shepherd queues, low contention slope, low-power spin.
+    /// per-shepherd queues and a low contention slope.
     pub fn qthreads(workers: usize) -> Self {
         RuntimeParams {
             workers,
-            placement: Placement::Scatter,
             dispatch_cycles: 550,
             steal_extra_cycles: 2200,
             spawn_cycles_per_child: 450,
             resume_cycles: 700,
             queue_contention_cycles_per_worker: 12,
             work_dilation_per_worker: 0.0,
-            spin_duty: DutyCycle::MIN,
-            low_power_spin: true,
             deadline_ns: None,
             step_budget: None,
-            event_driver: EventDriver::Queue,
         }
     }
 
