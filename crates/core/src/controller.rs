@@ -21,10 +21,8 @@ use std::rc::Rc;
 
 use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
 use maestro_machine::{FaultPlan, Machine};
-use maestro_rapl::RetryPolicy;
 use maestro_rcr::{
-    Level, MeterThresholds, Supervisor, SupervisorConfig, SupervisorState, SupervisorStats,
-    ThrottleSignals,
+    Level, MeterThresholds, Supervisor, SupervisorConfig, SupervisorState, ThrottleSignals,
 };
 use maestro_runtime::{Monitor, ThrottleState};
 
@@ -69,15 +67,8 @@ impl Default for SafeModeConfig {
 /// Everything [`ThrottleController::with_config`] can customize.
 #[derive(Clone, Debug, Default)]
 pub struct ControllerConfig {
-    /// Power thresholds; `None` uses the paper's 75 W / 50 W per socket.
-    pub power: Option<MeterThresholds>,
-    /// Memory thresholds; `None` uses the paper's 75 % / 25 % of the
-    /// machine's effective maximum outstanding references.
-    pub memory: Option<MeterThresholds>,
     /// Safe-mode entry/exit thresholds.
     pub safe_mode: SafeModeConfig,
-    /// Probe retry policy; `None` uses [`RetryPolicy::default`].
-    pub retry: Option<RetryPolicy>,
     /// Scripted faults for the embedded daemon (tests and experiments).
     pub faults: Option<FaultPlan>,
     /// Restart policy for the supervised daemon.
@@ -211,37 +202,20 @@ impl ThrottleController {
         Self::with_config(machine, ControllerConfig::default())
     }
 
-    /// Build with custom thresholds.
-    pub fn with_thresholds(
-        machine: &Machine,
-        power: MeterThresholds,
-        memory: MeterThresholds,
-    ) -> (Self, TraceHandle) {
-        Self::with_config(
-            machine,
-            ControllerConfig { power: Some(power), memory: Some(memory), ..Default::default() },
-        )
-    }
-
-    /// Build with full control over thresholds, safe mode, retries, and
-    /// fault injection.
+    /// Build with the paper's thresholds and custom safe mode, fault
+    /// injection, and restart policy.
     pub fn with_config(machine: &Machine, cfg: ControllerConfig) -> (Self, TraceHandle) {
         let memory_max = machine.config().memory.max_outstanding_refs;
         let trace: TraceHandle = Rc::new(RefCell::new(ControllerTrace::default()));
         let mut supervisor = Supervisor::new(machine, cfg.supervisor);
-        if let Some(retry) = cfg.retry {
-            supervisor = supervisor.with_retry(retry);
-        }
         if let Some(plan) = cfg.faults {
             supervisor = supervisor.with_faults(plan);
         }
         (
             ThrottleController {
                 supervisor,
-                power_thresholds: cfg.power.unwrap_or_else(MeterThresholds::paper_power_w),
-                memory_thresholds: cfg
-                    .memory
-                    .unwrap_or_else(|| MeterThresholds::paper_memory(memory_max)),
+                power_thresholds: MeterThresholds::paper_power_w(),
+                memory_thresholds: MeterThresholds::paper_memory(memory_max),
                 safe_cfg: cfg.safe_mode,
                 safe_mode: false,
                 degraded_streak: 0,
@@ -264,11 +238,6 @@ impl ThrottleController {
     /// Health tallies aggregated across every daemon incarnation.
     pub fn daemon_health(&self) -> maestro_rcr::DaemonHealth {
         self.supervisor.health()
-    }
-
-    /// Kill/restart tallies of the daemon supervisor.
-    pub fn supervisor_stats(&self) -> SupervisorStats {
-        self.supervisor.stats()
     }
 
     /// True while the controller is failing safe (throttling deactivated

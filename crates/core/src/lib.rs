@@ -38,7 +38,7 @@ pub mod alternatives;
 pub mod controller;
 pub mod facade;
 
-pub use alternatives::{CapHandle, DvfsController, DvfsTrace, PowerCapController, PowerCapTrace};
+pub use alternatives::{DvfsController, DvfsTrace, PowerCapController, PowerCapTrace};
 pub use controller::{
     ControlPlaneStats, ControllerCheckpoint, ControllerConfig, ControllerSample, ControllerTrace,
     SafeModeConfig, ThrottleController, TraceHandle,

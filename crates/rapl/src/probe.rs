@@ -76,11 +76,6 @@ impl ProbeError {
             | ProbeError::Implausible { socket, .. } => *socket,
         }
     }
-
-    /// True when the next sample period may succeed without intervention.
-    pub fn is_recoverable(&self) -> bool {
-        !matches!(self, ProbeError::Fatal { .. })
-    }
 }
 
 impl std::fmt::Display for ProbeError {

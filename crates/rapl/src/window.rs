@@ -16,16 +16,15 @@ use std::collections::VecDeque;
 
 use maestro_machine::snap::{Codec, SnapError};
 
-/// Default bound on believable instantaneous power between two samples,
-/// Watts. The modeled node peaks below 200 W; 10 kW is unambiguously a
-/// corrupt reading rather than a workload.
-pub const DEFAULT_MAX_STEP_WATTS: f64 = 10_000.0;
+/// Bound on believable instantaneous power between two samples, Watts. The
+/// modeled node peaks below 200 W; 10 kW is unambiguously a corrupt reading
+/// rather than a workload.
+pub const MAX_STEP_WATTS: f64 = 10_000.0;
 
 /// Average power over a sliding time window of energy samples.
 #[derive(Clone, Debug)]
 pub struct PowerWindow {
     horizon_ns: u64,
-    max_step_watts: f64,
     samples: VecDeque<(u64, f64)>, // (virtual time ns, cumulative joules)
     rejected: u64,
     flat_run: u32,
@@ -37,29 +36,14 @@ impl PowerWindow {
     /// soon as two readings exist).
     pub fn new(horizon_ns: u64) -> Self {
         assert!(horizon_ns > 0, "window horizon must be positive");
-        PowerWindow {
-            horizon_ns,
-            max_step_watts: DEFAULT_MAX_STEP_WATTS,
-            samples: VecDeque::new(),
-            rejected: 0,
-            flat_run: 0,
-        }
-    }
-
-    /// Override the outlier bound: samples implying more than `watts` of
-    /// instantaneous power since the previous sample are rejected. Use
-    /// `f64::INFINITY` to disable outlier rejection.
-    pub fn with_max_step_watts(mut self, watts: f64) -> Self {
-        assert!(watts > 0.0, "power bound must be positive");
-        self.max_step_watts = watts;
-        self
+        PowerWindow { horizon_ns, samples: VecDeque::new(), rejected: 0, flat_run: 0 }
     }
 
     /// Record one cumulative-energy sample at virtual time `t_ns`.
     ///
     /// Returns `false` — counting but not storing the sample — when it is
     /// corrupt: non-finite energy, time or energy regression, or an energy
-    /// step implying more than the configured maximum power (a zero-duration
+    /// step implying more than [`MAX_STEP_WATTS`] (a zero-duration
     /// step with an energy increase implies infinite power and is likewise
     /// rejected). Callers in this codebase only produce such samples under
     /// fault injection, but a defensive daemon must not corrupt its window
@@ -80,7 +64,7 @@ impl PowerWindow {
                     self.rejected += 1;
                     return false;
                 }
-            } else if dj / ((t_ns - last_t) as f64 * 1e-9) > self.max_step_watts {
+            } else if dj / ((t_ns - last_t) as f64 * 1e-9) > MAX_STEP_WATTS {
                 self.rejected += 1;
                 return false;
             }
@@ -139,12 +123,11 @@ impl PowerWindow {
     }
 
     /// The snapshot codec for the window's dynamic state: retained samples,
-    /// rejection and stuck counters (see [`Codec`]). The horizon and outlier
-    /// bound are configuration and are carried over from `self`.
+    /// rejection and stuck counters (see [`Codec`]). The horizon is
+    /// configuration and is carried over from `self`.
     pub fn codec<C: Codec>(&self, c: &mut C) -> Result<PowerWindow, SnapError> {
         Ok(PowerWindow {
             horizon_ns: self.horizon_ns,
-            max_step_watts: self.max_step_watts,
             samples: c
                 .seq(&self.samples, |c, &(t_ns, joules)| Ok((c.u64(t_ns)?, c.f64(joules)?)))?
                 .into(),
@@ -260,16 +243,6 @@ mod tests {
         assert!(w.push(2 * S / 10, 15.0), "the clean re-read is accepted");
         let p = w.average_watts().unwrap();
         assert!((p - 75.0).abs() < 1e-9, "outlier left no trace: {p}");
-    }
-
-    #[test]
-    fn outlier_bound_is_configurable() {
-        let mut strict = PowerWindow::new(S).with_max_step_watts(100.0);
-        strict.push(0, 0.0);
-        assert!(!strict.push(S, 150.0), "150 W step over a 100 W bound");
-        let mut lax = PowerWindow::new(S).with_max_step_watts(f64::INFINITY);
-        lax.push(0, 0.0);
-        assert!(lax.push(S, 1e9), "disabled bound accepts anything finite");
     }
 
     #[test]

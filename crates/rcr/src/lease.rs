@@ -171,11 +171,6 @@ impl LeaseSlot {
         self.last_epoch
     }
 
-    /// Whether an unexpired-at-last-check lease is currently held.
-    pub fn holds_lease(&self) -> bool {
-        self.lease.is_some()
-    }
-
     /// The snapshot codec for the slot (see [`Codec`]).
     pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
         let floor_w = c.f64(self.floor_w)?;

@@ -39,7 +39,6 @@
 pub mod blackboard;
 pub mod classify;
 pub mod daemon;
-pub mod history;
 pub mod lease;
 pub mod region;
 pub mod supervisor;
@@ -51,7 +50,6 @@ pub use lease::{BudgetLease, LeaseDecision, LeaseSlot};
 pub use supervisor::{
     Supervisor, SupervisorConfig, SupervisorOutcome, SupervisorState, SupervisorStats,
 };
-pub use history::SampleHistory;
 pub use region::{Region, RegionReport};
 
 /// Fraction of one core the paper measured the (compacting) RCRdaemon to
