@@ -1,9 +1,10 @@
 //! Integration tests for the alternative mechanisms (DVFS, power capping)
 //! and the design-choice ablation the paper's §IV argues from.
 
-use maestro::{Maestro, MaestroConfig, Policy};
+use maestro::{Maestro, MaestroConfig, MaestroSnapshot, Policy, RunReport};
 use maestro_bench::experiments::{ablation, maestro_params, run_maestro};
-use maestro_machine::PState;
+use maestro_machine::{Cost, PState};
+use maestro_runtime::{SnapshotPlan, TaskSpec};
 use maestro_workloads::lulesh::Lulesh;
 use maestro_workloads::{CompilerConfig, OptLevel, Scale, Workload};
 
@@ -103,4 +104,77 @@ fn generous_power_cap_is_free() {
         capped.elapsed_s,
         free.elapsed_s
     );
+}
+
+/// Every observable bit of a run under an alternative policy: report
+/// floats and counters, plus the policy's full decision trace.
+fn run_bits(m: &Maestro, r: &RunReport) -> String {
+    let trace = match (m.dvfs_trace(), m.powercap_trace()) {
+        (Some(t), None) => {
+            let t = t.borrow();
+            format!("{:?} transitions={}", t.samples, t.transitions)
+        }
+        (None, Some(t)) => {
+            let samples: Vec<_> =
+                t.borrow().samples.iter().map(|&(t, w, l)| (t, w.to_bits(), l)).collect();
+            format!("{samples:?}")
+        }
+        _ => panic!("one alternative-policy trace expected"),
+    };
+    format!(
+        "{} {} {} {:?} {trace}",
+        r.elapsed_s.to_bits(),
+        r.joules.to_bits(),
+        r.avg_watts.to_bits(),
+        r.stats
+    )
+}
+
+/// DVFS and power-cap runs suspend and resume bit-identically to an
+/// unbroken, fence-matched run: daemon state, decision trace, and the power
+/// cap's dynamic shepherd limit all survive the snapshot.
+#[test]
+fn alternative_policies_resume_bit_identically() {
+    const SUSPEND_NS: u64 = 150_000_000;
+    let spec = TaskSpec::fork_join(
+        (0..600).map(|_| TaskSpec::leaf(Cost::new(13_000_000, 500_000, 8.0, 0.95))).collect(),
+        Cost::ZERO,
+    );
+    for policy in [Policy::Dvfs { floor: PState::floor_of(1.8) }, Policy::PowerCap { watts: 130.0 }]
+    {
+        let mut cfg = MaestroConfig::fixed(16);
+        cfg.policy = policy;
+
+        let mut unbroken = Maestro::new(cfg.clone());
+        let report = unbroken
+            .run_captured(
+                "alt",
+                &mut (),
+                spec.clone().into_task(),
+                &SnapshotPlan::none().with_fence(SUSPEND_NS),
+            )
+            .expect("capture succeeds")
+            .report()
+            .expect("unbroken run completes");
+        let want = run_bits(&unbroken, &report);
+
+        let snap = Maestro::new(cfg.clone())
+            .run_captured(
+                "alt",
+                &mut (),
+                spec.clone().into_task(),
+                &SnapshotPlan::suspend_at(SUSPEND_NS),
+            )
+            .expect("capture succeeds")
+            .suspended()
+            .expect("run suspends at the fence");
+        let snap = MaestroSnapshot::from_bytes(&snap.to_bytes()).expect("snapshot decodes");
+        let mut resumed = Maestro::new(cfg);
+        let report = resumed
+            .resume_captured(&mut (), &snap, &SnapshotPlan::none())
+            .expect("resume succeeds")
+            .report()
+            .expect("resumed run completes");
+        assert_eq!(run_bits(&resumed, &report), want, "{policy:?}: resumed run diverged");
+    }
 }

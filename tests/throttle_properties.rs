@@ -4,6 +4,7 @@
 //! deactivation, app completion, region termination, loop termination,
 //! cancellation), even when a fault plan is eating wake notifications.
 
+use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
 use maestro_machine::{Cost, DutyCycle, FaultPlan, Machine, MachineConfig, PState, SocketId};
 use maestro_runtime::{
     compute_leaf, fork_join, parallel_for, sequential, BoxTask, CancelAt, CancelToken, Monitor,
@@ -24,6 +25,13 @@ impl Monitor for ScriptedToggles {
     fn fire(&mut self, _m: &mut Machine, throttle: &mut ThrottleState) {
         throttle.active = !throttle.active;
         self.next += 1;
+    }
+    fn snap_state(&self, w: &mut SnapWriter) {
+        w.u64(self.next as u64).expect("live state encodes");
+    }
+    fn restore_state(&mut self, _m: &Machine, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.next = r.u64(self.next as u64)? as usize;
+        Ok(())
     }
 }
 
