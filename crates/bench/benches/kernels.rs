@@ -32,6 +32,19 @@ fn bench_kernels(c: &mut Criterion) {
         );
     });
 
+    g.bench_function("lulesh_force_edge14", |b| {
+        let mut d = Domain::sedov(14);
+        for _ in 0..3 {
+            kernels::step_sequential(&mut d);
+        }
+        let (elems, nodes) = (d.num_elems(), d.num_nodes());
+        b.iter(|| {
+            kernels::calc_force_terms(&mut d, 0..elems);
+            kernels::integrate_force(&mut d, 0..nodes);
+            black_box(d.fx[nodes - 1])
+        });
+    });
+
     g.throughput(Throughput::Elements(128 * 128));
     g.bench_function("strassen_naive_128", |b| {
         let a = Matrix::random(128, 1);

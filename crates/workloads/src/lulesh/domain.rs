@@ -15,6 +15,19 @@ pub const RHO0: f64 = 1.0;
 /// Sedov corner energy deposit.
 pub const SEDOV_ENERGY: f64 = 3.948746e+1;
 
+/// What one element contributes to the forces on its corners this cycle.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct ForceTerms {
+    /// Pressure plus artificial viscosity.
+    pub stress: f64,
+    /// Volume gradient with respect to each corner.
+    pub grads: [[f64; 3]; 8],
+    /// Mean velocity of the eight corners.
+    pub mean_vel: [f64; 3],
+    /// Hourglass damping scale.
+    pub hg_scale: f64,
+}
+
 /// The simulation state.
 pub struct Domain {
     /// Elements per cube edge.
@@ -67,6 +80,10 @@ pub struct Domain {
     pub arealg: Vec<f64>,
     /// Sound speed.
     pub ss: Vec<f64>,
+    /// Per-element force-phase scratch, written by
+    /// [`calc_force_terms`](super::kernels::calc_force_terms) and read by
+    /// the node gather in the same cycle.
+    pub(crate) force_terms: Vec<ForceTerms>,
 
     /// Current timestep.
     pub dt: f64,
@@ -131,32 +148,21 @@ impl Domain {
         ]
     }
 
-    /// Elements adjacent to node `idx` (1 to 8 of them).
-    pub fn node_elems(&self, idx: usize) -> Vec<usize> {
+    /// Elements adjacent to node `idx` (1 to 8 of them) as `(elem, slot)`
+    /// pairs, where `slot` is the node's index in `elem_nodes(elem)`. The
+    /// elements come in lattice order: x-offset fastest, then y, then z.
+    pub(crate) fn node_corners(&self, idx: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        // LULESH corner slot of the node at offset (di, dj, dk) from an
+        // element's origin corner, indexed by di + 2·dj + 4·dk.
+        const SLOT: [usize; 8] = [0, 1, 3, 2, 4, 5, 7, 6];
         let n = self.nper();
         let (i, j, k) = (idx % n, (idx / n) % n, idx / (n * n));
-        let mut out = Vec::with_capacity(8);
-        for dk in 0..2usize {
-            for dj in 0..2usize {
-                for di in 0..2usize {
-                    let (ei, ej, ek) = (
-                        i as isize - di as isize,
-                        j as isize - dj as isize,
-                        k as isize - dk as isize,
-                    );
-                    if ei >= 0
-                        && ej >= 0
-                        && ek >= 0
-                        && (ei as usize) < self.edge
-                        && (ej as usize) < self.edge
-                        && (ek as usize) < self.edge
-                    {
-                        out.push(self.elem_index(ei as usize, ej as usize, ek as usize));
-                    }
-                }
-            }
-        }
-        out
+        (0..8).filter_map(move |b| {
+            let (di, dj, dk) = (b & 1, (b >> 1) & 1, b >> 2);
+            let (ei, ej, ek) = (i.checked_sub(di)?, j.checked_sub(dj)?, k.checked_sub(dk)?);
+            (ei < self.edge && ej < self.edge && ek < self.edge)
+                .then(|| (self.elem_index(ei, ej, ek), SLOT[b]))
+        })
     }
 
     /// Build the Sedov blast problem on an `edge³` mesh of the unit cube.
@@ -190,6 +196,7 @@ impl Domain {
             vdov: vec![0.0; num_elems],
             arealg: vec![0.0; num_elems],
             ss: vec![0.0; num_elems],
+            force_terms: vec![ForceTerms::default(); num_elems],
             dt: 1.0e-5,
             time: 0.0,
             cycle: 0,
@@ -283,11 +290,19 @@ mod tests {
         let d = Domain::sedov(3);
         for e in 0..d.num_elems() {
             for n in d.elem_nodes(e) {
-                assert!(d.node_elems(n).contains(&e), "elem {e} missing from node {n}");
+                assert!(
+                    d.node_corners(n).any(|(elem, _)| elem == e),
+                    "elem {e} missing from node {n}"
+                );
+            }
+        }
+        for n in 0..d.num_nodes() {
+            for (elem, slot) in d.node_corners(n) {
+                assert_eq!(d.elem_nodes(elem)[slot], n, "node {n} at slot {slot} of elem {elem}");
             }
         }
         // Interior node touches 8 elements; the origin corner touches 1.
-        assert_eq!(d.node_elems(d.node_index(1, 1, 1)).len(), 8);
-        assert_eq!(d.node_elems(d.node_index(0, 0, 0)).len(), 1);
+        assert_eq!(d.node_corners(d.node_index(1, 1, 1)).count(), 8);
+        assert_eq!(d.node_corners(d.node_index(0, 0, 0)).count(), 1);
     }
 }

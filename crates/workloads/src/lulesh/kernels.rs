@@ -1,6 +1,6 @@
 //! The Lagrangian hydro kernels, in the order LULESH runs them each cycle:
 //!
-//! 1. stress + hourglass force integration (element → node);
+//! 1. stress + hourglass force terms per element, gathered at the nodes;
 //! 2. acceleration, symmetry boundary conditions, velocity/position update;
 //! 3. kinematics: new volumes, strain rates, characteristic lengths;
 //! 4. artificial viscosity (q);
@@ -17,7 +17,7 @@
 //! range owner's rows (gather form), so results are bit-identical for any
 //! chunking.
 
-use super::domain::{Domain, GAMMA, RHO0};
+use super::domain::{Domain, ForceTerms, GAMMA, RHO0};
 
 /// Corner-based decomposition of the hex (LULESH node order) into six
 /// tetrahedra covering the volume exactly for planar-enough faces.
@@ -92,39 +92,49 @@ pub fn elem_volume_gradients(p: &[[f64; 3]; 8]) -> [[f64; 3]; 8] {
 /// Hourglass damping coefficient.
 const HG_COEF: f64 = 0.03;
 
-/// Kernel 1 (node form): accumulate stress and hourglass forces on the
-/// nodes in `range`. Gather formulation: each node reads its adjacent
-/// elements, so chunks never write each other's rows.
+/// Kernel 1a (element pass): compute, once per element in `range`, the
+/// terms its corners' forces need — stress, corner volume gradients, mean
+/// corner velocity and hourglass scale — into `d.force_terms`.
+pub fn calc_force_terms(d: &mut Domain, range: std::ops::Range<usize>) {
+    for elem in range {
+        let grads = elem_volume_gradients(&corner_positions(d, elem));
+        let mut mean = [0.0f64; 3];
+        for m in d.elem_nodes(elem) {
+            mean[0] += d.xd[m];
+            mean[1] += d.yd[m];
+            mean[2] += d.zd[m];
+        }
+        for x in &mut mean {
+            *x /= 8.0;
+        }
+        let rho = RHO0 / d.v[elem].max(1e-12);
+        d.force_terms[elem] = ForceTerms {
+            stress: d.p[elem] + d.q[elem],
+            grads,
+            mean_vel: mean,
+            hg_scale: HG_COEF * rho * d.arealg[elem] * d.ss[elem].max(1e-12),
+        };
+    }
+}
+
+/// Kernel 1b (node gather): sum the stress and hourglass forces of each
+/// node in `range` from its adjacent elements' [`calc_force_terms`]. Each
+/// node writes only its own row, so chunks never write each other's rows.
 pub fn integrate_force(d: &mut Domain, range: std::ops::Range<usize>) {
     for n in range {
         let mut f = [0.0f64; 3];
-        for elem in d.node_elems(n) {
-            let p = corner_positions(d, elem);
-            let grads = elem_volume_gradients(&p);
-            let nodes = d.elem_nodes(elem);
-            let slot = nodes.iter().position(|&m| m == n).expect("adjacency is symmetric");
+        for (elem, slot) in d.node_corners(n) {
+            let t = &d.force_terms[elem];
             // Pressure (and the viscous pseudo-pressure) push the corner
             // outward: F = +(p+q)·∂V/∂x.
-            let stress = d.p[elem] + d.q[elem];
-            for x in 0..3 {
-                f[x] += stress * grads[slot][x];
+            for (fx, g) in f.iter_mut().zip(t.grads[slot]) {
+                *fx += t.stress * g;
             }
             // Hourglass control: damp this node's velocity toward the
             // element mean velocity.
-            let mut mean = [0.0f64; 3];
-            for &m in &nodes {
-                mean[0] += d.xd[m];
-                mean[1] += d.yd[m];
-                mean[2] += d.zd[m];
-            }
-            for x in &mut mean {
-                *x /= 8.0;
-            }
-            let rho = RHO0 / d.v[elem].max(1e-12);
-            let scale = HG_COEF * rho * d.arealg[elem] * d.ss[elem].max(1e-12);
-            f[0] -= scale * (d.xd[n] - mean[0]);
-            f[1] -= scale * (d.yd[n] - mean[1]);
-            f[2] -= scale * (d.zd[n] - mean[2]);
+            f[0] -= t.hg_scale * (d.xd[n] - t.mean_vel[0]);
+            f[1] -= t.hg_scale * (d.yd[n] - t.mean_vel[1]);
+            f[2] -= t.hg_scale * (d.zd[n] - t.mean_vel[2]);
         }
         d.fx[n] = f[0];
         d.fy[n] = f[1];
@@ -242,6 +252,7 @@ pub fn calc_dt(d: &Domain) -> f64 {
 /// One full sequential cycle (the reference the parallel driver must match).
 pub fn step_sequential(d: &mut Domain) {
     let dt = d.dt;
+    calc_force_terms(d, 0..d.num_elems());
     integrate_force(d, 0..d.num_nodes());
     integrate_motion(d, 0..d.num_nodes(), dt);
     calc_kinematics(d, 0..d.num_elems(), dt);
@@ -286,6 +297,96 @@ mod tests {
 
     fn corner_positions_for_test(d: &Domain, elem: usize) -> [[f64; 3]; 8] {
         super::corner_positions(d, elem)
+    }
+
+    /// The per-node force formulation: every (node, element) pair rebuilds
+    /// the element's gradients, mean velocity and hourglass scale. It has
+    /// its own adjacency walk so it shares no code with the gather.
+    fn reference_forces(d: &Domain) -> Vec<[f64; 3]> {
+        let n_per = d.nper();
+        (0..d.num_nodes())
+            .map(|n| {
+                let (i, j, k) = (n % n_per, (n / n_per) % n_per, n / (n_per * n_per));
+                let mut adjacent = Vec::with_capacity(8);
+                for dk in 0..2 {
+                    for dj in 0..2 {
+                        for di in 0..2 {
+                            if i >= di && j >= dj && k >= dk {
+                                let (ei, ej, ek) = (i - di, j - dj, k - dk);
+                                if ei < d.edge && ej < d.edge && ek < d.edge {
+                                    adjacent.push(d.elem_index(ei, ej, ek));
+                                }
+                            }
+                        }
+                    }
+                }
+                let mut f = [0.0f64; 3];
+                for elem in adjacent {
+                    let p = corner_positions(d, elem);
+                    let grads = elem_volume_gradients(&p);
+                    let nodes = d.elem_nodes(elem);
+                    let slot = nodes.iter().position(|&m| m == n).expect("adjacency is symmetric");
+                    let stress = d.p[elem] + d.q[elem];
+                    for x in 0..3 {
+                        f[x] += stress * grads[slot][x];
+                    }
+                    let mut mean = [0.0f64; 3];
+                    for &m in &nodes {
+                        mean[0] += d.xd[m];
+                        mean[1] += d.yd[m];
+                        mean[2] += d.zd[m];
+                    }
+                    for x in &mut mean {
+                        *x /= 8.0;
+                    }
+                    let rho = RHO0 / d.v[elem].max(1e-12);
+                    let scale = HG_COEF * rho * d.arealg[elem] * d.ss[elem].max(1e-12);
+                    f[0] -= scale * (d.xd[n] - mean[0]);
+                    f[1] -= scale * (d.yd[n] - mean[1]);
+                    f[2] -= scale * (d.zd[n] - mean[2]);
+                }
+                f
+            })
+            .collect()
+    }
+
+    /// `0..total` cut into pieces of `size` (the last one shorter).
+    fn pieces(total: usize, size: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+        (0..total).step_by(size).map(move |lo| lo..(lo + size).min(total))
+    }
+
+    #[test]
+    fn element_pass_and_gather_match_per_node_forces_bitwise() {
+        let mut d = Domain::sedov(6);
+        let (nodes, elems) = (d.num_nodes(), d.num_elems());
+        // Piece sizes for 1, 7 and 48 chunks (the driver's `div_ceil`
+        // split), plus a prime size; most leave a short last piece.
+        let splits = |total: usize| [total, total.div_ceil(7), total.div_ceil(48), 13];
+        let mut forced = 0;
+        for cycle in 0..48 {
+            let want = reference_forces(&d);
+            forced += want.iter().filter(|f| f.iter().any(|&x| x != 0.0)).count();
+            for (elem_size, node_size) in splits(elems).into_iter().zip(splits(nodes)) {
+                for f in [&mut d.fx, &mut d.fy, &mut d.fz] {
+                    f.fill(f64::NAN);
+                }
+                for r in pieces(elems, elem_size) {
+                    calc_force_terms(&mut d, r);
+                }
+                for r in pieces(nodes, node_size) {
+                    integrate_force(&mut d, r);
+                }
+                for (n, w) in want.iter().enumerate() {
+                    let got = [d.fx[n], d.fy[n], d.fz[n]];
+                    assert!(
+                        got.iter().zip(w).all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "cycle {cycle}, node {n}, pieces {elem_size}/{node_size}: {got:?} vs {w:?}"
+                    );
+                }
+            }
+            step_sequential(&mut d);
+        }
+        assert!(forced > 48 * nodes / 4, "too few nodes carry force ({forced})");
     }
 
     #[test]

@@ -80,6 +80,11 @@ impl TaskLogic<Domain> for LuleshDriver {
         if self.steps == 0 {
             return Step::Done(TaskValue::of(d.total_internal_energy()));
         }
+        if self.phase_idx == 0 {
+            // The force phase's element pass. Its host work is not charged:
+            // the force chunks' `phase_costs` already model the whole phase.
+            kernels::calc_force_terms(d, 0..d.num_elems());
+        }
         let phase = &PHASES[self.phase_idx];
         let cost = self.phase_costs[self.phase_idx];
         let total = if phase.over_nodes { d.num_nodes() } else { d.num_elems() };
@@ -128,7 +133,11 @@ impl Lulesh {
     }
 
     fn tasks(&self) -> u64 {
-        // Five chunked phases per cycle.
+        // Five chunked phases per cycle, each spawning `CHUNKS` tasks at
+        // `Scale::Paper`. At `Scale::Test` (edge 6) the `div_ceil` chunking
+        // spawns 43 node chunks and 44 element chunks, so test-scale LULESH
+        // models ~10 % less work in those phases than this count assumes;
+        // matching it would re-baseline the test-scale golden digests.
         self.steps * 5 * CHUNKS as u64
     }
 }
@@ -242,6 +251,15 @@ mod tests {
             (2.0..=8.0).contains(&speedup),
             "LULESH speedup {speedup} should sit near the paper's ≈4"
         );
+    }
+
+    #[test]
+    fn paper_scale_phases_spawn_exactly_chunks_tasks() {
+        // `tasks()` and the per-chunk `work_frac / CHUNKS` costs assume it.
+        let d = Domain::sedov(Lulesh::new(Scale::Paper).edge);
+        for total in [d.num_nodes(), d.num_elems()] {
+            assert_eq!(total.div_ceil(total.div_ceil(CHUNKS)), CHUNKS, "{total} items");
+        }
     }
 
     #[test]
