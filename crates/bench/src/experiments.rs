@@ -1,6 +1,7 @@
 //! The experiment implementations.
 
 use maestro::{Maestro, MaestroConfig, Policy, RunReport};
+use maestro_fleet::parallel_map;
 use maestro_machine::{CoreActivity, DutyCycle, Machine, MachineConfig, NS_PER_SEC};
 use maestro_runtime::RuntimeParams;
 use maestro_workloads::profiles;
@@ -89,7 +90,7 @@ fn measure_configs(scale: Scale, configs: &[CompilerConfig], jobs: usize) -> Vec
         .iter()
         .flat_map(|w| configs.iter().map(|&cc| (w.name().to_string(), cc)))
         .collect();
-    crate::harness::parallel_map(cells.len(), jobs, |i| {
+    parallel_map(cells.len(), jobs, |i| {
         let (name, cc) = (&cells[i].0, cells[i].1);
         let w = by_name(name, scale).expect("registered workload");
         let cal = profiles::calibration(w.name());
@@ -200,7 +201,7 @@ pub fn scaling_figure(
     // One cell per workload × worker-count point, collected by index and
     // re-chunked into per-workload curves.
     let per = FIGURE_WORKERS.len();
-    let points = crate::harness::parallel_map(names.len() * per, jobs, |i| {
+    let points = parallel_map(names.len() * per, jobs, |i| {
         let workers = FIGURE_WORKERS[i % per];
         let w = by_name(&names[i / per], scale).expect("registered workload");
         let r = run_fixed(w.as_ref(), cc, workers);
@@ -295,7 +296,7 @@ pub fn throttling_table(scale: Scale, target: ThrottleTarget, jobs: usize) -> Ve
         (16, Policy::Fixed),
         (12, Policy::Fixed),
     ];
-    let measured = crate::harness::parallel_map(runs.len(), jobs, |i| {
+    let measured = parallel_map(runs.len(), jobs, |i| {
         let (workers, policy) = runs[i];
         let w = target.workload(scale);
         let r = run_maestro(w.as_ref(), cc, workers, policy);
@@ -348,7 +349,7 @@ pub fn ablation(scale: Scale, jobs: usize) -> Vec<AblationRow> {
 
     // Each mechanism is one independent LULESH simulation; fan the four
     // out as cells, each returning the fully-formed (Send) table row.
-    crate::harness::parallel_map(4, jobs, |i| match i {
+    parallel_map(4, jobs, |i| match i {
         0 => {
             let fixed = run_maestro(&Lulesh::new(scale), cc, 16, Policy::Fixed);
             AblationRow {
@@ -582,7 +583,7 @@ fn service_cell(name: &str, scale: Scale) -> ServiceRow {
 
 /// The `service` experiment: every demo scenario as an independent cell.
 pub fn service_rows(scale: Scale, jobs: usize) -> Vec<ServiceRow> {
-    crate::harness::parallel_map(SERVICE_DEMO_SCENARIOS.len(), jobs, |i| {
+    parallel_map(SERVICE_DEMO_SCENARIOS.len(), jobs, |i| {
         service_cell(SERVICE_DEMO_SCENARIOS[i], scale)
     })
 }
@@ -610,7 +611,7 @@ pub struct ParetoPoint {
 /// per point. Results are byte-identical for any job count (each cell is a
 /// pure function of the scenario name and scale).
 pub fn pareto(scale: Scale, jobs: usize) -> Vec<ParetoPoint> {
-    crate::harness::parallel_map(PARETO_SCENARIOS.len(), jobs, |i| {
+    parallel_map(PARETO_SCENARIOS.len(), jobs, |i| {
         let name = PARETO_SCENARIOS[i];
         let row = service_cell(name, scale);
         let slo = crate::scenario::service_scenario(name)
@@ -638,7 +639,7 @@ pub fn overhead_probe(scale: Scale, jobs: usize) -> OverheadProbe {
     let cc = CompilerConfig::gcc(OptLevel::O3);
     // Two independent runs of the same workload (fixed vs adaptive); each
     // cell reduces its report to (elapsed, ever-throttled).
-    let runs = crate::harness::parallel_map(2, jobs, |i| {
+    let runs = parallel_map(2, jobs, |i| {
         let w = by_name("bots-nqueens", scale).expect("registered");
         let policy =
             if i == 0 { Policy::Fixed } else { Policy::Adaptive { limit_per_shepherd: 6 } };

@@ -21,7 +21,5 @@
 pub mod chaos;
 pub mod experiments;
 pub mod format;
-pub mod gate;
-pub mod harness;
 pub mod perf;
 pub mod scenario;

@@ -4,42 +4,25 @@
 //! cargo run -p maestro-bench --release -- all
 //! cargo run -p maestro-bench --release -- table1 table4 fig1
 //! cargo run -p maestro-bench --release -- --test-scale table2
-//! cargo run -p maestro-bench --release -- --jobs 4 all --json BENCH_PR5.json
+//! cargo run -p maestro-bench --release -- --jobs 4 all
 //! ```
 
 use maestro::{Maestro, MaestroRunEnd, MaestroSnapshot};
 use maestro_bench::experiments::{self, FigureGroup, ThrottleTarget};
-use maestro_bench::gate::{GateInputs, GateReport};
-use maestro_bench::{format, harness, perf, scenario};
-use maestro_fleet::Fleet;
+use maestro_bench::{format, scenario};
+use maestro_fleet::{default_jobs, parallel_map, Fleet};
 use maestro_runtime::SnapshotPlan;
 use maestro_workloads::{Family, Scale};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 const USAGE: &str = "\
-usage: maestro-bench [--test-scale] [--csv] [--jobs N] [--json PATH] <experiment>...
+usage: maestro-bench [--test-scale] [--csv] [--jobs N] <experiment>...
        maestro-bench replay --snapshot PATH [--until T_NS]
-       maestro-bench gate --current PATH --baseline PATH
-                          [--min-scheduler-ratio R] [--max-wall-s S]
-                          [--min-goodput RPS]
 
   --csv emits machine-readable CSV instead of the aligned comparison tables
   (supported for table1-3, fig1-4, and table4-7).
   --jobs N fans independent experiment cells over N host threads (default:
   MAESTRO_BENCH_JOBS, else the host's available parallelism). Output is
   byte-identical for every N.
-  --json PATH additionally writes a perf-trajectory report (wall-clock per
-  experiment plus hot-path micro-probes); schema in EXPERIMENTS.md.
-
-  gate compares two --json perf reports and exits nonzero when any bound
-  is violated — every criterion is evaluated and printed, so one run
-  diagnoses every broken bound: the current report must reach at least
-  --min-scheduler-ratio times the baseline's scheduler micro-probe
-  (default 3.0), stay under --max-wall-s total wall (default 10.0, sized
-  for the test-scale CI smoke run), and — when --min-goodput is given —
-  keep the minimum service goodput across the Pareto sweep at or above
-  RPS requests per second.
 
   replay loads a snapshot file written by the chaos triage harness (or your
   own run_captured call), rebuilds the named scenario, and resumes it —
@@ -85,10 +68,6 @@ experiments:
   one workload under three p99 SLOs, each point reporting the duty ladder /
   brownout level the governor settled on, its p99, joules, and goodput.
 ";
-
-/// PR tag stamped into `--json` perf reports; bump alongside a new
-/// committed `BENCH_PR<N>.json` trajectory point.
-const PR_LABEL: &str = "PR9";
 
 /// Every experiment `all` expands to, in print order.
 const ALL: &[&str] = &[
@@ -204,187 +183,14 @@ fn render_one(name: &str, scale: Scale, csv: bool, jobs: usize) -> Option<String
     })
 }
 
-/// One timed experiment for the JSON report.
-struct Timed {
-    name: String,
-    wall_s: f64,
-    output: String,
-}
-
 /// Run the requested experiment list (with `all` already expanded),
 /// fanning whole experiments across the job pool while printing in the
 /// original order.
-fn run_list(names: &[&str], scale: Scale, csv: bool, jobs: usize) -> Vec<Timed> {
-    harness::parallel_map(names.len(), jobs, |i| {
-        let start = Instant::now();
-        let output = render_one(names[i], scale, csv, jobs)
-            .unwrap_or_else(|| unreachable!("names validated before dispatch"));
-        Timed { name: names[i].to_string(), wall_s: start.elapsed().as_secs_f64(), output }
+fn run_list(names: &[&str], scale: Scale, csv: bool, jobs: usize) -> Vec<String> {
+    parallel_map(names.len(), jobs, |i| {
+        render_one(names[i], scale, csv, jobs)
+            .unwrap_or_else(|| unreachable!("names validated before dispatch"))
     })
-}
-
-/// Hand-rolled JSON writer for the perf trajectory (schema
-/// `maestro-bench/v1`; documented in EXPERIMENTS.md). The vendored serde
-/// stub has no JSON backend, and the report is flat enough that assembling
-/// it directly keeps the dependency surface at zero. The perf probes run
-/// here, after the experiments.
-fn perf_report_json(scale: Scale, jobs: usize, timed: &[Timed], total_wall_s: f64) -> String {
-    let micro = &perf::micro_perf();
-    let fork = &perf::fork_sweep_probe(jobs);
-    let fleet = &perf::fleet_advance_probe(jobs);
-    let pareto = &experiments::pareto(scale, jobs);
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"maestro-bench/v1\",");
-    let _ = writeln!(out, "  \"pr\": \"{PR_LABEL}\",");
-    let _ = writeln!(
-        out,
-        "  \"scale\": \"{}\",",
-        if scale == Scale::Test { "test" } else { "paper" }
-    );
-    let _ = writeln!(out, "  \"jobs\": {jobs},");
-    let _ = writeln!(out, "  \"total_wall_s\": {total_wall_s:.4},");
-    let _ = writeln!(out, "  \"experiments\": [");
-    for (i, t) in timed.iter().enumerate() {
-        let comma = if i + 1 == timed.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"wall_s\": {:.4}}}{comma}",
-            t.name, t.wall_s
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"micro\": {{");
-    let _ = writeln!(
-        out,
-        "    \"machine_advance_ns_per_op\": {:.2},",
-        micro.machine_advance_ns_per_op
-    );
-    let _ = writeln!(
-        out,
-        "    \"scheduler_steps_per_sec\": {:.0}",
-        micro.scheduler_steps_per_sec
-    );
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"fork_sweep\": {{");
-    let _ = writeln!(out, "    \"variants\": {},", fork.variants);
-    let _ = writeln!(out, "    \"cold_wall_s\": {:.4},", fork.cold_wall_s);
-    let _ = writeln!(out, "    \"warm_wall_s\": {:.4},", fork.warm_wall_s);
-    let _ = writeln!(out, "    \"speedup\": {:.3}", fork.speedup);
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"fleet\": {{");
-    let _ = writeln!(out, "    \"nodes\": {},", fleet.nodes);
-    let _ = writeln!(out, "    \"virtual_s\": {:.1},", fleet.virtual_s);
-    let _ = writeln!(out, "    \"wall_s\": {:.4},", fleet.wall_s);
-    let _ = writeln!(
-        out,
-        "    \"node_virtual_s_per_wall_s\": {:.0}",
-        fleet.node_virtual_s_per_wall_s
-    );
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"service\": {{");
-    let _ = writeln!(out, "    \"pareto\": [");
-    for (i, p) in pareto.iter().enumerate() {
-        let comma = if i + 1 == pareto.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "      {{\"scenario\": \"{}\", \"slo_p99_ns\": {}, \"p99_ns\": {}, \
-             \"joules\": {:.2}, \"goodput_rps\": {:.0}, \"energy_level\": {}, \
-             \"brownout_level\": {}}}{comma}",
-            p.scenario,
-            p.slo_p99_ns,
-            p.p99_ns,
-            p.joules,
-            p.goodput_rps,
-            p.energy_level,
-            p.brownout_level,
-        );
-    }
-    let _ = writeln!(out, "    ],");
-    // Minimum across the sweep, on its own line so the gate's flat scanner
-    // can read it without parsing the pareto array.
-    let min_goodput = pareto.iter().map(|p| p.goodput_rps).fold(f64::INFINITY, f64::min);
-    let _ = writeln!(
-        out,
-        "    \"service_goodput_rps\": {:.0}",
-        if min_goodput.is_finite() { min_goodput } else { 0.0 }
-    );
-    let _ = writeln!(out, "  }}");
-    out.push_str("}\n");
-    out
-}
-
-/// `maestro-bench gate --current PATH --baseline PATH`: the CI perf gate.
-/// Exit codes: 0 all bounds hold, 1 a perf bound was violated, 2 bad usage
-/// or an unreadable/malformed report.
-fn run_gate(args: &[String]) -> ! {
-    let mut current_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut min_ratio = 3.0f64;
-    let mut max_wall_s = 10.0f64;
-    let mut min_goodput = 0.0f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut path_arg = |slot: &mut Option<String>, flag: &str| match it.next() {
-            Some(p) => *slot = Some(p.clone()),
-            None => {
-                eprintln!("{flag} needs a path\n{USAGE}");
-                std::process::exit(2);
-            }
-        };
-        match a.as_str() {
-            "--current" => path_arg(&mut current_path, "--current"),
-            "--baseline" => path_arg(&mut baseline_path, "--baseline"),
-            "--min-scheduler-ratio" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(r) if r > 0.0 => min_ratio = r,
-                _ => {
-                    eprintln!("--min-scheduler-ratio needs a positive number\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--max-wall-s" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(s) if s > 0.0 => max_wall_s = s,
-                _ => {
-                    eprintln!("--max-wall-s needs a positive number\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--min-goodput" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(g) if g > 0.0 => min_goodput = g,
-                _ => {
-                    eprintln!("--min-goodput needs a positive number\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown gate argument: {other}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let (Some(current_path), Some(baseline_path)) = (current_path, baseline_path) else {
-        eprintln!("gate requires --current PATH and --baseline PATH\n{USAGE}");
-        std::process::exit(2);
-    };
-    let load = |path: &str| -> GateInputs {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        GateInputs::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let report = GateReport::evaluate(
-        load(&current_path),
-        load(&baseline_path),
-        min_ratio,
-        max_wall_s,
-        min_goodput,
-    );
-    print!("{}", report.render());
-    std::process::exit(if report.pass() { 0 } else { 1 });
 }
 
 /// `maestro-bench replay --snapshot PATH [--until T_NS]`: the time-travel
@@ -646,13 +452,9 @@ fn main() {
     if raw.first().map(String::as_str) == Some("replay") {
         run_replay(&raw[1..]);
     }
-    if raw.first().map(String::as_str) == Some("gate") {
-        run_gate(&raw[1..]);
-    }
     let mut scale = Scale::Paper;
     let mut csv = false;
     let mut jobs: Option<usize> = None;
-    let mut json_path: Option<String> = None;
     let mut names: Vec<String> = Vec::new();
     let mut it = raw.into_iter();
     while let Some(a) = it.next() {
@@ -666,17 +468,10 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(p),
-                None => {
-                    eprintln!("--json needs a path\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
             other => names.push(other.to_string()),
         }
     }
-    let jobs = jobs.unwrap_or_else(harness::default_jobs);
+    let jobs = jobs.unwrap_or_else(default_jobs);
     if names.is_empty() {
         eprint!("{USAGE}");
         std::process::exit(2);
@@ -696,19 +491,7 @@ fn main() {
         }
     }
 
-    let start = Instant::now();
-    let timed = run_list(&expanded, scale, csv, jobs);
-    let total_wall_s = start.elapsed().as_secs_f64();
-    for t in &timed {
-        print!("{}", t.output);
-    }
-
-    if let Some(path) = json_path {
-        let report = perf_report_json(scale, jobs, &timed, total_wall_s);
-        if let Err(e) = std::fs::write(&path, report) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("perf report written to {path}");
+    for output in run_list(&expanded, scale, csv, jobs) {
+        print!("{output}");
     }
 }

@@ -1,25 +1,13 @@
-//! Wall-clock micro-probes for the performance trajectory (`BENCH_*.json`).
-//!
-//! These are intentionally small, self-timed probes — not the criterion
-//! suites — so `maestro-bench -- all --json` can record the two hot-path
-//! numbers the acceptance criteria track (machine `advance` cost and
-//! scheduler event throughput) in one run without a separate bench pass.
+//! Wall-clock micro-probes behind two of the repository benchmark's
+//! per-layer metrics (`perfbench/`): [`machine_advance_ns_per_op`] is its
+//! `machine.advance_ns` probe and [`scheduler_steps_per_sec`] its
+//! `runtime.probe_steps_per_s` probe. Both are small self-timed loops, not
+//! the criterion suites, so the benchmark can take a median over repeats.
 
 use maestro_machine::{CoreActivity, Cost, Machine, MachineConfig};
 use maestro_runtime::{compute_leaf, fork_join, BoxTask, Runtime, RuntimeParams, TaskValue};
 use std::hint::black_box;
 use std::time::Instant;
-
-/// The two hot-path micro-measurements recorded in `BENCH_PR5.json`.
-#[derive(Copy, Clone, Debug)]
-pub struct MicroPerf {
-    /// Wall-clock cost of one `Machine::advance(100µs)` call on a fully
-    /// loaded 2×8 node, nanoseconds per call.
-    pub machine_advance_ns_per_op: f64,
-    /// Fluid-scheduler event throughput on a 4096-task flat bag with 16
-    /// workers, steps per wall-clock second.
-    pub scheduler_steps_per_sec: f64,
-}
 
 /// Time `Machine::advance(100_000)` over a loaded node.
 pub fn machine_advance_ns_per_op() -> f64 {
@@ -47,7 +35,9 @@ fn flat_bag(tasks: usize) -> BoxTask<()> {
 }
 
 /// Measure scheduler steps per wall-clock second on the flat-bag shape the
-/// criterion `scheduler` suite also uses.
+/// criterion `scheduler` suite also uses. The shape's exact loop-turn and
+/// step counts are pinned by the runtime's `dense_bag_takes_exact_loop_turns`
+/// test, so a wall-clock drop here is host speed, not extra work.
 pub fn scheduler_steps_per_sec() -> f64 {
     const ROUNDS: usize = 5;
     let mut total_steps = 0u64;
@@ -70,162 +60,9 @@ pub fn scheduler_steps_per_sec() -> f64 {
     total_steps as f64 / total_s
 }
 
-/// Run both probes.
-pub fn micro_perf() -> MicroPerf {
-    MicroPerf {
-        machine_advance_ns_per_op: machine_advance_ns_per_op(),
-        scheduler_steps_per_sec: scheduler_steps_per_sec(),
-    }
-}
-
-/// Cold-sweep vs. warm-fork-sweep comparison recorded in the
-/// `BENCH_PR*.json` trajectory (since PR 6).
-#[derive(Copy, Clone, Debug)]
-pub struct ForkSweepPerf {
-    /// Number of policy variants swept.
-    pub variants: usize,
-    /// Wall-clock seconds to run every variant from a cold start.
-    pub cold_wall_s: f64,
-    /// Wall-clock seconds to run the shared prefix once, snapshot, and
-    /// fork-resume every variant from the warm snapshot.
-    pub warm_wall_s: f64,
-    /// `cold_wall_s / warm_wall_s` — how much of the sweep the shared
-    /// prefix amortizes away.
-    pub speedup: f64,
-}
-
-/// Measure the warm-fork sweep win: N adaptive-limit variants of the
-/// contended scenario, run cold (N full runs) vs. warm (one prefix run to
-/// the suspension point, then N forked resumes through `parallel_map`).
-/// Both sides use the same job pool so the ratio isolates the snapshot
-/// reuse, not parallelism.
-pub fn fork_sweep_probe(jobs: usize) -> ForkSweepPerf {
-    use crate::harness::parallel_map;
-    use crate::scenario::{limit_variant, scenario, sweep_limits};
-    use maestro::Maestro;
-    use maestro_runtime::SnapshotPlan;
-
-    // `MaestroConfig` holds interior-mutable fault state and is not `Sync`,
-    // so each worker rebuilds the scenario from its (pure) registry name
-    // instead of sharing one config across threads.
-    const SCENARIO: &str = "contended-adaptive";
-    let limits = sweep_limits();
-    // Deep into the ~920 ms run: each warm fork re-executes only the last
-    // ~170 ms of virtual time, so the shared prefix dominates the sweep.
-    const SUSPEND_AT_NS: u64 = 750_000_000;
-    const ROUNDS: usize = 3;
-
-    let mut warm_wall_s = 0.0f64;
-    let mut cold_wall_s = 0.0f64;
-    for round in 0..=ROUNDS {
-        let warm_start = Instant::now();
-        let snap = {
-            let sc = scenario(SCENARIO).expect("registered scenario");
-            let mut m = Maestro::new(sc.config);
-            m.run_captured(
-                sc.name,
-                &mut (),
-                sc.spec.into_task(),
-                &SnapshotPlan::suspend_at(SUSPEND_AT_NS),
-            )
-            .expect("capture succeeds")
-            .suspended()
-            .expect("prefix run suspends")
-        };
-        let warm_joules = parallel_map(limits.len(), jobs, |i| {
-            let sc = scenario(SCENARIO).expect("registered scenario");
-            let mut m = Maestro::new(limit_variant(&sc.config, limits[i]));
-            let report = m
-                .resume_captured(&mut (), &snap, &SnapshotPlan::none())
-                .expect("resume succeeds")
-                .report()
-                .expect("forked run completes");
-            report.joules
-        });
-        let warm_dt = warm_start.elapsed().as_secs_f64();
-
-        let cold_start = Instant::now();
-        let cold_joules = parallel_map(limits.len(), jobs, |i| {
-            let sc = scenario(SCENARIO).expect("registered scenario");
-            let mut m = Maestro::new(limit_variant(&sc.config, limits[i]));
-            let report = m
-                .run_captured(sc.name, &mut (), sc.spec.into_task(), &SnapshotPlan::none())
-                .expect("capture succeeds")
-                .report()
-                .expect("cold run completes");
-            report.joules
-        });
-        let cold_dt = cold_start.elapsed().as_secs_f64();
-        black_box((warm_joules, cold_joules));
-        if round > 0 {
-            // Round 0 is warm-up.
-            warm_wall_s += warm_dt;
-            cold_wall_s += cold_dt;
-        }
-    }
-
-    ForkSweepPerf {
-        variants: limits.len(),
-        cold_wall_s,
-        warm_wall_s,
-        speedup: if warm_wall_s > 0.0 { cold_wall_s / warm_wall_s } else { f64::INFINITY },
-    }
-}
-
-/// Fleet-advance throughput recorded in the `BENCH_PR*.json` trajectory
-/// (since PR 8): how many node×virtual-seconds of fleet simulation one
-/// wall-clock second buys.
-#[derive(Copy, Clone, Debug)]
-pub struct FleetPerf {
-    /// Nodes in the probe fleet.
-    pub nodes: usize,
-    /// Virtual seconds each node was advanced.
-    pub virtual_s: f64,
-    /// Wall-clock seconds for the whole run.
-    pub wall_s: f64,
-    /// `nodes * virtual_s / wall_s` — the headline throughput.
-    pub node_virtual_s_per_wall_s: f64,
-}
-
-/// Time a mid-sized fault-free fleet (32 nodes, 20 epochs of 1 s) fanned
-/// over the job pool. Fault-free so the number tracks the simulation hot
-/// path, not the fault schedule's density.
-pub fn fleet_advance_probe(jobs: usize) -> FleetPerf {
-    use maestro_fleet::{Fleet, FleetConfig};
-
-    const NODES: usize = 32;
-    const EPOCHS: u64 = 20;
-    // Warm-up round, then one timed round.
-    let mut wall_s = 0.0;
-    for round in 0..2 {
-        let mut fleet = Fleet::new(FleetConfig::new(NODES, 95.0, 1));
-        let start = Instant::now();
-        fleet.advance_epochs(EPOCHS, jobs);
-        let dt = start.elapsed().as_secs_f64();
-        black_box(fleet.report().total_energy_j);
-        if round > 0 {
-            wall_s = dt;
-        }
-    }
-    let virtual_s = EPOCHS as f64;
-    FleetPerf {
-        nodes: NODES,
-        virtual_s,
-        wall_s,
-        node_virtual_s_per_wall_s: NODES as f64 * virtual_s / wall_s,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fleet_probe_reports_positive_throughput() {
-        let p = fleet_advance_probe(2);
-        assert_eq!(p.nodes, 32);
-        assert!(p.node_virtual_s_per_wall_s.is_finite() && p.node_virtual_s_per_wall_s > 0.0);
-    }
 
     #[test]
     fn probes_produce_finite_positive_numbers() {

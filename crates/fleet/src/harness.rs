@@ -1,10 +1,8 @@
 //! Scoped-thread work queue for fanning independent simulations across
 //! host cores.
 //!
-//! Grown in PR 5 inside `maestro-bench` to fan experiment cells; promoted
-//! here so the fleet can fan node-shard advances through the *same*
-//! primitive (the bench crate re-exports it, so existing callers are
-//! unaffected). The contract is unchanged: every unit of work is a
+//! The fleet fans node-shard advances through it and `maestro-bench` fans
+//! experiment cells through the same primitive. Every unit of work is a
 //! self-contained deterministic computation that shares no mutable state
 //! with any other unit, so results collected *by index* are byte-identical
 //! to a serial run regardless of `jobs`.

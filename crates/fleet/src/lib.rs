@@ -32,8 +32,8 @@
 //! - [`sim`] — [`Fleet`]: the epoch loop; fans node advances over
 //!   [`harness::parallel_map`] and exchanges messages serially at epoch
 //!   boundaries, so results are byte-identical for any `--jobs`.
-//! - [`harness`] — the PR-5 work-queue `parallel_map`, promoted here from
-//!   the bench crate (which now re-exports it).
+//! - [`harness`] — the scoped-thread work queue `parallel_map`, shared
+//!   with the bench crate, which fans experiment cells through it.
 
 pub mod coordinator;
 pub mod faults;

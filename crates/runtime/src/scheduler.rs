@@ -672,6 +672,10 @@ pub struct Runtime {
     throttle: ThrottleState,
     actuator: Actuator,
     task_faults: Option<FaultPlan>,
+    /// Event-loop iterations across every run — a host-side work count,
+    /// kept out of [`RunStats`] and every snapshot so it never moves a
+    /// report or digest.
+    loop_turns: u64,
 }
 
 impl Runtime {
@@ -692,6 +696,7 @@ impl Runtime {
             throttle: ThrottleState::new(default_limit),
             actuator,
             task_faults: None,
+            loop_turns: 0,
         })
     }
 
@@ -743,6 +748,14 @@ impl Runtime {
     /// Inject (or clear) duty-write faults for subsequent runs.
     pub fn set_actuation_faults(&mut self, faults: Option<FaultPlan>) {
         self.actuator.set_faults(faults);
+    }
+
+    /// Scheduler event-loop iterations run so far, summed over every run
+    /// (resumed runs included). Each turn ends in at most one clock
+    /// advance, so unlike `RunStats::steps` it exposes a loop that crawls
+    /// through virtual time in small ticks.
+    pub fn loop_turns(&self) -> u64 {
+        self.loop_turns
     }
 
     /// Inject (or clear) task-level faults — scripted step panics, scripted
@@ -1282,6 +1295,7 @@ impl<'r, C> Exec<'r, C> {
     /// directly by a resumed run (whose graph comes from the snapshot).
     fn loop_body(&mut self, app: &mut C) -> Result<LoopEnd, RuntimeError> {
         while self.root_value.is_none() {
+            self.rt.loop_turns += 1;
             if self.capture_fences_due() {
                 // Suspension fence reached (or a capture failed): park here,
                 // *before* limits and monitors — the resumed run re-enters
@@ -3178,6 +3192,33 @@ mod tests {
         assert_eq!(a.0, b.0);
         assert_eq!(a.1, b.1);
         assert_eq!(a.2, b.2);
+    }
+
+    /// Event-loop turns and steps for one bag of `leaves` identical compute
+    /// leaves under a fork-join root on 16 workers.
+    fn bag_turns_and_steps(leaves: usize, cost: Cost) -> (u64, u64) {
+        let mut rt = runtime(16);
+        let children: Vec<BoxTask<()>> = (0..leaves).map(|_| compute_leaf(cost)).collect();
+        let root = fork_join(children, |_, _| (Cost::ZERO, TaskValue::none()));
+        let out = rt.run(&mut (), root).unwrap();
+        (rt.loop_turns(), out.stats.steps)
+    }
+
+    /// The event core jumps the clock straight to the next event, so turns
+    /// track events, not virtual time. The sparse bag runs ~0.37 virtual
+    /// seconds in 18 turns; a loop that advanced in 100 µs ticks would take
+    /// thousands with the same step count, which is why turns are pinned
+    /// and not just steps.
+    #[test]
+    fn sparse_bag_takes_exact_loop_turns() {
+        assert_eq!(bag_turns_and_steps(16, Cost::compute(1_000_000_000, 0.5)), (18, 35));
+    }
+
+    /// The dense 4096-leaf shape of the `flat_bag` throughput probe: one
+    /// turn per leaf plus the root's fork and join.
+    #[test]
+    fn dense_bag_takes_exact_loop_turns() {
+        assert_eq!(bag_turns_and_steps(4096, Cost::compute(100_000, 0.5)), (4_098, 8_195));
     }
 
     #[test]

@@ -161,7 +161,7 @@ fn resumed_run_matches_unbroken_run_byte_for_byte() {
 /// The service Pareto sweep and demo rows fan out over the job pool like
 /// any other experiment, and the merged log-scale histograms make quantile
 /// extraction order-free — so the rendered sweep is byte-identical for any
-/// `--jobs N`.
+/// `--jobs N`. Each point's goodput is also pinned to its exact bits.
 #[test]
 fn service_pareto_sweep_matches_serial_byte_for_byte() {
     use maestro_bench::{experiments, format};
@@ -183,6 +183,25 @@ fn service_pareto_sweep_matches_serial_byte_for_byte() {
     for jobs in [2, 4] {
         assert_eq!(serial, render(jobs), "jobs {jobs} changed the rendered service sweep");
     }
+
+    // Goodput is measured in virtual time, so every Pareto point's value is
+    // bit-stable on any host and pinned exactly. Each also sits far above
+    // the few hundred rps a metastable retry-storm collapse would post.
+    let measured: Vec<(String, u64)> = experiments::pareto(Scale::Test, 2)
+        .into_iter()
+        .map(|p| {
+            assert!(p.goodput_rps >= 10_000.0, "{} goodput {} rps", p.scenario, p.goodput_rps);
+            (p.scenario, p.goodput_rps.to_bits())
+        })
+        .collect();
+    let expected = [
+        ("svc-pareto-tight", 0x40ed_63d0_c1d6_c9a3),   // 60190.52… rps
+        ("svc-pareto-mid", 0x40e4_753e_530f_75d2),     // 41897.94… rps
+        ("svc-pareto-relaxed", 0x40e3_5308_5264_c898), // 39576.26… rps
+    ];
+    let goodput: Vec<(&str, u64)> =
+        measured.iter().map(|(name, bits)| (name.as_str(), *bits)).collect();
+    assert_eq!(goodput, expected, "test-scale Pareto goodput bits");
 }
 
 /// Suspension is invisible to service runs too: svc-burst suspended in the
