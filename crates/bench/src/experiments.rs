@@ -1,6 +1,6 @@
 //! The experiment implementations.
 
-use maestro::{Maestro, MaestroConfig, Policy, RunReport};
+use maestro::{ControllerTrace, Maestro, MaestroConfig, Policy, RunReport};
 use maestro_fleet::parallel_map;
 use maestro_machine::{CoreActivity, DutyCycle, Machine, MachineConfig, NS_PER_SEC};
 use maestro_runtime::RuntimeParams;
@@ -58,11 +58,23 @@ pub fn run_maestro(
     workers: usize,
     policy: Policy,
 ) -> RunReport {
+    run_traced(w, cc, workers, policy).0
+}
+
+/// [`run_maestro`], also returning the controller's decision trace (empty
+/// under [`Policy::Fixed`]).
+fn run_traced(
+    w: &dyn Workload,
+    cc: CompilerConfig,
+    workers: usize,
+    policy: Policy,
+) -> (RunReport, ControllerTrace) {
     let mut cfg = MaestroConfig::fixed(workers);
     cfg.policy = policy;
     cfg.runtime = maestro_params(w, cc, workers);
     let mut m = Maestro::new(cfg);
-    w.run(&mut m, cc)
+    let report = w.run(&mut m, cc);
+    (report, m.controller_trace().map(|t| t.take()).unwrap_or_default())
 }
 
 // ---------------------------------------------------------------------
@@ -378,38 +390,24 @@ pub fn ablation(scale: Scale, jobs: usize) -> Vec<AblationRow> {
         2 => {
             // DVFS: identical sensing, response is a package-global
             // P-state step.
-            let w = Lulesh::new(scale);
-            let mut cfg = MaestroConfig::fixed(16);
-            cfg.policy = Policy::Dvfs { floor: PState::floor_of(1.8) };
-            cfg.runtime = maestro_params(&w, cc, 16);
-            let mut m = Maestro::new(cfg);
-            let dvfs = w.run(&mut m, cc);
-            let dvfs_note = m
-                .dvfs_trace()
-                .map(|t| format!("{} P-state transitions", t.borrow().transitions))
-                .unwrap_or_default();
+            let policy = Policy::Dvfs { floor: PState::floor_of(1.8) };
+            let (dvfs, trace) = run_traced(&Lulesh::new(scale), cc, 16, policy);
             AblationRow {
                 mechanism: "DVFS (floor 1.8 GHz)",
                 model: Measured::of(&dvfs),
-                note: dvfs_note,
+                note: format!("{} P-state transitions", trace.transitions()),
             }
         }
         _ => {
             // Power cap at roughly the dynamic run's average power.
             let cap_w = 130.0;
-            let w = Lulesh::new(scale);
-            let mut cfg = MaestroConfig::fixed(16);
-            cfg.policy = Policy::PowerCap { watts: cap_w };
-            cfg.runtime = maestro_params(&w, cc, 16);
-            let mut m = Maestro::new(cfg);
-            let capped = w.run(&mut m, cc);
-            let cap_note = m
-                .powercap_trace()
-                .map(|t| {
-                    format!("cap {cap_w} W, {:.0}% compliant", t.borrow().compliance(cap_w) * 100.0)
-                })
-                .unwrap_or_default();
-            AblationRow { mechanism: "power cap", model: Measured::of(&capped), note: cap_note }
+            let policy = Policy::PowerCap { watts: cap_w };
+            let (capped, trace) = run_traced(&Lulesh::new(scale), cc, 16, policy);
+            AblationRow {
+                mechanism: "power cap",
+                model: Measured::of(&capped),
+                note: format!("cap {cap_w} W, {:.0}% compliant", trace.compliance(cap_w) * 100.0),
+            }
         }
     })
 }

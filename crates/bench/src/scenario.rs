@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use maestro::{Maestro, MaestroConfig, MaestroSnapshot, Policy};
 use maestro_fleet::{Fleet, FleetConfig, FleetFaultPlan};
 use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
-use maestro_machine::Cost;
+use maestro_machine::{Cost, PState};
 use maestro_runtime::TaskSpec;
 use maestro_service::{
     ArrivalConfig, GovernorConfig, ServiceConfig, ServiceHandle, ServiceSource, ServiceStack,
@@ -36,8 +36,13 @@ pub struct Scenario {
 }
 
 /// Every scenario name the registry resolves, for `--help` and validation.
-pub const SCENARIO_NAMES: &[&str] =
-    &["contended-adaptive", "contended-fixed", "scalable-adaptive"];
+pub const SCENARIO_NAMES: &[&str] = &[
+    "contended-adaptive",
+    "contended-fixed",
+    "scalable-adaptive",
+    "contended-dvfs",
+    "contended-powercap",
+];
 
 /// A hot, memory-contended task bag — the workload class the paper's
 /// throttling targets (LULESH-like).
@@ -60,12 +65,16 @@ fn scalable_spec(tasks: usize) -> TaskSpec {
 /// configuration and workload, so a snapshot taken under `scenario(n)` can
 /// be resumed by any process that can call `scenario(n)`.
 pub fn scenario(name: &str) -> Option<Scenario> {
-    let (config, spec) = match name {
-        "contended-adaptive" => (MaestroConfig::adaptive(16), contended_spec(1200)),
-        "contended-fixed" => (MaestroConfig::fixed(16), contended_spec(1200)),
-        "scalable-adaptive" => (MaestroConfig::adaptive(16), scalable_spec(600)),
+    let adaptive = MaestroConfig::adaptive(16).policy;
+    let (policy, spec) = match name {
+        "contended-adaptive" => (adaptive, contended_spec(1200)),
+        "contended-fixed" => (Policy::Fixed, contended_spec(1200)),
+        "scalable-adaptive" => (adaptive, scalable_spec(600)),
+        "contended-dvfs" => (Policy::Dvfs { floor: PState::floor_of(1.8) }, contended_spec(1200)),
+        "contended-powercap" => (Policy::PowerCap { watts: 130.0 }, contended_spec(1200)),
         _ => return None,
     };
+    let config = MaestroConfig { policy, ..MaestroConfig::fixed(16) };
     Some(Scenario { name: SCENARIO_NAMES.iter().find(|&&n| n == name)?, config, spec })
 }
 

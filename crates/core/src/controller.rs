@@ -15,24 +15,25 @@
 //! the classification rule. Keeping the blackboard in the middle preserves
 //! the paper's architecture (and lets tests and tools watch the same region
 //! the controller sees).
+//!
+//! The sensing is the same whatever the response: the [`Policy`] picks only
+//! which knob a trusted decision turns — the duty-cycle throttle flag (the
+//! paper's mechanism), a package-global P-state step (the DVFS alternative
+//! §IV argues against), or the shepherd concurrency limit under a node power
+//! cap (the §V outlook; Rountree et al., HP-PAC 2012).
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
-use maestro_machine::{FaultPlan, Machine};
-use maestro_rcr::{
-    Level, MeterThresholds, Supervisor, SupervisorConfig, SupervisorState, ThrottleSignals,
-};
+use maestro_machine::{FaultPlan, Machine, PState, SocketId};
+use maestro_rcr::{Level, MeterThresholds, Supervisor, SupervisorConfig, ThrottleSignals};
 use maestro_runtime::{Monitor, ThrottleState};
 
+use crate::facade::Policy;
+
 fn level_codec<C: Codec>(c: &mut C, level: Level) -> Result<Level, SnapError> {
-    let tag = match level {
-        Level::Low => 0,
-        Level::Medium => 1,
-        Level::High => 2,
-    };
-    match c.u8(tag)? {
+    match c.u8(level as u8)? {
         0 => Ok(Level::Low),
         1 => Ok(Level::Medium),
         2 => Ok(Level::High),
@@ -44,9 +45,10 @@ fn level_codec<C: Codec>(c: &mut C, level: Level) -> Result<Level, SnapError> {
 ///
 /// The controller's view of the node comes entirely from the blackboard; if
 /// the daemon behind it stalls or its meters go untrustworthy, continuing to
-/// throttle on those numbers can starve a healthy workload. Safe mode
-/// deactivates throttling (restoring the full duty cycle) until the
-/// measurement pipeline proves itself again.
+/// act on those numbers can starve a healthy workload. Safe mode returns the
+/// policy's knob to full performance (full duty cycle, nominal frequency,
+/// or the full shepherd limit) until the measurement pipeline proves itself
+/// again.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct SafeModeConfig {
     /// Enter safe mode after this many consecutive controller periods with a
@@ -64,7 +66,7 @@ impl Default for SafeModeConfig {
     }
 }
 
-/// Everything [`ThrottleController::with_config`] can customize.
+/// Everything [`ThrottleController::with_policy`] can customize.
 #[derive(Clone, Debug, Default)]
 pub struct ControllerConfig {
     /// Safe-mode entry/exit thresholds.
@@ -75,23 +77,69 @@ pub struct ControllerConfig {
     pub supervisor: SupervisorConfig,
 }
 
+/// The setting one decision left its policy's knob at.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Actuation {
+    /// [`Policy::Adaptive`]: the duty-cycle throttle flag.
+    Duty(bool),
+    /// [`Policy::Dvfs`]: the P-state of every package.
+    PState(PState),
+    /// [`Policy::PowerCap`]: the active-worker limit per shepherd, at most
+    /// the cores per socket (a `u16` in the topology), which keeps the
+    /// decision record at 32 bytes.
+    Limit(u16),
+}
+
+impl Default for Actuation {
+    fn default() -> Self {
+        Actuation::Duty(false)
+    }
+}
+
+impl Actuation {
+    /// True when the duty-cycle throttle flag is set.
+    pub fn throttled(self) -> bool {
+        self == Actuation::Duty(true)
+    }
+
+    /// Program the knob. DVFS is package-global (§IV: it "could only slow
+    /// all cores or none"), so a P-state goes to every socket; a shepherd
+    /// limit throttles while it is below the cores per socket.
+    fn apply(self, machine: &mut Machine, throttle: &mut ThrottleState) {
+        match self {
+            Actuation::Duty(on) => throttle.active = on,
+            Actuation::PState(p) => {
+                for s in machine.topology().all_sockets() {
+                    machine.set_pstate(s, p);
+                }
+            }
+            Actuation::Limit(limit) => {
+                throttle.limit_per_shepherd = usize::from(limit);
+                throttle.active = limit < machine.topology().cores_per_socket;
+            }
+        }
+    }
+}
+
 /// One controller decision, recorded for analysis.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct ControllerSample {
     /// Virtual time of the decision, nanoseconds.
     pub t_ns: u64,
-    /// Highest per-socket smoothed power observed, Watts.
+    /// The power reading the policy's rule compares, Watts: the hottest
+    /// socket's smoothed power for the adaptive and DVFS rules, the node
+    /// total for the power cap.
     pub power_w: f64,
     /// Highest per-socket memory concurrency observed, outstanding refs.
     pub mem_concurrency: f64,
-    /// Power classification.
+    /// Power classification (hottest socket).
     pub power_level: Level,
     /// Memory classification.
     pub memory_level: Level,
-    /// The throttle flag after applying the rule.
-    pub throttled: bool,
+    /// The knob's setting after the decision.
+    pub actuation: Actuation,
     /// True when this decision was forced by safe mode rather than the
-    /// classification rule.
+    /// policy's rule.
     pub safe_mode: bool,
 }
 
@@ -103,18 +151,35 @@ pub struct ControllerTrace {
 }
 
 impl ControllerTrace {
-    /// Fraction of samples with the throttle flag set.
-    pub fn throttled_fraction(&self) -> f64 {
-        if self.samples.is_empty() {
+    /// Fraction of `samples` with the duty-cycle throttle flag set.
+    pub fn throttled_fraction(samples: &[ControllerSample]) -> f64 {
+        if samples.is_empty() {
             return 0.0;
         }
-        self.samples.iter().filter(|s| s.throttled).count() as f64 / self.samples.len() as f64
+        samples.iter().filter(|s| s.actuation.throttled()).count() as f64 / samples.len() as f64
     }
 
-    /// Number of off→on transitions.
-    pub fn activations(&self) -> usize {
-        self.samples.windows(2).filter(|w| !w[0].throttled && w[1].throttled).count()
-            + usize::from(self.samples.first().is_some_and(|s| s.throttled))
+    /// Off→on transitions of the duty-cycle throttle flag across `samples`.
+    pub fn activations(samples: &[ControllerSample]) -> usize {
+        let on = |s: &ControllerSample| s.actuation.throttled();
+        samples.windows(2).filter(|w| !on(&w[0]) && on(&w[1])).count()
+            + usize::from(samples.first().is_some_and(on))
+    }
+
+    /// Knob changes between consecutive decisions — for a DVFS trace, the
+    /// P-state transitions performed.
+    pub fn transitions(&self) -> usize {
+        self.samples.windows(2).filter(|w| w[0].actuation != w[1].actuation).count()
+    }
+
+    /// Fraction of a power-cap trace's decisions (after the first two
+    /// warm-up samples) whose node power respected `cap_w`, within 2 %.
+    pub fn compliance(&self, cap_w: f64) -> f64 {
+        let decided = &self.samples[self.samples.len().min(2)..];
+        if decided.is_empty() {
+            return 1.0;
+        }
+        decided.iter().filter(|s| s.power_w <= cap_w * 1.02).count() as f64 / decided.len() as f64
     }
 }
 
@@ -122,16 +187,17 @@ impl ControllerTrace {
 pub type TraceHandle = Rc<RefCell<ControllerTrace>>;
 
 /// The controller state worth carrying across a daemon restart: the last
-/// trusted classification and the throttle flag (which *is* the hysteresis
-/// band position — `ThrottleSignals::apply` folds the flag forward).
+/// trusted classification and the actuation it left (for the adaptive rule
+/// the flag *is* the hysteresis band position — `ThrottleSignals::apply`
+/// folds it forward).
 ///
 /// Restoring it on an epoch change keeps recovery from re-deciding off
 /// post-restart warm-up artifacts (an empty power window classifies as
 /// zero Watts, i.e. Low) and re-triggering a spurious transition.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct ControllerCheckpoint {
-    /// Throttle flag after the last trusted decision.
-    pub throttled: bool,
+    /// The knob's setting after the last trusted decision.
+    pub actuation: Actuation,
     /// Power classification of that decision.
     pub power_level: Level,
     /// Memory classification of that decision.
@@ -175,10 +241,13 @@ impl ControlPlaneStats {
     }
 }
 
-/// The adaptive controller: a supervised RCR daemon plus the
-/// both-High/both-Low rule, wrapped in a safe-mode monitor that fails open
-/// when the measurement pipeline degrades.
+/// The node controller: a supervised RCR daemon plus the classification
+/// rule of its [`Policy`], wrapped in a safe-mode monitor that fails open
+/// when the measurement pipeline degrades. Clones share the trace,
+/// heartbeat, control-plane and blackboard handles.
+#[derive(Clone)]
 pub struct ThrottleController {
+    policy: Policy,
     supervisor: Supervisor,
     power_thresholds: MeterThresholds,
     memory_thresholds: MeterThresholds,
@@ -194,40 +263,54 @@ pub struct ThrottleController {
 }
 
 impl ThrottleController {
-    /// Build the controller for `machine` with the paper's thresholds
-    /// (power 75 W / 50 W per socket; memory 75 % / 25 % of the effective
-    /// maximum outstanding references). Returns the controller and a handle
-    /// to its decision trace.
+    /// Build the adaptive controller for `machine` with the paper's
+    /// thresholds (power 75 W / 50 W per socket; memory 75 % / 25 % of the
+    /// effective maximum outstanding references). Returns the controller and
+    /// a handle to its decision trace.
     pub fn new(machine: &Machine) -> (Self, TraceHandle) {
         Self::with_config(machine, ControllerConfig::default())
     }
 
-    /// Build with the paper's thresholds and custom safe mode, fault
-    /// injection, and restart policy.
+    /// The adaptive controller with custom safe mode, fault injection, and
+    /// restart policy. The shepherd limit it throttles to is the runtime's
+    /// to set.
     pub fn with_config(machine: &Machine, cfg: ControllerConfig) -> (Self, TraceHandle) {
+        Self::with_policy(machine, Policy::Adaptive { limit_per_shepherd: 6 }, cfg)
+    }
+
+    /// Build the controller for `policy` with the paper's thresholds. Panics
+    /// on [`Policy::Fixed`], which has no controller.
+    pub fn with_policy(
+        machine: &Machine,
+        policy: Policy,
+        cfg: ControllerConfig,
+    ) -> (Self, TraceHandle) {
+        assert!(policy != Policy::Fixed, "the fixed policy has no controller");
+        if let Policy::PowerCap { watts } = policy {
+            assert!(watts > 0.0, "cap must be positive");
+        }
         let memory_max = machine.config().memory.max_outstanding_refs;
-        let trace: TraceHandle = Rc::new(RefCell::new(ControllerTrace::default()));
         let mut supervisor = Supervisor::new(machine, cfg.supervisor);
         if let Some(plan) = cfg.faults {
             supervisor = supervisor.with_faults(plan);
         }
-        (
-            ThrottleController {
-                supervisor,
-                power_thresholds: MeterThresholds::paper_power_w(),
-                memory_thresholds: MeterThresholds::paper_memory(memory_max),
-                safe_cfg: cfg.safe_mode,
-                safe_mode: false,
-                degraded_streak: 0,
-                healthy_streak: 0,
-                last_epoch: 0,
-                checkpoint: None,
-                cp_stats: Rc::new(Cell::new(ControlPlaneStats::default())),
-                heartbeat: Rc::new(Cell::new(0)),
-                trace: Rc::clone(&trace),
-            },
-            trace,
-        )
+        let controller = ThrottleController {
+            policy,
+            supervisor,
+            power_thresholds: MeterThresholds::paper_power_w(),
+            memory_thresholds: MeterThresholds::paper_memory(memory_max),
+            safe_cfg: cfg.safe_mode,
+            safe_mode: false,
+            degraded_streak: 0,
+            healthy_streak: 0,
+            last_epoch: 0,
+            checkpoint: None,
+            cp_stats: Rc::default(),
+            heartbeat: Rc::default(),
+            trace: Rc::default(),
+        };
+        let trace = Rc::clone(&controller.trace);
+        (controller, trace)
     }
 
     /// The blackboard the supervised RCR daemon publishes into.
@@ -240,8 +323,8 @@ impl ThrottleController {
         self.supervisor.health()
     }
 
-    /// True while the controller is failing safe (throttling deactivated
-    /// because its measurements cannot be trusted).
+    /// True while the controller is failing safe (its knob held at full
+    /// performance because its measurements cannot be trusted).
     pub fn in_safe_mode(&self) -> bool {
         self.safe_mode
     }
@@ -262,6 +345,63 @@ impl ThrottleController {
     /// periods, i.e. one missed publication plus scheduling slack.
     fn staleness_bound_ns(&self) -> u64 {
         self.supervisor.period_ns() + self.supervisor.period_ns() / 2
+    }
+
+    /// This period's actuation and the power reading its rule compares.
+    /// Each policy names its knob's current setting, its fail-open setting
+    /// (full performance) and its rule's step. Safe mode fails open, a
+    /// `trusted` view takes the step, and any other view holds.
+    fn respond(
+        &self,
+        machine: &Machine,
+        throttle: &ThrottleState,
+        signals: ThrottleSignals,
+        hottest_w: f64,
+        trusted: bool,
+    ) -> (f64, Actuation) {
+        let (power_w, [current, fail_open, step]) = match self.policy {
+            // The paper's flag: both High sets it, both Low clears it.
+            Policy::Adaptive { .. } => {
+                let on = throttle.active;
+                (hottest_w, [on, false, signals.apply(on)].map(Actuation::Duty))
+            }
+            // The same rule as one package-global P-state step, never below
+            // the floor.
+            Policy::Dvfs { floor } => {
+                let p = machine.pstate(SocketId(0));
+                let step = match (signals.power, signals.memory) {
+                    (Level::High, Level::High) if p.lower().index() >= floor.index() => p.lower(),
+                    (Level::Low, Level::Low) => p.higher(),
+                    _ => p,
+                };
+                (hottest_w, [p, PState::MAX, step].map(Actuation::PState))
+            }
+            // Node power over the cap: one active worker fewer per shepherd;
+            // comfortably under it (≤ 92 %): one more, up to the full limit.
+            Policy::PowerCap { watts } => {
+                let node_w = self.supervisor.blackboard().node_power_w();
+                let full = machine.topology().cores_per_socket;
+                // No limit above the cores per socket throttles anything.
+                let l = throttle.limit_per_shepherd.min(usize::from(full)) as u16;
+                let step = if node_w > watts {
+                    l.saturating_sub(1).max(1)
+                } else if node_w <= watts * 0.92 && l < full {
+                    l + 1
+                } else {
+                    l
+                };
+                (node_w, [l, full, step].map(Actuation::Limit))
+            }
+            Policy::Fixed => unreachable!("the fixed policy has no controller"),
+        };
+        let next = if self.safe_mode {
+            fail_open
+        } else if trusted {
+            step
+        } else {
+            current
+        };
+        (power_w, next)
     }
 }
 
@@ -304,7 +444,7 @@ impl Monitor for ThrottleController {
             self.last_epoch = epoch;
             if let Some(cp) = self.checkpoint {
                 if !self.safe_mode {
-                    throttle.active = cp.throttled;
+                    cp.actuation.apply(machine, throttle);
                 }
                 let mut s = self.cp_stats.get();
                 s.checkpoint_restores += 1;
@@ -313,32 +453,25 @@ impl Monitor for ThrottleController {
         }
         let snaps = self.supervisor.blackboard().snapshot_all();
         // Per-socket thresholds: the hottest socket drives the decision.
-        let power_w = snaps.iter().map(|s| s.power_w).fold(0.0, f64::max);
+        let hottest_w = snaps.iter().map(|s| s.power_w).fold(0.0, f64::max);
         let mem = snaps.iter().map(|s| s.mem_concurrency).fold(0.0, f64::max);
         let signals = ThrottleSignals {
-            power: self.power_thresholds.classify(power_w),
+            power: self.power_thresholds.classify(hottest_w),
             memory: self.memory_thresholds.classify(mem),
         };
         // Only trust the classification when this period's view is fresh,
         // healthy, and finite. A NaN power (NO_POWER warm-up after a
         // restart) folds to 0 W above — Low — and deciding on it could
-        // spuriously release a legitimately throttled workload.
+        // spuriously release a legitimately throttled workload. The smoothed
+        // power meter needs two readings before it is valid, so warm-up
+        // holds too instead of reacting to a zero-Watt artifact.
         let meters_valid = !degraded && snaps.iter().all(|s| s.power_w.is_finite());
-        let new_flag = if self.safe_mode {
-            // Fail open: full duty cycle until the meters are trustworthy.
-            false
-        } else if meters_valid && self.supervisor.samples_taken() >= 2 {
-            signals.apply(throttle.active)
-        } else {
-            // The smoothed power meter needs two readings before it is
-            // valid; hold the current state during warm-up (and across
-            // degraded periods) instead of reacting to a zero-Watt artifact.
-            throttle.active
-        };
-        throttle.active = new_flag;
+        let trusted = meters_valid && self.supervisor.samples_taken() >= 2;
+        let (power_w, actuation) = self.respond(machine, throttle, signals, hottest_w, trusted);
+        actuation.apply(machine, throttle);
         if meters_valid {
             self.checkpoint = Some(ControllerCheckpoint {
-                throttled: new_flag,
+                actuation,
                 power_level: signals.power,
                 memory_level: signals.memory,
             });
@@ -358,7 +491,7 @@ impl Monitor for ThrottleController {
             mem_concurrency: mem,
             power_level: signals.power,
             memory_level: signals.memory,
-            throttled: new_flag,
+            actuation,
             safe_mode: self.safe_mode,
         });
     }
@@ -372,74 +505,117 @@ impl Monitor for ThrottleController {
         _machine: &Machine,
         r: &mut SnapReader<'_>,
     ) -> Result<(), SnapError> {
-        let st = self.codec(r)?;
-        self.supervisor.install(st.supervisor);
-        self.safe_mode = st.safe_mode;
-        self.degraded_streak = st.degraded_streak;
-        self.healthy_streak = st.healthy_streak;
-        self.last_epoch = st.last_epoch;
-        self.checkpoint = st.checkpoint;
-        // Write-through the shared handles so external holders (the facade's
-        // report hooks, watchdogs) observe the restored values.
-        self.cp_stats.set(st.cp_stats);
-        self.heartbeat.set(st.heartbeat);
-        self.trace.borrow_mut().samples = st.samples;
+        if let Some(restored) = self.codec(r)? {
+            *self = restored;
+        }
         Ok(())
     }
-}
 
-/// Controller state decoded by `ThrottleController::codec`.
-struct ControllerState {
-    supervisor: SupervisorState,
-    safe_mode: bool,
-    degraded_streak: u32,
-    healthy_streak: u32,
-    last_epoch: u64,
-    checkpoint: Option<ControllerCheckpoint>,
-    cp_stats: ControlPlaneStats,
-    heartbeat: u64,
-    samples: Vec<ControllerSample>,
+    /// The shepherd limit is configuration outside the snapshot; under a
+    /// power cap it is this controller's output, so re-impose the limit the
+    /// last decision left.
+    fn restore_throttle(&self, throttle: &mut ThrottleState) {
+        let last = self.trace.borrow().samples.last().map(|s| s.actuation);
+        if let Some(Actuation::Limit(limit)) = last {
+            throttle.limit_per_shepherd = usize::from(limit);
+        }
+    }
 }
 
 impl ThrottleController {
     /// The snapshot codec (see [`Codec`]): the supervised pipeline, safe-mode
     /// state, the last checkpoint, control-plane stats, heartbeat, and the
-    /// decision trace.
-    fn codec<C: Codec>(&self, c: &mut C) -> Result<ControllerState, SnapError> {
-        Ok(ControllerState {
-            supervisor: self.supervisor.codec(c)?,
-            safe_mode: c.bool(self.safe_mode)?,
-            degraded_streak: c.u32(self.degraded_streak)?,
-            healthy_streak: c.u32(self.healthy_streak)?,
-            last_epoch: c.u64(self.last_epoch)?,
-            checkpoint: c.opt(self.checkpoint.as_ref(), |c, cp| {
-                Ok(ControllerCheckpoint {
-                    throttled: c.bool(cp.throttled)?,
-                    power_level: level_codec(c, cp.power_level)?,
-                    memory_level: level_codec(c, cp.memory_level)?,
-                })
-            })?,
-            cp_stats: self.cp_stats.get().codec(c)?,
-            heartbeat: c.u64(self.heartbeat.get())?,
-            samples: c.seq(&self.trace.borrow().samples, |c, s| {
-                Ok(ControllerSample {
-                    t_ns: c.u64(s.t_ns)?,
-                    power_w: c.f64(s.power_w)?,
-                    mem_concurrency: c.f64(s.mem_concurrency)?,
-                    power_level: level_codec(c, s.power_level)?,
-                    memory_level: level_codec(c, s.memory_level)?,
-                    throttled: c.bool(s.throttled)?,
-                    safe_mode: c.bool(s.safe_mode)?,
-                })
-            })?,
-        })
+    /// decision trace. The reader decodes into a copy of the controller
+    /// (`None` on the writer) that shares its handles, and writes the
+    /// restored values through them once everything has decoded, so outside
+    /// holders (the facade's report hooks, watchdogs) observe them.
+    fn codec<C: Codec>(&self, c: &mut C) -> Result<Option<Self>, SnapError> {
+        let supervisor = self.supervisor.codec(c)?;
+        let safe_mode = c.bool(self.safe_mode)?;
+        let degraded_streak = c.u32(self.degraded_streak)?;
+        let healthy_streak = c.u32(self.healthy_streak)?;
+        let last_epoch = c.u64(self.last_epoch)?;
+        let checkpoint = c.opt(self.checkpoint.as_ref(), |c, cp| {
+            Ok(ControllerCheckpoint {
+                actuation: self.actuation_codec(c, cp.actuation)?,
+                power_level: level_codec(c, cp.power_level)?,
+                memory_level: level_codec(c, cp.memory_level)?,
+            })
+        })?;
+        let cp_stats = self.cp_stats.get().codec(c)?;
+        let heartbeat = c.u64(self.heartbeat.get())?;
+        let samples = c.seq(&self.trace.borrow().samples, |c, s| {
+            Ok(ControllerSample {
+                t_ns: c.u64(s.t_ns)?,
+                power_w: c.f64(s.power_w)?,
+                mem_concurrency: c.f64(s.mem_concurrency)?,
+                power_level: level_codec(c, s.power_level)?,
+                memory_level: level_codec(c, s.memory_level)?,
+                actuation: self.actuation_codec(c, s.actuation)?,
+                safe_mode: c.bool(s.safe_mode)?,
+            })
+        })?;
+        Ok(C::DECODING.then(|| {
+            self.cp_stats.set(cp_stats);
+            self.heartbeat.set(heartbeat);
+            self.trace.borrow_mut().samples = samples;
+            let mut restored = ThrottleController {
+                safe_mode,
+                degraded_streak,
+                healthy_streak,
+                last_epoch,
+                checkpoint,
+                ..self.clone()
+            };
+            restored.supervisor.install(supervisor);
+            restored
+        }))
+    }
+
+    /// One actuation in the format the policy chooses (the policy is
+    /// configuration, not snapshot state): the adaptive flag as a boolean, a
+    /// P-state as its ladder index, a shepherd limit as a count of at least
+    /// one.
+    fn actuation_codec<C: Codec>(&self, c: &mut C, a: Actuation) -> Result<Actuation, SnapError> {
+        match self.policy {
+            Policy::Adaptive { .. } => Ok(Actuation::Duty(c.bool(a.throttled())?)),
+            Policy::Dvfs { .. } => {
+                let index = if let Actuation::PState(p) = a { p.index() as u8 } else { 0 };
+                PState::new(c.u8(index)?)
+                    .map(Actuation::PState)
+                    .ok_or(SnapError::Corrupt("P-state index off the ladder"))
+            }
+            Policy::PowerCap { .. } => {
+                let limit = if let Actuation::Limit(l) = a { l } else { 0 };
+                match c.u16(limit)? {
+                    0 => Err(SnapError::Corrupt("power-cap limit must allow a worker")),
+                    l => Ok(Actuation::Limit(l)),
+                }
+            }
+            Policy::Fixed => unreachable!("the fixed policy has no controller"),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maestro_machine::snap::assert_rejects_corruption;
     use maestro_machine::{CoreActivity, MachineConfig, NS_PER_SEC};
+
+    const DVFS: Policy = Policy::Dvfs { floor: PState::MIN };
+
+    fn hot_machine() -> Machine {
+        let mut m = Machine::new(MachineConfig::sandybridge_2x8());
+        for c in m.topology().all_cores() {
+            m.set_activity(c, CoreActivity::Busy { intensity: 0.95, ocr: 4.0 });
+        }
+        m
+    }
+
+    fn controller(m: &Machine, policy: Policy) -> (ThrottleController, TraceHandle) {
+        ThrottleController::with_policy(m, policy, ControllerConfig::default())
+    }
 
     fn fire_over(
         machine: &mut Machine,
@@ -466,7 +642,7 @@ mod tests {
         let mut throttle = ThrottleState::new(6);
         fire_over(&mut m, &mut ctrl, &mut throttle, 2.0);
         assert!(throttle.active, "hot+contended must throttle");
-        assert!(trace.borrow().throttled_fraction() > 0.5);
+        assert!(ControllerTrace::throttled_fraction(&trace.borrow().samples) > 0.5);
     }
 
     #[test]
@@ -586,10 +762,10 @@ mod tests {
         assert!(s.checkpoint_restores >= 1, "{s:?}");
         assert!(throttle.active, "hot+contended stays throttled through the crash");
         let t = trace.borrow();
-        assert_eq!(t.activations(), 1, "no flapping across the restart");
-        let first_on = t.samples.iter().position(|x| x.throttled).unwrap();
+        assert_eq!(ControllerTrace::activations(&t.samples), 1, "no flapping across the restart");
+        let first_on = t.samples.iter().position(|x| x.actuation.throttled()).unwrap();
         assert!(
-            t.samples[first_on..].iter().all(|x| x.throttled),
+            t.samples[first_on..].iter().all(|x| x.actuation.throttled()),
             "once on, the flag never spuriously drops across the crash window"
         );
         assert!(!t.samples.iter().any(|x| x.safe_mode), "fast restart beats safe mode");
@@ -639,12 +815,184 @@ mod tests {
         fire_over(&mut m, &mut ctrl, &mut throttle, 1.0);
         let t = trace.borrow();
         assert!(t.samples.len() >= 10);
-        assert_eq!(t.activations(), 1, "exactly one off->on transition");
+        assert_eq!(ControllerTrace::activations(&t.samples), 1, "exactly one off->on transition");
         let first = t.samples.first().unwrap();
         assert_eq!(first.power_level, Level::Low);
         let last = t.samples.last().unwrap();
         assert_eq!(last.power_level, Level::High);
         assert_eq!(last.memory_level, Level::High);
-        assert!(last.throttled);
+        assert!(last.actuation.throttled());
+    }
+
+    /// Capture a controller mid-drive through its monitor hooks, restore
+    /// into a fresh one, and require both to continue identically; every
+    /// truncation or byte flip of the capture must decode without panicking.
+    fn round_trip(policy: Policy) {
+        let mut m = hot_machine();
+        let (mut a, trace_a) = controller(&m, policy);
+        let mut throttle = ThrottleState::new(8);
+        fire_over(&mut m, &mut a, &mut throttle, 1.0);
+        let mut w = SnapWriter::new();
+        a.snap_state(&mut w);
+        let bytes = w.finish();
+        let (mut b, trace_b) = controller(&m, policy);
+        let mut r = SnapReader::new(&bytes);
+        b.restore_state(&m, &mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(format!("{:?}", trace_b.borrow()), format!("{:?}", trace_a.borrow()));
+        let mut throttle_b = ThrottleState::new(8);
+        throttle_b.active = throttle.active;
+        b.restore_throttle(&mut throttle_b);
+        assert_eq!(throttle_b.limit_per_shepherd, throttle.limit_per_shepherd);
+        let mut m2 = m.clone();
+        fire_over(&mut m, &mut a, &mut throttle, 1.0);
+        fire_over(&mut m2, &mut b, &mut throttle_b, 1.0);
+        assert_eq!(format!("{:?}", trace_b.borrow()), format!("{:?}", trace_a.borrow()));
+        assert_rejects_corruption(&bytes, |input| {
+            let mut r = SnapReader::new(input);
+            controller(&m, policy).0.restore_state(&m, &mut r)?;
+            r.finish()
+        });
+    }
+
+    #[test]
+    fn decision_record_stays_32_bytes() {
+        // Every decision of a run is kept. Growing the record to 48 bytes
+        // (a `usize` limit) doubled the page faults of the snapshot-fork
+        // benchmark and cost 17 % of its wall time on a 2-vCPU x86-64 VM.
+        assert_eq!(std::mem::size_of::<ControllerSample>(), 32);
+    }
+
+    #[test]
+    fn controllers_snapshot_round_trip_and_reject_corruption() {
+        round_trip(Policy::Dvfs { floor: PState::floor_of(1.8) });
+        round_trip(Policy::PowerCap { watts: 120.0 });
+    }
+
+    #[test]
+    fn dvfs_steps_down_under_load_and_respects_floor() {
+        let mut m = hot_machine();
+        let floor = PState::floor_of(1.8);
+        let (mut ctrl, trace) = controller(&m, Policy::Dvfs { floor });
+        let mut throttle = ThrottleState::new(8);
+        fire_over(&mut m, &mut ctrl, &mut throttle, 3.0);
+        let p = m.pstate(SocketId(0));
+        assert!(p.index() >= floor.index(), "floor respected: {p}");
+        assert!(p.index() < PState::MAX.index(), "must have scaled down: {p}");
+        assert!(trace.borrow().transitions() >= 1);
+        // Both sockets move together.
+        assert_eq!(m.pstate(SocketId(0)), m.pstate(SocketId(1)));
+    }
+
+    #[test]
+    fn dvfs_scales_back_up_when_idle() {
+        let mut m = hot_machine();
+        let (mut ctrl, _t) = controller(&m, DVFS);
+        let mut throttle = ThrottleState::new(8);
+        fire_over(&mut m, &mut ctrl, &mut throttle, 3.0);
+        assert!(m.pstate(SocketId(0)).index() < PState::MAX.index());
+        for c in m.topology().all_cores() {
+            m.set_activity(c, CoreActivity::Idle);
+        }
+        fire_over(&mut m, &mut ctrl, &mut throttle, 3.0);
+        assert_eq!(m.pstate(SocketId(0)), PState::MAX, "idle => back to nominal");
+    }
+
+    #[test]
+    fn dvfs_lowers_power() {
+        let mut m = hot_machine();
+        let before = m.node_power_w();
+        for s in m.topology().all_sockets() {
+            m.set_pstate(s, PState::MIN);
+        }
+        let after = m.node_power_w();
+        assert!(
+            after < before * 0.75,
+            "P-state floor must cut dynamic power hard: {before} -> {after}"
+        );
+    }
+
+    #[test]
+    fn power_cap_tightens_limit_until_compliant() {
+        let mut m = hot_machine(); // draws ~150 W
+        let (mut ctrl, trace) = controller(&m, Policy::PowerCap { watts: 120.0 });
+        let mut throttle = ThrottleState::new(8);
+        fire_over(&mut m, &mut ctrl, &mut throttle, 2.0);
+        assert!(throttle.active);
+        assert!(throttle.limit_per_shepherd < 8, "limit must tighten: {throttle:?}");
+        assert!(!trace.borrow().samples.is_empty());
+        // Note: with a fixed synthetic load the machine's power does not
+        // actually drop (no scheduler in the loop) — the controller must
+        // keep tightening to its floor.
+        fire_over(&mut m, &mut ctrl, &mut throttle, 5.0);
+        assert_eq!(throttle.limit_per_shepherd, 1);
+    }
+
+    #[test]
+    fn power_cap_relaxes_when_cool() {
+        let mut m = Machine::new(MachineConfig::sandybridge_2x8()); // idle ~55 W
+        let (mut ctrl, _t) = controller(&m, Policy::PowerCap { watts: 120.0 });
+        let mut throttle = ThrottleState::new(3);
+        throttle.active = true;
+        fire_over(&mut m, &mut ctrl, &mut throttle, 2.0);
+        assert!(!throttle.active, "well under the cap: limit fully relaxed");
+        assert_eq!(throttle.limit_per_shepherd, 8);
+    }
+
+    /// Drive a hot node whose daemon blacks out from t=2 s to t=4 s under
+    /// `policy`; `check` sees the controller and knobs once before, once
+    /// during, and once after the stall.
+    fn across_stall(
+        policy: Policy,
+        check: impl Fn(&str, &ThrottleController, &Machine, &ThrottleState),
+    ) {
+        let mut m = hot_machine();
+        let plan = FaultPlan::new(35).with_stall(2 * NS_PER_SEC, 4 * NS_PER_SEC);
+        let (mut ctrl, trace) = ThrottleController::with_policy(
+            &m,
+            policy,
+            ControllerConfig { faults: Some(plan), ..Default::default() },
+        );
+        let mut throttle = ThrottleState::new(8);
+        for (phase, seconds) in [("before", 2.0), ("during", 1.0), ("after", 3.0)] {
+            fire_over(&mut m, &mut ctrl, &mut throttle, seconds);
+            check(phase, &ctrl, &m, &throttle);
+        }
+        let t = trace.borrow();
+        assert!(t.samples.iter().any(|s| s.safe_mode), "the trace records the safe-mode era");
+        assert!(!t.samples.last().unwrap().safe_mode, "…and its end");
+    }
+
+    #[test]
+    fn dvfs_stall_fails_open_to_nominal_frequency_and_resumes() {
+        across_stall(DVFS, |phase, ctrl, m, _| {
+            let sockets = [m.pstate(SocketId(0)), m.pstate(SocketId(1))];
+            match phase {
+                "during" => {
+                    assert!(ctrl.in_safe_mode(), "a stale view trips safe mode");
+                    assert_eq!(sockets, [PState::MAX; 2], "both sockets back at nominal");
+                }
+                _ => {
+                    assert!(!ctrl.in_safe_mode(), "{phase}: fresh samples, no safe mode");
+                    assert!(sockets[0].index() < PState::MAX.index(), "{phase}: scaled down");
+                    assert_eq!(sockets[0], sockets[1], "{phase}: package-global");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn power_cap_stall_fails_open_to_full_limit_and_resumes() {
+        across_stall(Policy::PowerCap { watts: 120.0 }, |phase, ctrl, _, throttle| match phase {
+            "during" => {
+                assert!(ctrl.in_safe_mode(), "a stale view trips safe mode");
+                assert_eq!(throttle.limit_per_shepherd, 8, "full limit restored");
+                assert!(!throttle.active, "the cap releases the shepherds");
+            }
+            _ => {
+                assert!(!ctrl.in_safe_mode(), "{phase}: fresh samples, no safe mode");
+                assert!(throttle.active && throttle.limit_per_shepherd < 8, "{phase}: capped");
+            }
+        });
     }
 }

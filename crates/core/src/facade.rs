@@ -12,13 +12,14 @@ use maestro_runtime::{
     RuntimeParams, SnapshotPlan, TaskValue, Watchdog,
 };
 
-use crate::alternatives::{
-    DvfsController, DvfsTraceHandle, PowerCapController, PowerCapTraceHandle,
+use crate::controller::{
+    ControlPlaneStats, ControllerConfig, ControllerTrace, ThrottleController, TraceHandle,
 };
-use crate::controller::{ControlPlaneStats, ControllerConfig, ThrottleController, TraceHandle};
 
 /// Concurrency policy for a run, matching the paper's table rows (plus the
 /// alternative mechanisms evaluated by the `ablation`/`powercap` targets).
+/// Every policy but `Fixed` runs the same supervised controller; the policy
+/// picks only its response.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum Policy {
     /// "N Threads - Fixed": `workers` workers, no throttling.
@@ -38,8 +39,9 @@ pub enum Policy {
         /// Lowest P-state the controller may select.
         floor: PState,
     },
-    /// Power clamping: keep node power at or below the bound by adjusting
-    /// the shepherd concurrency limit (§V outlook; Rountree et al. 2012).
+    /// Power clamping: same sensing, but the response keeps node power at
+    /// or below the bound by adjusting the shepherd concurrency limit (§V
+    /// outlook; Rountree et al. 2012).
     PowerCap {
         /// Node power bound, Watts.
         watts: f64,
@@ -53,10 +55,10 @@ pub struct MaestroConfig {
     pub machine: MachineConfig,
     /// Tasking-runtime parameters (including worker count).
     pub runtime: RuntimeParams,
-    /// Fixed or adaptive concurrency.
+    /// Fixed concurrency or the controller's response.
     pub policy: Policy,
-    /// Thresholds, safe mode, retries, and fault injection for the adaptive
-    /// controller (ignored by the other policies).
+    /// Safe mode, fault injection, and the daemon restart policy for the
+    /// controller of every policy but [`Policy::Fixed`].
     pub controller: ControllerConfig,
 }
 
@@ -134,7 +136,8 @@ pub struct RunReport {
     pub chip_temps_c: Vec<f64>,
     /// Scheduler counters.
     pub stats: RunStats,
-    /// Present for adaptive runs.
+    /// Present for adaptive runs (the duty-cycle flag is not the DVFS or
+    /// power-cap knob).
     pub throttle: Option<ThrottleSummary>,
     /// The root task's value.
     pub value: TaskValue,
@@ -188,17 +191,15 @@ impl std::fmt::Display for RunReport {
 pub struct Maestro {
     runtime: Runtime,
     trace: Option<TraceHandle>,
-    dvfs_trace: Option<DvfsTraceHandle>,
-    powercap_trace: Option<PowerCapTraceHandle>,
     watchdog_missed: Option<Rc<Cell<u64>>>,
     control_plane: Option<Rc<Cell<ControlPlaneStats>>>,
     policy: Policy,
 }
 
 impl Maestro {
-    /// Assemble machine, runtime, and (for adaptive policies) the RCR
-    /// daemon + throttle controller. Panics on an invalid configuration;
-    /// use [`Maestro::try_new`] for the fallible form.
+    /// Assemble machine, runtime, and (for every policy but
+    /// [`Policy::Fixed`]) the RCR daemon + controller. Panics on an invalid
+    /// configuration; use [`Maestro::try_new`] for the fallible form.
     pub fn new(config: MaestroConfig) -> Self {
         Self::try_new(config).expect("invalid Maestro configuration")
     }
@@ -206,59 +207,34 @@ impl Maestro {
     /// Fallible assembly: rejects invalid runtime parameters and worker
     /// counts beyond the machine's cores with a typed error.
     pub fn try_new(config: MaestroConfig) -> Result<Self, RuntimeError> {
-        let machine = Machine::new(config.machine);
-        let mut runtime = Runtime::new(machine, config.runtime)?;
+        let MaestroConfig { machine, runtime, policy, controller } = config;
+        let mut runtime = Runtime::new(Machine::new(machine), runtime)?;
         let mut trace = None;
-        let mut dvfs_trace = None;
-        let mut powercap_trace = None;
         let mut watchdog_missed = None;
         let mut control_plane = None;
-        match config.policy {
-            Policy::Fixed => {}
-            Policy::Adaptive { limit_per_shepherd } => {
+        if policy != Policy::Fixed {
+            let (controller, t) =
+                ThrottleController::with_policy(runtime.machine(), policy, controller);
+            let heartbeat = controller.heartbeat();
+            control_plane = Some(controller.control_plane());
+            trace = Some(t);
+            runtime.add_monitor(Box::new(controller));
+            if let Policy::Adaptive { limit_per_shepherd } = policy {
                 runtime.throttle_mut().limit_per_shepherd = limit_per_shepherd;
-                let (controller, t) =
-                    ThrottleController::with_config(runtime.machine(), config.controller);
                 // Supervise the controller's publication heartbeat at twice
                 // the sampling period, so one late sample is not yet a miss.
-                let watchdog =
-                    Watchdog::new(2 * DEFAULT_SAMPLE_PERIOD_NS, controller.heartbeat());
+                let watchdog = Watchdog::new(2 * DEFAULT_SAMPLE_PERIOD_NS, heartbeat);
                 watchdog_missed = Some(watchdog.missed_handle());
-                control_plane = Some(controller.control_plane());
-                runtime.add_monitor(Box::new(controller));
                 runtime.add_monitor(Box::new(watchdog));
-                trace = Some(t);
-            }
-            Policy::Dvfs { floor } => {
-                let (controller, t) = DvfsController::new(runtime.machine(), floor);
-                runtime.add_monitor(Box::new(controller));
-                dvfs_trace = Some(t);
-            }
-            Policy::PowerCap { watts } => {
-                let (controller, t) = PowerCapController::new(runtime.machine(), watts);
-                runtime.add_monitor(Box::new(controller));
-                powercap_trace = Some(t);
             }
         }
-        Ok(Maestro {
-            runtime,
-            trace,
-            dvfs_trace,
-            powercap_trace,
-            watchdog_missed,
-            control_plane,
-            policy: config.policy,
-        })
+        Ok(Maestro { runtime, trace, watchdog_missed, control_plane, policy })
     }
 
-    /// The DVFS decision trace, when running under [`Policy::Dvfs`].
-    pub fn dvfs_trace(&self) -> Option<&DvfsTraceHandle> {
-        self.dvfs_trace.as_ref()
-    }
-
-    /// The power-cap trace, when running under [`Policy::PowerCap`].
-    pub fn powercap_trace(&self) -> Option<&PowerCapTraceHandle> {
-        self.powercap_trace.as_ref()
+    /// The controller's decision trace, for every policy but
+    /// [`Policy::Fixed`].
+    pub fn controller_trace(&self) -> Option<&TraceHandle> {
+        self.trace.as_ref()
     }
 
     /// The configured policy.
@@ -304,10 +280,7 @@ impl Maestro {
         RunAnchors {
             decisions_before: self.trace.as_ref().map_or(0, |t| t.borrow().samples.len()) as u64,
             missed_before: self.watchdog_missed.as_ref().map_or(0, |m| m.get()),
-            cp_before: self
-                .control_plane
-                .as_ref()
-                .map_or_else(ControlPlaneStats::default, |h| h.get()),
+            cp_before: self.control_plane.as_ref().map(|h| h.get()).unwrap_or_default(),
         }
     }
 
@@ -319,23 +292,14 @@ impl Maestro {
         anchors: &RunAnchors,
     ) -> RunReport {
         let decisions_before = anchors.decisions_before as usize;
-        let throttle = self.trace.as_ref().map(|t| {
+        let adaptive = matches!(self.policy, Policy::Adaptive { .. });
+        let throttle = self.trace.as_ref().filter(|_| adaptive).map(|t| {
             let trace = t.borrow();
             let run_samples = &trace.samples[decisions_before.min(trace.samples.len())..];
-            let throttled = run_samples.iter().filter(|s| s.throttled).count();
-            let activations = run_samples
-                .windows(2)
-                .filter(|w| !w[0].throttled && w[1].throttled)
-                .count()
-                + usize::from(run_samples.first().is_some_and(|s| s.throttled));
-            let cp = self.control_plane.as_ref().map_or_else(ControlPlaneStats::default, |h| h.get());
+            let cp = self.control_plane.as_ref().map(|h| h.get()).unwrap_or_default();
             ThrottleSummary {
-                throttled_fraction: if run_samples.is_empty() {
-                    0.0
-                } else {
-                    throttled as f64 / run_samples.len() as f64
-                },
-                activations,
+                throttled_fraction: ControllerTrace::throttled_fraction(run_samples),
+                activations: ControllerTrace::activations(run_samples),
                 decisions: run_samples.len(),
                 throttled_worker_s: outcome.stats.throttled_worker_ns as f64 * 1e-9,
                 duty_writes: outcome.stats.duty_writes,
@@ -413,12 +377,7 @@ impl Maestro {
     ) -> Result<MaestroRun, SnapError> {
         let captured =
             self.runtime.resume_service_captured(app, source, &snapshot.runtime_bytes, plan)?;
-        let anchors = RunAnchors {
-            decisions_before: snapshot.decisions_before,
-            missed_before: snapshot.missed_before,
-            cp_before: snapshot.cp_before,
-        };
-        Ok(self.wrap_captured(&snapshot.name, snapshot.region.clone(), anchors, captured))
+        Ok(self.wrap_captured(&snapshot.name, snapshot.region.clone(), snapshot.anchors, captured))
     }
 
     // ------------------------------------------------------------------
@@ -455,12 +414,7 @@ impl Maestro {
         plan: &SnapshotPlan,
     ) -> Result<MaestroRun, SnapError> {
         let captured = self.runtime.resume_captured(app, &snapshot.runtime_bytes, plan)?;
-        let anchors = RunAnchors {
-            decisions_before: snapshot.decisions_before,
-            missed_before: snapshot.missed_before,
-            cp_before: snapshot.cp_before,
-        };
-        Ok(self.wrap_captured(&snapshot.name, snapshot.region.clone(), anchors, captured))
+        Ok(self.wrap_captured(&snapshot.name, snapshot.region.clone(), snapshot.anchors, captured))
     }
 
     fn wrap_captured(
@@ -474,9 +428,7 @@ impl Maestro {
             name: name.to_string(),
             t_ns,
             region: region.clone(),
-            decisions_before: anchors.decisions_before,
-            missed_before: anchors.missed_before,
-            cp_before: anchors.cp_before,
+            anchors,
             runtime_bytes: bytes,
         };
         let snapshots =
@@ -495,11 +447,23 @@ impl Maestro {
 
 /// Facade-side measurement baselines captured at run start (and carried
 /// inside snapshots so a resumed run subtracts the *original* baselines).
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, Default)]
 struct RunAnchors {
     decisions_before: u64,
     missed_before: u64,
     cp_before: ControlPlaneStats,
+}
+
+impl RunAnchors {
+    /// The snapshot codec (see [`Codec`]): every baseline in declaration
+    /// order.
+    fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
+        Ok(RunAnchors {
+            decisions_before: c.u64(self.decisions_before)?,
+            missed_before: c.u64(self.missed_before)?,
+            cp_before: self.cp_before.codec(c)?,
+        })
+    }
 }
 
 /// How a captured Maestro run ended.
@@ -551,9 +515,7 @@ pub struct MaestroSnapshot {
     name: String,
     t_ns: u64,
     region: Region,
-    decisions_before: u64,
-    missed_before: u64,
-    cp_before: ControlPlaneStats,
+    anchors: RunAnchors,
     runtime_bytes: Vec<u8>,
 }
 
@@ -594,9 +556,7 @@ impl MaestroSnapshot {
             name: c.str(&self.name)?,
             t_ns: c.u64(self.t_ns)?,
             region: self.region.codec(c)?,
-            decisions_before: c.u64(self.decisions_before)?,
-            missed_before: c.u64(self.missed_before)?,
-            cp_before: self.cp_before.codec(c)?,
+            anchors: self.anchors.codec(c)?,
             runtime_bytes: c.blob(&self.runtime_bytes)?,
         })
     }
@@ -677,6 +637,21 @@ mod tests {
         assert_eq!(t.activations, 0, "must never throttle: {t:?}");
         let overhead = (ra.elapsed_s - rf.elapsed_s) / rf.elapsed_s;
         assert!(overhead.abs() < 0.006, "overhead {overhead}");
+    }
+
+    #[test]
+    fn controller_faults_reach_a_dvfs_run() {
+        use maestro_machine::{FaultPlan, NS_PER_SEC};
+
+        let mut cfg = MaestroConfig::fixed(16);
+        cfg.policy = Policy::Dvfs { floor: PState::floor_of(1.8) };
+        cfg.controller.faults = Some(FaultPlan::new(41).with_stall(NS_PER_SEC / 5, NS_PER_SEC));
+        let mut m = Maestro::new(cfg);
+        let r = m.run("stalled-dvfs", &mut (), contended_root(2500));
+        assert!(r.throttle.is_none(), "a DVFS run has no duty-cycle summary");
+        let trace = m.controller_trace().expect("a DVFS run records a trace").borrow();
+        assert!(trace.samples.iter().any(|s| s.safe_mode), "the stall reached the controller");
+        assert!(!trace.samples.last().unwrap().safe_mode, "and it recovered after the stall");
     }
 
     #[test]

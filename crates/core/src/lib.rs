@@ -13,10 +13,13 @@
 //! The two pieces this crate adds are §IV of the paper:
 //!
 //! * [`ThrottleController`] — the user-level daemon: every 0.1 s it reads
-//!   the blackboard the RCR daemon publishes, classifies socket power and
-//!   memory concurrency as High / Medium / Low, and sets the throttle flag
-//!   when **both** are High, clears it when **both** are Low, and otherwise
-//!   holds (hysteresis).
+//!   the blackboard the supervised RCR daemon publishes and classifies
+//!   socket power and memory concurrency as High / Medium / Low. The
+//!   [`Policy`] picks the response — the paper's throttle flag (set when
+//!   **both** are High, cleared when **both** are Low, otherwise held), a
+//!   package-global DVFS step, or a shepherd-limit step under a power cap —
+//!   and each decision is one [`ControllerSample`] naming its [`Actuation`].
+//!   Safe mode fails open when the measurements cannot be trusted.
 //! * [`Maestro`] — the facade tying machine + runtime + controller together
 //!   and measuring each run with the RCR region API.
 //!
@@ -34,14 +37,12 @@
 
 #![warn(missing_docs)]
 
-pub mod alternatives;
 pub mod controller;
 pub mod facade;
 
-pub use alternatives::{DvfsController, DvfsTrace, PowerCapController, PowerCapTrace};
 pub use controller::{
-    ControlPlaneStats, ControllerCheckpoint, ControllerConfig, ControllerSample, ControllerTrace,
-    SafeModeConfig, ThrottleController, TraceHandle,
+    Actuation, ControlPlaneStats, ControllerCheckpoint, ControllerConfig, ControllerSample,
+    ControllerTrace, SafeModeConfig, ThrottleController, TraceHandle,
 };
 pub use facade::{
     Maestro, MaestroConfig, MaestroRun, MaestroRunEnd, MaestroSnapshot, Policy, RunReport,

@@ -9,7 +9,7 @@
 //! Runs LULESH under a node power bound and prints how the controller
 //! adjusts the shepherd concurrency limit to respect it.
 
-use maestro::{Maestro, MaestroConfig, Policy};
+use maestro::{Actuation, Maestro, MaestroConfig, Policy};
 use maestro_bench::experiments::maestro_params;
 use maestro_workloads::lulesh::Lulesh;
 use maestro_workloads::{CompilerConfig, OptLevel, Scale, Workload};
@@ -37,7 +37,7 @@ fn main() {
     let report = w.run(&mut capped, cc);
     println!("  {report}");
 
-    if let Some(trace) = capped.powercap_trace() {
+    if let Some(trace) = capped.controller_trace() {
         let trace = trace.borrow();
         println!(
             "  controller: {} samples, {:.0}% within the cap",
@@ -45,10 +45,13 @@ fn main() {
             trace.compliance(cap_w) * 100.0
         );
         // A compact timeline: limit per shepherd over the run.
-        let limits: Vec<usize> = trace.samples.iter().map(|&(_, _, l)| l).collect();
-        let line: String = limits
+        let line: String = trace
+            .samples
             .iter()
-            .map(|&l| char::from_digit(l as u32, 10).unwrap_or('+'))
+            .filter_map(|s| match s.actuation {
+                Actuation::Limit(l) => Some(char::from_digit(u32::from(l), 10).unwrap_or('+')),
+                _ => None,
+            })
             .collect();
         println!("  active-limit timeline (per shepherd, one digit per 0.1 s): {line}");
     }

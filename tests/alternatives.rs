@@ -1,7 +1,7 @@
 //! Integration tests for the alternative mechanisms (DVFS, power capping)
 //! and the design-choice ablation the paper's §IV argues from.
 
-use maestro::{Maestro, MaestroConfig, MaestroSnapshot, Policy, RunReport};
+use maestro::{Actuation, Maestro, MaestroConfig, MaestroSnapshot, Policy, RunReport};
 use maestro_bench::experiments::{ablation, maestro_params, run_maestro};
 use maestro_machine::{Cost, PState};
 use maestro_runtime::{SnapshotPlan, TaskSpec};
@@ -54,10 +54,13 @@ fn dvfs_respects_floor() {
     cfg.runtime = maestro_params(&w, CC, 16);
     let mut m = Maestro::new(cfg);
     w.run(&mut m, CC);
-    let trace = m.dvfs_trace().expect("dvfs policy records a trace").borrow();
+    let trace = m.controller_trace().expect("dvfs policy records a trace").borrow();
     assert!(!trace.samples.is_empty());
     assert!(
-        trace.samples.iter().all(|&(_, idx)| idx >= floor.index()),
+        trace
+            .samples
+            .iter()
+            .all(|s| matches!(s.actuation, Actuation::PState(p) if p.index() >= floor.index())),
         "P-state fell below the floor"
     );
 }
@@ -83,7 +86,7 @@ fn power_cap_holds_and_costs_time() {
         unconstrained.avg_watts
     );
     assert!(capped.elapsed_s > unconstrained.elapsed_s, "power is not free");
-    let trace = m.powercap_trace().expect("cap policy records a trace").borrow();
+    let trace = m.controller_trace().expect("cap policy records a trace").borrow();
     assert!(
         trace.compliance(cap_w) > 0.5,
         "the controller should track the cap most of the time: {:.2}",
@@ -109,18 +112,10 @@ fn generous_power_cap_is_free() {
 /// Every observable bit of a run under an alternative policy: report
 /// floats and counters, plus the policy's full decision trace.
 fn run_bits(m: &Maestro, r: &RunReport) -> String {
-    let trace = match (m.dvfs_trace(), m.powercap_trace()) {
-        (Some(t), None) => {
-            let t = t.borrow();
-            format!("{:?} transitions={}", t.samples, t.transitions)
-        }
-        (None, Some(t)) => {
-            let samples: Vec<_> =
-                t.borrow().samples.iter().map(|&(t, w, l)| (t, w.to_bits(), l)).collect();
-            format!("{samples:?}")
-        }
-        _ => panic!("one alternative-policy trace expected"),
-    };
+    let t = m.controller_trace().expect("alternative policies record a trace").borrow();
+    let samples: Vec<_> =
+        t.samples.iter().map(|s| (s.t_ns, s.power_w.to_bits(), s.actuation)).collect();
+    let trace = format!("{samples:?} transitions={}", t.transitions());
     format!(
         "{} {} {} {:?} {trace}",
         r.elapsed_s.to_bits(),

@@ -24,12 +24,12 @@
 //! `CHAOS_SEED=<n>` narrows the sweep to one seed — the CI chaos matrix
 //! fans the seeds out across jobs; locally the whole set runs in-process.
 
-use maestro::{Maestro, MaestroConfig, MaestroRunEnd, MaestroSnapshot};
+use maestro::{Actuation, Maestro, MaestroConfig, MaestroRunEnd, MaestroSnapshot, Policy};
 use maestro_bench::chaos::with_chaos_context;
 use maestro_bench::scenario;
 use maestro_machine::{
     Actuator, ActuatorConfig, CoreActivity, Cost, DutyCycle, FaultPlan, Machine, MachineConfig,
-    SocketId, NS_PER_SEC,
+    PState, SocketId, NS_PER_SEC,
 };
 use maestro_rcr::{Supervisor, SupervisorConfig};
 use maestro_runtime::{
@@ -166,6 +166,65 @@ fn full_loop_survives_seeded_chaos_schedules() {
                 "seed {seed}: failed applies force resets: {t:?}"
             );
         });
+    }
+}
+
+/// The DVFS and power-cap responses sit on the same supervised pipeline as
+/// the duty-cycle flag, so each seed's read-fault and kill schedule, passed
+/// through the facade's controller config, must degrade them as safely: no
+/// panic, finite energy, every core back at full duty, every decision on a
+/// finite reading, no P-state below the floor and no limit below one worker.
+#[test]
+fn dvfs_and_power_cap_survive_seeded_chaos_schedules() {
+    let floor = PState::floor_of(1.8);
+    for seed in seeds() {
+        let mut rng = seed ^ 0xa17e;
+        let kills: Vec<u64> =
+            (0..2).map(|i| 300 * MS + i * 400 * MS + splitmix(&mut rng) % (100 * MS)).collect();
+        let err_rate = 0.05 + 0.10 * unit_f64(&mut rng);
+        let drop_rate = 0.05 * unit_f64(&mut rng);
+        for policy in [Policy::Dvfs { floor }, Policy::PowerCap { watts: 130.0 }] {
+            let schedule = format!(
+                "{policy:?} read[err={err_rate:.3} drop={drop_rate:.3} jitter=2ms kills={kills:?}]"
+            );
+            let t_now = Cell::new(0u64);
+            with_chaos_context(seed, &schedule, &t_now, || {
+                let mut cfg = MaestroConfig { policy, ..MaestroConfig::fixed(16) };
+                cfg.controller.faults = Some(
+                    FaultPlan::new(seed)
+                        .with_transient_error_rate(err_rate)
+                        .with_drop_sample_rate(drop_rate)
+                        .with_sample_jitter(2 * MS)
+                        .with_daemon_kills(&kills),
+                );
+                cfg.controller.supervisor =
+                    SupervisorConfig { initial_backoff_ns: 50 * MS, ..SupervisorConfig::default() };
+                let mut m = Maestro::try_new(cfg).expect("valid config");
+
+                let report = m
+                    .try_run("chaos-alt", &mut (), contended_root(2500))
+                    .unwrap_or_else(|e| panic!("seed {seed}: {policy:?} run failed: {e}"));
+                t_now.set(m.machine().now_ns());
+
+                assert_all_cores_full(&m, &format!("seed {seed} {policy:?}"));
+                assert!(
+                    report.joules > 0.0 && report.joules.is_finite(),
+                    "seed {seed}: implausible accounting: {report}"
+                );
+                let trace = m.controller_trace().expect("the policy records a trace").borrow();
+                assert!(!trace.samples.is_empty(), "seed {seed}: the controller decided");
+                for s in &trace.samples {
+                    assert!(s.power_w.is_finite(), "seed {seed}: non-finite reading: {s:?}");
+                    match s.actuation {
+                        Actuation::PState(p) => {
+                            assert!(p.index() >= floor.index(), "seed {seed}: below floor: {s:?}")
+                        }
+                        Actuation::Limit(l) => assert!(l >= 1, "seed {seed}: no worker: {s:?}"),
+                        Actuation::Duty(_) => panic!("seed {seed}: a duty flag under {policy:?}"),
+                    }
+                }
+            });
+        }
     }
 }
 

@@ -4,7 +4,8 @@
 //! Each hash covers the scenario's rendered report text, the raw bits of
 //! its energy and time floats, and the bytes of a snapshot taken mid-run:
 //!
-//! * every batch scenario from `scenario::scenario`, suspended mid-run and
+//! * every batch scenario from `scenario::scenario` (including the DVFS and
+//!   power-cap controllers on the contended bag), suspended mid-run and
 //!   resumed on a fresh facade;
 //! * every `svc-*` scenario at test scale, suspended inside the first burst
 //!   window and resumed on a fresh facade and service stack;
@@ -36,6 +37,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("contended-adaptive", 0xde5e9f5a909c8c6e),
     ("contended-fixed", 0x95a8d61eab04ef34),
     ("scalable-adaptive", 0x0c64f390308b693c),
+    ("contended-dvfs", 0xcbc6d32a484910f7),
+    ("contended-powercap", 0xc0e036ce47cb622c),
     ("svc-steady", 0xc52ffee65126a819),
     ("svc-burst", 0x1c0a3a77af7bfa0b),
     ("svc-storm", 0xac5f90734ffc372d),
