@@ -225,12 +225,12 @@ pub fn render_dutycycle(p: &DutyCycleProbe) -> String {
 }
 
 /// Render a fleet run: title line, then the report's own deterministic
-/// rendering (aggregate energy/cap-safety/fault lines plus the per-node
-/// throttle statistics table).
-pub fn render_fleet(title: &str, report: &FleetReport) -> String {
+/// rendering (aggregate energy/cap-safety/fault lines, plus the per-node
+/// throttle statistics table when `per_node`).
+pub fn render_fleet(title: &str, report: &FleetReport, per_node: bool) -> String {
     let mut out = String::new();
     header_line(&mut out, title);
-    out.push_str(&report.render());
+    out.push_str(&if per_node { report.render() } else { report.render_summary() });
     out
 }
 

@@ -55,12 +55,18 @@ experiments:
   fleet       §V outlook — fleet power coordination under correlated failures
   service     SLO outlook— open-loop service workload under the governor
   all         everything above, in order
+  fleet10k    the 10,240-node fleet drill (not part of all)
 
   fleet runs scenario 'fleet-correlated-failures' (120 nodes, rolling load
   wave, correlated crash wave + rack partition + lossy grant channel) at
   paper scale, or 'fleet-smoke' (8 nodes) under --test-scale, and reports
   fleet energy, the cap-violation count (0 by invariant), and per-node
   throttle statistics.
+
+  fleet10k runs scenario 'fleet-10k' (10,240 nodes, 120 epochs, the same
+  fault mix scaled to the fleet) and prints only the fleet-wide summary and
+  the event-loop work counts. It exits 1 if any timestamp's sum of enforced
+  node caps exceeds the cluster cap.
 
   service runs the SLO-guarded demo scenarios (steady, bursty, a metastable
   retry storm with budgets disabled, and the same storm guarded by retry
@@ -96,17 +102,48 @@ fn render_fleet_experiment(scale: Scale, jobs: usize) -> String {
     let nodes = sc.config.nodes;
     let mut fleet = Fleet::new(sc.config);
     fleet.advance_epochs(epochs, jobs);
-    let report = fleet.report();
     format::render_fleet(
         &format!(
             "Fleet power coordination — scenario '{name}' ({nodes} nodes, {epochs} epochs)"
         ),
-        &report,
+        &fleet.report(),
+        true,
     )
 }
 
+/// Run the 10,240-node drill and render its summary and work counts (no
+/// per-node rows). `Err` carries the same text when the cap was broken.
+fn render_fleet10k(jobs: usize) -> Result<String, String> {
+    let sc = scenario::fleet_scenario("fleet-10k").expect("registered fleet scenario");
+    let (nodes, epochs) = (sc.config.nodes, sc.epochs);
+    let mut fleet = Fleet::new(sc.config);
+    fleet.advance_epochs(epochs, jobs);
+    let report = fleet.report();
+    let w = fleet.work();
+    let mut out = format::render_fleet(
+        &format!("Fleet drill — scenario '{}' ({nodes} nodes, {epochs} epochs)", sc.name),
+        &report,
+        false,
+    );
+    out.push_str(&format!(
+        "work: {} loop turns, {} daemon samples, {} governor decisions, {} load shifts, \
+         {} grant deliveries\n",
+        w.loop_turns, w.daemon_samples, w.governor_decisions, w.load_shifts, w.grant_deliveries
+    ));
+    if report.cap_violations == 0 {
+        Ok(out)
+    } else {
+        Err(out)
+    }
+}
+
 /// Render one experiment to its output text, or `None` for an unknown name.
-fn render_one(name: &str, scale: Scale, csv: bool, jobs: usize) -> Option<String> {
+/// `Err` is an experiment that ran but broke an invariant it checks; its
+/// text is printed all the same.
+fn render_one(name: &str, scale: Scale, csv: bool, jobs: usize) -> Option<Result<String, String>> {
+    if name == "fleet10k" {
+        return Some(render_fleet10k(jobs));
+    }
     let compiler = |title: &str, rows: &[experiments::CompilerRow]| {
         if csv {
             format::csv_compiler_rows(rows)
@@ -128,7 +165,7 @@ fn render_one(name: &str, scale: Scale, csv: bool, jobs: usize) -> Option<String
             format::render_throttling(title, rows)
         }
     };
-    Some(match name {
+    Some(Ok(match name {
         "table1" => compiler(
             "Table I — execution time and energy usage (16 threads, -O2)",
             &experiments::table1(scale, jobs),
@@ -180,13 +217,13 @@ fn render_one(name: &str, scale: Scale, csv: bool, jobs: usize) -> Option<String
         "fleet" => render_fleet_experiment(scale, jobs),
         "service" => render_service_experiment(scale, jobs),
         _ => return None,
-    })
+    }))
 }
 
 /// Run the requested experiment list (with `all` already expanded),
 /// fanning whole experiments across the job pool while printing in the
 /// original order.
-fn run_list(names: &[&str], scale: Scale, csv: bool, jobs: usize) -> Vec<String> {
+fn run_list(names: &[&str], scale: Scale, csv: bool, jobs: usize) -> Vec<Result<String, String>> {
     parallel_map(names.len(), jobs, |i| {
         render_one(names[i], scale, csv, jobs)
             .unwrap_or_else(|| unreachable!("names validated before dispatch"))
@@ -483,7 +520,7 @@ fn main() {
     for n in &names {
         if n == "all" {
             expanded.extend_from_slice(ALL);
-        } else if ALL.contains(&n.as_str()) {
+        } else if ALL.contains(&n.as_str()) || n == "fleet10k" {
             expanded.push(n.as_str());
         } else {
             eprintln!("unknown experiment: {n}\n{USAGE}");
@@ -491,7 +528,12 @@ fn main() {
         }
     }
 
+    let mut failed = false;
     for output in run_list(&expanded, scale, csv, jobs) {
-        print!("{output}");
+        failed |= output.is_err();
+        print!("{}", output.unwrap_or_else(|text| text));
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

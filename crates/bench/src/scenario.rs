@@ -111,7 +111,7 @@ pub struct FleetScenario {
 
 /// Every fleet scenario name the registry resolves.
 pub const FLEET_SCENARIO_NAMES: &[&str] =
-    &["fleet-smoke", "fleet-baseline", "fleet-correlated-failures"];
+    &["fleet-smoke", "fleet-baseline", "fleet-correlated-failures", "fleet-10k"];
 
 /// Resolve a fleet scenario by name. Pure: the same name always produces
 /// the same configuration, so a node snapshot taken under
@@ -148,6 +148,25 @@ pub fn fleet_scenario(name: &str) -> Option<FleetScenario> {
                 .with_report_loss_rate(0.10)
                 .with_daemon_faults(0.01, 7_000_000_000);
             (cfg, 60)
+        }
+        // The 10,240-node drill: the correlated-failures fault mix scaled
+        // to the fleet. A crash wave over a fifth of the nodes at one third
+        // of the run, staggered over 6 s, and a telemetry partition over
+        // another fifth for the third quarter.
+        "fleet-10k" => {
+            const SEC: u64 = 1_000_000_000;
+            let (nodes, epochs) = (10_240, 120);
+            let (run_ns, fifth) = (epochs * SEC, nodes / 5);
+            let mut cfg = FleetConfig::new(nodes, 95.0, 1);
+            cfg.faults = FleetFaultPlan::new(1)
+                .with_crash_wave(run_ns / 3, nodes / 3, fifth, 6 * SEC / fifth as u64)
+                .with_partition(run_ns / 2, run_ns * 3 / 4, 2 * nodes / 3, fifth)
+                .with_grant_loss_rate(0.10)
+                .with_grant_dup_rate(0.05)
+                .with_grant_delay(0.20, 800_000_000)
+                .with_report_loss_rate(0.10)
+                .with_daemon_faults(0.01, 7 * SEC);
+            (cfg, epochs)
         }
         _ => return None,
     };

@@ -19,6 +19,9 @@
 //! Probabilities use the same unit-interval convention as `FaultPlan`:
 //! a rate of 0.0 never fires, 1.0 always fires.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use maestro_machine::FaultPlan;
 
 /// SplitMix64: the repo-standard deterministic mixer (same finalizer the
@@ -65,13 +68,22 @@ impl NodeWindow {
     }
 }
 
-/// Seeded, deterministic fleet fault schedule. Built once per scenario;
-/// immutable during the run (all draws are stateless).
+/// Seeded, deterministic fleet fault schedule. Built once per scenario and
+/// immutable during the run (all draws are stateless). A clone is a handle
+/// to the same schedule, not a copy: every node of a fleet holds the plan
+/// its fleet was built with, and none of them copies the crash lists.
 #[derive(Clone, Debug, Default)]
 pub struct FleetFaultPlan {
+    schedule: Arc<Schedule>,
+}
+
+/// The schedule a [`FleetFaultPlan`] shares between its clones. The
+/// builder methods edit it in place while the plan has a single owner.
+#[derive(Clone, Debug, Default)]
+struct Schedule {
     seed: u64,
-    /// Per-node scheduled crash instants, each list sorted ascending.
-    crashes: Vec<(usize, Vec<u64>)>,
+    /// Scheduled crash instants by node, each list sorted ascending.
+    crashes: BTreeMap<usize, Vec<u64>>,
     partitions: Vec<NodeWindow>,
     grant_loss_rate: f64,
     grant_dup_rate: f64,
@@ -85,24 +97,24 @@ pub struct FleetFaultPlan {
 impl FleetFaultPlan {
     /// An empty plan (no faults) with the given seed.
     pub fn new(seed: u64) -> Self {
-        FleetFaultPlan { seed, ..Default::default() }
+        FleetFaultPlan { schedule: Arc::new(Schedule { seed, ..Default::default() }) }
+    }
+
+    /// The schedule, for the builder methods (copied first only if another
+    /// clone of the plan shares it).
+    fn edit(&mut self) -> &mut Schedule {
+        Arc::make_mut(&mut self.schedule)
     }
 
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.schedule.seed
     }
 
     /// Schedule power-loss crashes for one node at the given virtual
     /// instants (merged with any already scheduled; kept sorted).
     pub fn with_node_crashes(mut self, node: usize, at_ns: &[u64]) -> Self {
-        let entry = match self.crashes.iter_mut().find(|(n, _)| *n == node) {
-            Some((_, list)) => list,
-            None => {
-                self.crashes.push((node, Vec::new()));
-                &mut self.crashes.last_mut().expect("just pushed").1
-            }
-        };
+        let entry = self.edit().crashes.entry(node).or_default();
         entry.extend_from_slice(at_ns);
         entry.sort_unstable();
         entry.dedup();
@@ -135,21 +147,21 @@ impl FleetFaultPlan {
         count: usize,
     ) -> Self {
         assert!(from_ns < until_ns, "empty partition window");
-        self.partitions.push(NodeWindow { from_ns, until_ns, first_node, count });
+        self.edit().partitions.push(NodeWindow { from_ns, until_ns, first_node, count });
         self
     }
 
     /// Probability that a grant message is lost in flight.
     pub fn with_grant_loss_rate(mut self, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate));
-        self.grant_loss_rate = rate;
+        self.edit().grant_loss_rate = rate;
         self
     }
 
     /// Probability that a delivered grant arrives twice.
     pub fn with_grant_dup_rate(mut self, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate));
-        self.grant_dup_rate = rate;
+        self.edit().grant_dup_rate = rate;
         self
     }
 
@@ -158,8 +170,8 @@ impl FleetFaultPlan {
     /// unequal delays across epochs reorder deliveries.
     pub fn with_grant_delay(mut self, rate: f64, max_delay_ns: u64) -> Self {
         assert!((0.0..=1.0).contains(&rate));
-        self.grant_delay_rate = rate;
-        self.grant_max_delay_ns = max_delay_ns;
+        self.edit().grant_delay_rate = rate;
+        self.edit().grant_max_delay_ns = max_delay_ns;
         self
     }
 
@@ -167,7 +179,7 @@ impl FleetFaultPlan {
     /// the coordinator (its view of that node goes stale).
     pub fn with_report_loss_rate(mut self, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate));
-        self.report_loss_rate = rate;
+        self.edit().report_loss_rate = rate;
         self
     }
 
@@ -178,15 +190,15 @@ impl FleetFaultPlan {
     /// runs.
     pub fn with_daemon_faults(mut self, transient_rate: f64, kill_period_ns: u64) -> Self {
         assert!((0.0..=1.0).contains(&transient_rate));
-        self.daemon_transient_rate = transient_rate;
-        self.daemon_kill_period_ns = kill_period_ns;
+        self.edit().daemon_transient_rate = transient_rate;
+        self.edit().daemon_kill_period_ns = kill_period_ns;
         self
     }
 
     fn draw(&self, channel: Channel, node: usize, epoch: u64) -> u64 {
         // Three rounds of the mixer over the tuple: cheap, stateless, and
         // well-decorrelated across all three key components.
-        let k = splitmix(self.seed ^ splitmix((channel as u64) << 48 ^ node as u64));
+        let k = splitmix(self.schedule.seed ^ splitmix((channel as u64) << 48 ^ node as u64));
         splitmix(k ^ epoch)
     }
 
@@ -196,62 +208,59 @@ impl FleetFaultPlan {
 
     /// Scheduled crash instants for `node` (sorted; empty when none).
     pub fn crashes_for(&self, node: usize) -> &[u64] {
-        self.crashes
-            .iter()
-            .find(|(n, _)| *n == node)
-            .map(|(_, list)| list.as_slice())
-            .unwrap_or(&[])
+        self.schedule.crashes.get(&node).map_or(&[], Vec::as_slice)
     }
 
     /// Is `node` inside a telemetry partition at virtual time `t_ns`?
     pub fn partitioned(&self, node: usize, t_ns: u64) -> bool {
-        self.partitions.iter().any(|w| w.covers(node, t_ns))
+        self.schedule.partitions.iter().any(|w| w.covers(node, t_ns))
     }
 
     /// Is the epoch-`epoch` grant to `node` lost in flight?
     pub fn grant_lost(&self, node: usize, epoch: u64) -> bool {
-        self.fires(Channel::GrantLoss, node, epoch, self.grant_loss_rate)
+        self.fires(Channel::GrantLoss, node, epoch, self.schedule.grant_loss_rate)
     }
 
     /// Is the epoch-`epoch` grant to `node` duplicated?
     pub fn grant_duplicated(&self, node: usize, epoch: u64) -> bool {
-        self.fires(Channel::GrantDup, node, epoch, self.grant_dup_rate)
+        self.fires(Channel::GrantDup, node, epoch, self.schedule.grant_dup_rate)
     }
 
     /// In-flight delay of the epoch-`epoch` grant to `node` (0 = on time).
     pub fn grant_delay_ns(&self, node: usize, epoch: u64) -> u64 {
-        if self.grant_max_delay_ns == 0
-            || !self.fires(Channel::GrantDelay, node, epoch, self.grant_delay_rate)
+        let s = &self.schedule;
+        if s.grant_max_delay_ns == 0
+            || !self.fires(Channel::GrantDelay, node, epoch, s.grant_delay_rate)
         {
             return 0;
         }
-        self.draw(Channel::GrantDelayAmount, node, epoch) % (self.grant_max_delay_ns + 1)
+        self.draw(Channel::GrantDelayAmount, node, epoch) % (s.grant_max_delay_ns + 1)
     }
 
     /// Is the epoch-`epoch` telemetry report from `node` lost?
     pub fn report_lost(&self, node: usize, epoch: u64) -> bool {
-        self.fires(Channel::ReportLoss, node, epoch, self.report_loss_rate)
+        self.fires(Channel::ReportLoss, node, epoch, self.schedule.report_loss_rate)
     }
 
     /// The PR-1 `FaultPlan` for `node`'s RCR daemon in incarnation
     /// `incarnation` (restarted daemons draw a fresh-but-deterministic
     /// fault stream). `None` when the plan prescribes no in-node faults.
     pub fn node_daemon_faults(&self, node: usize, incarnation: u32) -> Option<FaultPlan> {
-        if self.daemon_transient_rate == 0.0 && self.daemon_kill_period_ns == 0 {
+        let s = &self.schedule;
+        if s.daemon_transient_rate == 0.0 && s.daemon_kill_period_ns == 0 {
             return None;
         }
-        let node_seed = splitmix(self.seed ^ splitmix(0xDAE_u64 << 48 ^ node as u64))
-            ^ u64::from(incarnation);
+        let node_seed =
+            splitmix(s.seed ^ splitmix(0xDAE_u64 << 48 ^ node as u64)) ^ u64::from(incarnation);
         let mut plan = FaultPlan::new(node_seed);
-        if self.daemon_transient_rate > 0.0 {
-            plan = plan.with_transient_error_rate(self.daemon_transient_rate);
+        if s.daemon_transient_rate > 0.0 {
+            plan = plan.with_transient_error_rate(s.daemon_transient_rate);
         }
-        if self.daemon_kill_period_ns > 0 {
+        if s.daemon_kill_period_ns > 0 {
             // Stagger the kill phase per node so the whole fleet's daemons
             // don't die in lockstep.
-            let phase = self.draw(Channel::ReportLoss, node, u64::MAX) % self.daemon_kill_period_ns;
-            let kills: Vec<u64> =
-                (1..=4).map(|k| phase + k * self.daemon_kill_period_ns).collect();
+            let phase = self.draw(Channel::ReportLoss, node, u64::MAX) % s.daemon_kill_period_ns;
+            let kills: Vec<u64> = (1..=4).map(|k| phase + k * s.daemon_kill_period_ns).collect();
             plan = plan.with_daemon_kills(&kills);
         }
         Some(plan)
@@ -284,6 +293,41 @@ mod tests {
         assert_eq!(p.crashes_for(5), &[1_010]);
         assert_eq!(p.crashes_for(6), &[1_020]);
         assert_eq!(p.crashes_for(3), &[] as &[u64]);
+    }
+
+    #[test]
+    fn indexed_crash_lookup_matches_a_brute_force_scan() {
+        const NODES: usize = 2_048;
+        let extra: [(usize, &[u64]); 4] =
+            [(5, &[9_000, 1_000]), (5, &[3_000, 9_000]), (2_047, &[7]), (2_100, &[42, 41])];
+        let mut plan = FleetFaultPlan::new(4).with_crash_wave(50_000, 0, NODES, 3);
+        for (node, at) in extra {
+            plan = plan.with_node_crashes(node, at);
+        }
+        // Every instant ever scheduled, as (node, t) pairs in call order.
+        let mut scheduled: Vec<(usize, u64)> =
+            (0..NODES).map(|i| (i, 50_000 + i as u64 * 3)).collect();
+        scheduled.extend(extra.iter().flat_map(|(n, at)| at.iter().map(move |&t| (*n, t))));
+        for node in 0..NODES + 64 {
+            let mut want: Vec<u64> =
+                scheduled.iter().filter(|(n, _)| *n == node).map(|(_, t)| *t).collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(plan.crashes_for(node), want.as_slice(), "node {node}");
+        }
+        assert_eq!(plan.crashes_for(5), &[1_000, 3_000, 9_000, 50_015]);
+    }
+
+    #[test]
+    fn clones_share_the_crash_lists() {
+        let plan = FleetFaultPlan::new(1).with_crash_wave(1_000, 0, 64, 10);
+        let copy = plan.clone();
+        assert!(std::ptr::eq(plan.crashes_for(9), copy.crashes_for(9)), "a clone is a handle");
+        // Building on from a shared plan copies it first: the original is
+        // never edited through a clone.
+        let grown = copy.with_node_crashes(9, &[5]);
+        assert_eq!(plan.crashes_for(9), &[1_090]);
+        assert_eq!(grown.crashes_for(9), &[5, 1_090]);
     }
 
     #[test]

@@ -220,6 +220,34 @@ pub struct NodeStats {
     pub lease_expiries: u64,
 }
 
+/// Exact counts of the work a node's event loop did: a host-side tally,
+/// kept out of [`NodeStats`], the snapshot codec and the fleet report so it
+/// never moves a digest.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct NodeWork {
+    /// Passes of the [`NodeSim::advance_to`] loop: one fire pass each, and
+    /// at most one clock advance.
+    pub loop_turns: u64,
+    /// Daemon sample events fired (each calls the supervisor once).
+    pub daemon_samples: u64,
+    /// Governor decisions taken.
+    pub governor_decisions: u64,
+    /// Load-wave events fired (whether or not the busy-core count moved).
+    pub load_shifts: u64,
+    /// Grant messages taken from the inbox (dropped ones while down too).
+    pub grant_deliveries: u64,
+}
+
+impl std::ops::AddAssign for NodeWork {
+    fn add_assign(&mut self, o: NodeWork) {
+        self.loop_turns += o.loop_turns;
+        self.daemon_samples += o.daemon_samples;
+        self.governor_decisions += o.governor_decisions;
+        self.load_shifts += o.load_shifts;
+        self.grant_deliveries += o.grant_deliveries;
+    }
+}
+
 /// One node of the fleet. See the module docs for the model.
 #[derive(Clone, Debug)]
 pub struct NodeSim {
@@ -235,7 +263,10 @@ pub struct NodeSim {
     /// Busy cores currently running (what the wave last applied).
     load_active: u8,
     load_due_ns: u64,
-    /// Index into `faults.crashes_for(id)` of the next unprocessed crash.
+    /// This node's scheduled crash instants (sorted), resolved from the
+    /// plan once at construction.
+    crashes: Vec<u64>,
+    /// Index into `crashes` of the next unprocessed crash.
     crash_idx: usize,
     /// Reboot due time while down; `None` when up or given up.
     restart_due_ns: Option<u64>,
@@ -246,10 +277,13 @@ pub struct NodeSim {
     trace: Vec<(u64, NodeEvent)>,
     /// Counters carried across lease-slot resets at reboot.
     lease_totals: (u64, u64, u64),
+    work: NodeWork,
 }
 
 impl NodeSim {
-    /// Build node `cfg.id` at virtual time 0, powered and idle.
+    /// Build node `cfg.id` at virtual time 0, powered and idle. The node
+    /// keeps `faults` as a shared handle and copies out only its own crash
+    /// instants.
     pub fn new(cfg: NodeConfig, faults: FleetFaultPlan) -> Self {
         let machine = Machine::new(MachineConfig::sandybridge_2x8());
         let sup = Self::build_supervisor(&machine, &cfg, &faults, 0);
@@ -260,6 +294,7 @@ impl NodeSim {
             throttle_level: 0,
             load_active: 0,
             load_due_ns: 0,
+            crashes: faults.crashes_for(cfg.id).to_vec(),
             crash_idx: 0,
             restart_due_ns: None,
             incarnation: 0,
@@ -267,6 +302,7 @@ impl NodeSim {
             inbox: Vec::new(),
             trace: Vec::new(),
             lease_totals: (0, 0, 0),
+            work: NodeWork::default(),
             machine,
             sup,
             lease,
@@ -343,6 +379,11 @@ impl NodeSim {
         s
     }
 
+    /// Exact work counts of the node's event loop (see [`NodeWork`]).
+    pub fn work(&self) -> NodeWork {
+        self.work
+    }
+
     /// The degradation trace: every state transition with its timestamp.
     pub fn trace(&self) -> &[(u64, NodeEvent)] {
         &self.trace
@@ -367,7 +408,7 @@ impl NodeSim {
 
     /// Next scheduled crash instant not yet processed.
     fn crash_due_ns(&self) -> Option<u64> {
-        self.faults.crashes_for(self.cfg.id).get(self.crash_idx).copied()
+        self.crashes.get(self.crash_idx).copied()
     }
 
     /// Earliest pending due time, if any.
@@ -398,6 +439,7 @@ impl NodeSim {
     /// function of its inputs — independent of shard scheduling.
     pub fn advance_to(&mut self, t_end_ns: u64) {
         loop {
+            self.work.loop_turns += 1;
             self.fire_due();
             let now = self.machine.now_ns();
             if now >= t_end_ns {
@@ -417,6 +459,7 @@ impl NodeSim {
         // is gone — there is no network stack to receive it.
         while self.inbox.first().is_some_and(|(a, _)| *a <= now) {
             let (_, grant) = self.inbox.remove(0);
+            self.work.grant_deliveries += 1;
             if !self.up() {
                 continue;
             }
@@ -460,18 +503,21 @@ impl NodeSim {
 
         // 5. Daemon sample (supervised: may itself be down/backing off).
         if self.sup.next_due_ns() <= now {
+            self.work.daemon_samples += 1;
             let _ = self.sup.sample(&self.machine);
         }
 
         // 6. Governor decision.
         while self.governor_due_ns <= now {
             self.governor_due_ns += self.cfg.governor_period_ns;
+            self.work.governor_decisions += 1;
             self.govern();
         }
 
         // 7. Load shift.
         if self.load_due_ns <= now {
             self.load_due_ns = self.load.next_change_ns(now);
+            self.work.load_shifts += 1;
             self.apply_load();
         }
     }
@@ -769,6 +815,32 @@ mod tests {
         assert_eq!(ta, tb, "same seed, same degradation trace");
         assert_eq!(ea, eb);
         assert_eq!(sa, sb);
+    }
+
+    #[test]
+    fn work_counts_are_exact() {
+        let faults = FleetFaultPlan::new(5)
+            .with_node_crashes(0, &[4 * SEC])
+            .with_daemon_faults(0.02, 3 * SEC);
+        let mut n = node(faults);
+        n.deliver(0, grant(1, 90.0, 6 * SEC));
+        n.deliver(0, grant(1, 90.0, 6 * SEC));
+        n.advance_to(10 * SEC);
+        assert_eq!(n.stats().crashes, 1);
+        // Daemon and governor share the 100 ms grid, so most turns fire
+        // both; the rest are load-wave edges, the crash and the reboot. A
+        // loop that advanced the clock in smaller steps than the next due
+        // event would add turns here.
+        assert_eq!(
+            n.work(),
+            NodeWork {
+                loop_turns: 132,
+                daemon_samples: 101,
+                governor_decisions: 99,
+                load_shifts: 41,
+                grant_deliveries: 2,
+            }
+        );
     }
 
     #[test]

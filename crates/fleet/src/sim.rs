@@ -29,7 +29,7 @@ use crate::coordinator::{Coordinator, CoordinatorConfig, CoordinatorStats, NodeV
 use crate::faults::FleetFaultPlan;
 use crate::harness::parallel_map;
 use crate::load::LoadParams;
-use crate::node::{NodeConfig, NodeSim, NodeState, NodeStats};
+use crate::node::{NodeConfig, NodeSim, NodeState, NodeStats, NodeWork};
 
 /// Grant-message base transit latency (applied to every delivery, before
 /// any fault-plan delay).
@@ -166,8 +166,33 @@ impl FleetReport {
         self.nodes.iter().map(|n| n.stats.lease_expiries).sum()
     }
 
-    /// Deterministic text rendering (byte-identical across `--jobs`).
+    /// Deterministic text rendering (byte-identical across `--jobs`): the
+    /// [summary](Self::render_summary), then one row per node.
     pub fn render(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = self.render_summary();
+        for n in &self.nodes {
+            let _ = writeln!(
+                out,
+                "  node {:>3}: {:>10.3} J, crashes {}, restarts {}, leases {}/{}/{} (ok/drop/expire), throttle {} steps (max {}, final {})",
+                n.node,
+                n.energy_j,
+                n.stats.crashes,
+                n.stats.restarts,
+                n.stats.leases_applied,
+                n.stats.leases_discarded,
+                n.stats.lease_expiries,
+                n.stats.throttle_steps,
+                n.stats.max_throttle_level,
+                n.final_throttle,
+            );
+        }
+        out
+    }
+
+    /// The fleet-wide lines of [`Self::render`]: size, energy, cap safety,
+    /// fault and throttle totals.
+    pub fn render_summary(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
@@ -201,22 +226,6 @@ impl FleetReport {
             "throttle: {} steps, peak level {}, {} dark periods, coordinator epochs {}",
             steps, max_level, dark, self.coordinator.epochs
         );
-        for n in &self.nodes {
-            let _ = writeln!(
-                out,
-                "  node {:>3}: {:>10.3} J, crashes {}, restarts {}, leases {}/{}/{} (ok/drop/expire), throttle {} steps (max {}, final {})",
-                n.node,
-                n.energy_j,
-                n.stats.crashes,
-                n.stats.restarts,
-                n.stats.leases_applied,
-                n.stats.leases_discarded,
-                n.stats.lease_expiries,
-                n.stats.throttle_steps,
-                n.stats.max_throttle_level,
-                n.final_throttle,
-            );
-        }
         out
     }
 }
@@ -270,6 +279,15 @@ impl Fleet {
     /// The coordinator.
     pub fn coordinator(&self) -> &Coordinator {
         &self.coord
+    }
+
+    /// Exact event-loop work summed over every node (see [`NodeWork`]).
+    pub fn work(&self) -> NodeWork {
+        let mut total = NodeWork::default();
+        for node in &self.nodes {
+            total += node.work();
+        }
+        total
     }
 
     /// Advance the whole fleet by `epochs` coordination epochs, fanning

@@ -288,14 +288,20 @@ impl Blackboard {
 
     /// Read all sockets.
     pub fn snapshot_all(&self) -> Vec<SocketSnapshot> {
-        (0..self.sockets()).map(|s| self.snapshot(s)).collect()
+        self.snapshots().collect()
+    }
+
+    /// Each socket's consistent snapshot in socket order, read lazily: the
+    /// whole-node readers below fold over it without allocating.
+    fn snapshots(&self) -> impl Iterator<Item = SocketSnapshot> + '_ {
+        self.shared.records.iter().map(SocketRecord::read)
     }
 
     /// Whole-node power as of the latest snapshots, Watts. Sockets without
     /// a power estimate (NaN, flagged [`HealthFlags::NO_POWER`]) contribute
     /// nothing rather than poisoning the sum.
     pub fn node_power_w(&self) -> f64 {
-        self.snapshot_all().iter().map(|s| s.power_w).filter(|p| p.is_finite()).sum()
+        self.snapshots().map(|s| s.power_w).filter(|p| p.is_finite()).sum()
     }
 
     /// The self-describing meter inventory of the region.
@@ -313,24 +319,20 @@ impl Blackboard {
 
     /// True until the daemon has published at least once for every socket.
     pub fn is_warming_up(&self) -> bool {
-        self.snapshot_all().iter().any(|s| s.updated_at_ns == 0 && s.power_w == 0.0)
+        self.snapshots().any(|s| s.updated_at_ns == 0 && s.power_w == 0.0)
     }
 
     /// Age of the stalest socket record at virtual time `now_ns`,
     /// nanoseconds. A record never published counts as `now_ns` old.
     pub fn staleness_ns(&self, now_ns: u64) -> u64 {
-        self.snapshot_all()
-            .iter()
-            .map(|s| now_ns.saturating_sub(s.updated_at_ns))
-            .max()
-            .unwrap_or(now_ns)
+        self.snapshots().map(|s| now_ns.saturating_sub(s.updated_at_ns)).max().unwrap_or(now_ns)
     }
 
     /// True when every socket's latest snapshot is flagged trustworthy
     /// (see [`HealthFlags::is_healthy`]). Staleness is a separate check —
     /// use [`Blackboard::staleness_ns`].
     pub fn is_healthy(&self) -> bool {
-        self.snapshot_all().iter().all(|s| s.flags.is_healthy())
+        self.snapshots().all(|s| s.flags.is_healthy())
     }
 }
 

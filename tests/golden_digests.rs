@@ -9,7 +9,10 @@
 //!   resumed on a fresh facade;
 //! * every `svc-*` scenario at test scale, suspended inside the first burst
 //!   window and resumed on a fresh facade and service stack;
-//! * one `fleet-*` node snapshot, taken halfway through the smoke drill;
+//! * a `fleet-*` node snapshot, taken halfway through the smoke drill, and
+//!   one taken halfway through `fleet-correlated-failures` (120 nodes,
+//!   daemon faults on, a 24-node crash wave), each with the full run's
+//!   report and `Fleet::trace_digest`;
 //! * the paper tables at test scale — Table I, Tables IV-VII, and the
 //!   mechanism ablation with its DVFS and power-cap rows — over the
 //!   rendered table and the `Debug` form of every row (which prints each
@@ -53,6 +56,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("table6", 0x360fde5bd631ac15),
     ("table7", 0x52edf08c003f9029),
     ("ablation", 0x81800b80a94c5817),
+    ("fleet-correlated-failures", 0x8d7f558b29032ab6),
 ];
 
 /// Batch suspension point: mid-run for every batch scenario.
@@ -175,6 +179,7 @@ fn every_scenario_matches_its_golden_digest() {
     for name in ["table1", "table4", "table5", "table6", "table7", "ablation"] {
         computed.push((name, paper_table_digest(name)));
     }
+    computed.push(("fleet-correlated-failures", fleet_digest("fleet-correlated-failures")));
 
     let table: String =
         computed.iter().map(|(n, h)| format!("    ({n:?}, {h:#018x}),\n")).collect();
