@@ -10,11 +10,11 @@
 //! opportunity. If both conditions are Low, throttling is disabled."
 //!
 //! In the virtual-time engine both daemons fire from the same monitor hook:
-//! the embedded [`RcrDaemon`] samples the hardware counters and publishes to
-//! the blackboard, then the controller reads the blackboard back and applies
-//! the classification rule. Keeping the blackboard in the middle preserves
-//! the paper's architecture (and lets tests and tools watch the same region
-//! the controller sees).
+//! the embedded [`RcrDaemon`](maestro_rcr::RcrDaemon) samples the hardware
+//! counters and publishes to the blackboard, then the controller reads the
+//! blackboard back and applies the classification rule. Keeping the
+//! blackboard in the middle preserves the paper's architecture (and lets
+//! tests and tools watch the same region the controller sees).
 //!
 //! The sensing is the same whatever the response: the [`Policy`] picks only
 //! which knob a trusted decision turns — the duty-cycle throttle flag (the

@@ -255,13 +255,13 @@ impl Maestro {
     /// Execute `root` against `app`, measured with the RCR region API.
     /// Panics on a scheduler error; use [`Maestro::try_run`] for the
     /// fallible form.
-    pub fn run<C>(&mut self, name: &str, app: &mut C, root: BoxTask<C>) -> RunReport {
+    pub fn run<C: 'static>(&mut self, name: &str, app: &mut C, root: BoxTask<C>) -> RunReport {
         self.try_run(name, app, root).expect("scheduler failed")
     }
 
     /// Execute `root` against `app`, surfacing scheduler failures (e.g. a
     /// deadlocked task graph) as a typed error instead of panicking.
-    pub fn try_run<C>(
+    pub fn try_run<C: 'static>(
         &mut self,
         name: &str,
         app: &mut C,
@@ -389,7 +389,7 @@ impl Maestro {
     /// Scheduler failures surface as [`MaestroRunEnd::Failed`] (so cadence
     /// snapshots taken before the failure survive for triage); the `Err`
     /// branch is reserved for capture/serialization problems.
-    pub fn run_captured<C>(
+    pub fn run_captured<C: 'static>(
         &mut self,
         name: &str,
         app: &mut C,

@@ -12,7 +12,7 @@
 //! a closed form ([`ThermalParams::integrate`]), so the machine never
 //! substeps. [`Machine::advance`] is O(1): it only moves the clock. Each
 //! socket carries an *integration anchor* — the virtual time up to which its
-//! temperature and energy are folded — and [`Machine::sync_socket`] jumps
+//! temperature and energy are folded — and `Machine::sync_socket` jumps
 //! the anchor to "now" with one closed-form call. Syncs happen lazily at
 //! the points where the folded state is actually needed:
 //!

@@ -15,6 +15,8 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
+use maestro_machine::snap::{Codec, SnapError};
+
 #[derive(Debug)]
 struct TokenInner {
     cancelled: Cell<bool>,
@@ -107,6 +109,21 @@ impl CancelToken {
     /// Overwrite the shared generation counter (snapshot restore only).
     pub(crate) fn restore_generation(&self, generation: u64) {
         self.inner.generation.set(generation);
+    }
+
+    /// The snapshot codec for a run's root token (see [`Codec`]): its own
+    /// flag, then the tree's generation. Decodes into a fresh root carrying
+    /// both; the writer echoes this token back.
+    pub(crate) fn codec<K: Codec>(&self, c: &mut K) -> Result<CancelToken, SnapError> {
+        let cancelled = c.bool(self.local_flag())?;
+        let generation = c.u64(self.generation())?;
+        if !K::DECODING {
+            return Ok(self.clone());
+        }
+        let token = CancelToken::new();
+        token.restore_flag(cancelled);
+        token.restore_generation(generation);
+        Ok(token)
     }
 }
 

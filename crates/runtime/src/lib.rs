@@ -42,10 +42,10 @@
 //! Every task `step` runs under panic isolation: a panicking task body is
 //! contained at the dispatch boundary, converted into a typed
 //! [`TaskFailure`] with a task-path backtrace, and surfaced as
-//! [`RuntimeError::TaskFailed`](scheduler::RuntimeError::TaskFailed) after
-//! the graph drains. Region-scoped [`CancelToken`]s stop a subtree (or the
-//! whole run) at the next yield point, and a wall-clock deadline or step
-//! budget in [`RuntimeParams`] bounds wedged or livelocked workloads. All
+//! [`RuntimeError::TaskFailed`] after the graph drains. Region-scoped
+//! [`CancelToken`]s stop a subtree (or the whole run) at the next yield
+//! point, and a wall-clock deadline or step budget in [`RuntimeParams`]
+//! bounds wedged or livelocked workloads. All
 //! of these paths restore every core to full duty before returning.
 
 #![warn(missing_docs)]
@@ -68,7 +68,8 @@ pub use monitor::{CancelAt, Monitor, ThrottleState, Watchdog};
 pub use params::{ParamsError, RuntimeParams};
 pub use report::{RunOutcome, RunStats};
 pub use scheduler::{
-    CapturedRun, RunCapture, RunEnd, RunLimit, Runtime, RuntimeError, SnapshotPlan, TaskFailure,
+    CapturedRun, RunCapture, RunEnd, RunLimit, Runtime, RuntimeError, RuntimeWork, SnapshotPlan,
+    TaskFailure,
 };
 pub use service::{RequestSource, ServiceCounters, ServiceInjection};
 pub use spec::{SpecTask, TaskSpec};

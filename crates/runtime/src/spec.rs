@@ -1,6 +1,6 @@
 //! Data-only task programs: serializable task trees for snapshot/replay.
 //!
-//! The general [`TaskLogic`](crate::task::TaskLogic) contract lets a task be
+//! The general [`TaskLogic`] contract lets a task be
 //! an arbitrary closure-holding state machine — perfect for expressing real
 //! workloads, impossible to serialize. A [`TaskSpec`] is the snapshot-safe
 //! subset: a pure *description* of a task tree (leaf costs and fork-join

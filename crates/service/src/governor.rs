@@ -16,7 +16,7 @@
 //! opposite order (brownout recovers before energy saving resumes). The
 //! result is the energy-vs-tail-latency Pareto frontier the bench sweeps.
 //!
-//! The governor's ladder levels are authoritative in [`ServiceShared`]
+//! The governor's ladder levels are authoritative in [`ServiceShared`](crate::ServiceShared)
 //! (the source reads `brownout_level` when building specs) but are
 //! serialized with the governor's own monitor blob; after a restore,
 //! [`Monitor::restore_throttle`] re-imposes the energy level on the

@@ -122,8 +122,8 @@ impl ServiceConfig {
     }
 }
 
-/// State shared between the source and the [`SloGovernor`]
-/// (crate::SloGovernor), and read by the report layer after the run — the
+/// State shared between the source and the [`SloGovernor`](crate::SloGovernor),
+/// and read by the report layer after the run — the
 /// source itself is consumed by the scheduler, so everything a report needs
 /// must live here.
 #[derive(Clone, Debug)]
