@@ -614,9 +614,8 @@ pub fn pareto(scale: Scale, jobs: usize) -> Vec<ParetoPoint> {
         let row = service_cell(name, scale);
         let slo = crate::scenario::service_scenario(name)
             .expect("registered")
-            .governor
-            .expect("pareto scenarios are governed")
-            .slo_p99_ns;
+            .slo_p99_ns
+            .expect("pareto scenarios are governed");
         ParetoPoint {
             scenario: row.scenario,
             slo_p99_ns: slo,

@@ -7,10 +7,10 @@
 //! cargo run -p maestro-bench --release -- --jobs 4 all
 //! ```
 
-use maestro::{Maestro, MaestroRunEnd, MaestroSnapshot};
+use maestro::{Maestro, MaestroRun, MaestroRunEnd, MaestroSnapshot};
 use maestro_bench::experiments::{self, FigureGroup, ThrottleTarget};
 use maestro_bench::{format, scenario};
-use maestro_fleet::{default_jobs, parallel_map, Fleet};
+use maestro_fleet::{default_jobs, parallel_map, Fleet, EPOCH_NS};
 use maestro_runtime::SnapshotPlan;
 use maestro_workloads::{Family, Scale};
 
@@ -283,11 +283,34 @@ fn run_replay(args: &[String]) -> ! {
             std::process::exit(2);
         }
     };
-    // Service snapshots carry a svc-* scenario name; the whole service
-    // stack (arrival stream, admission state, retry ledger, governor) is
-    // rebuilt from the registry and restored from the serialized source.
+    // Service snapshots carry a svc-* scenario name: rebuild the facade and
+    // a fresh service stack from the registry, then resume. The restore
+    // path swaps the serialized arrival/admission/retry state into the
+    // fresh source, so the request stream continues exactly where it was
+    // suspended.
     if let Some(sc) = scenario::service_scenario(snap.name()) {
-        run_service_replay(&sc, &snap, until, &path);
+        let (mut m, source, handle) = scenario::service_facade(&sc);
+        resume_replay(
+            "service scenario",
+            &snap,
+            until,
+            &path,
+            |plan| m.resume_service_captured(&mut (), source, &snap, plan),
+            || {
+                let c = handle.borrow().counters;
+                println!(
+                    "requests: {} arrived / {} completed / {} shed / {} cancelled / \
+                     {} failed ({} retries spent, conservation gap {})",
+                    c.arrived,
+                    c.completed,
+                    c.shed,
+                    c.cancelled,
+                    c.failed,
+                    c.retries_spent,
+                    c.conservation_gap(),
+                );
+            },
+        );
     }
     let Some(sc) = scenario::scenario(snap.name()) else {
         eprintln!(
@@ -298,70 +321,28 @@ fn run_replay(args: &[String]) -> ! {
         );
         std::process::exit(2);
     };
-    if let Some(t) = until {
-        if t <= snap.t_ns() {
-            eprintln!(
-                "--until {t} is not after the snapshot time {} ns; nothing to replay",
-                snap.t_ns()
-            );
-            std::process::exit(2);
-        }
-    }
-
-    println!(
-        "replaying scenario '{}' from snapshot at t={} ns ({})",
-        snap.name(),
-        snap.t_ns(),
-        path
-    );
-    // A fresh facade starts at virtual t=0, so run-relative fences coincide
-    // with absolute virtual timestamps and --until can be passed straight
-    // through as a suspension point.
-    let plan = match until {
-        Some(t) => SnapshotPlan::suspend_at(t),
-        None => SnapshotPlan::none(),
-    };
     let mut m = Maestro::new(sc.config);
-    let run = match m.resume_captured(&mut (), &snap, &plan) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("resume failed: {e}");
-            std::process::exit(2);
-        }
-    };
-    match run.end {
-        MaestroRunEnd::Completed(report) => {
-            println!("run completed past the requested point:");
-            println!("{report}");
-            std::process::exit(0);
-        }
-        MaestroRunEnd::Suspended(at) => {
-            println!(
-                "replayed {} ns of virtual time ({} -> {} ns); state captured, \
-                 re-run with a later --until (or none) to continue",
-                at.t_ns() - snap.t_ns(),
-                snap.t_ns(),
-                at.t_ns()
-            );
-            std::process::exit(0);
-        }
-        MaestroRunEnd::Failed(e) => {
-            println!("failure reproduced during replay: {e}");
-            std::process::exit(1);
-        }
-    }
+    resume_replay(
+        "scenario",
+        &snap,
+        until,
+        &path,
+        |plan| m.resume_captured(&mut (), &snap, plan),
+        || {},
+    );
 }
 
-/// Replay a service scenario from a Maestro snapshot: rebuild the facade
-/// and a fresh service stack from the registry, then resume — the restore
-/// path swaps the serialized arrival/admission/retry state into the fresh
-/// source, so the request stream continues exactly where it was suspended.
-/// Exit codes match `replay`.
-fn run_service_replay(
-    sc: &scenario::ServiceScenario,
+/// The tail both Maestro-snapshot replays share: check `--until` against
+/// the snapshot time, resume through `resume` under the matching plan, and
+/// report how the run ended; `on_completed` prints what a completed run
+/// adds after its report. Exit codes match `replay`.
+fn resume_replay<E: std::fmt::Display>(
+    kind: &str,
     snap: &MaestroSnapshot,
     until: Option<u64>,
     path: &str,
+    resume: impl FnOnce(&SnapshotPlan) -> Result<MaestroRun, E>,
+    on_completed: impl FnOnce(),
 ) -> ! {
     if let Some(t) = until {
         if t <= snap.t_ns() {
@@ -372,18 +353,12 @@ fn run_service_replay(
             std::process::exit(2);
         }
     }
-    println!(
-        "replaying service scenario '{}' from snapshot at t={} ns ({})",
-        snap.name(),
-        snap.t_ns(),
-        path
-    );
-    let plan = match until {
-        Some(t) => SnapshotPlan::suspend_at(t),
-        None => SnapshotPlan::none(),
-    };
-    let (mut m, source, handle) = scenario::service_facade(sc);
-    let run = match m.resume_service_captured(&mut (), source, snap, &plan) {
+    println!("replaying {kind} '{}' from snapshot at t={} ns ({})", snap.name(), snap.t_ns(), path);
+    // A fresh facade starts at virtual t=0, so run-relative fences coincide
+    // with absolute virtual timestamps and --until can be passed straight
+    // through as a suspension point.
+    let plan = until.map_or_else(SnapshotPlan::none, SnapshotPlan::suspend_at);
+    let run = match resume(&plan) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("resume failed: {e}");
@@ -392,20 +367,9 @@ fn run_service_replay(
     };
     match run.end {
         MaestroRunEnd::Completed(report) => {
-            let c = handle.borrow().counters;
             println!("run completed past the requested point:");
             println!("{report}");
-            println!(
-                "requests: {} arrived / {} completed / {} shed / {} cancelled / \
-                 {} failed ({} retries spent, conservation gap {})",
-                c.arrived,
-                c.completed,
-                c.shed,
-                c.cancelled,
-                c.failed,
-                c.retries_spent,
-                c.conservation_gap(),
-            );
+            on_completed();
             std::process::exit(0);
         }
         MaestroRunEnd::Suspended(at) => {
@@ -463,7 +427,7 @@ fn run_fleet_replay(snap: &scenario::FleetNodeSnapshot, until: Option<u64>, path
         path
     );
     // Default horizon: one more coordination epoch past the capture point.
-    let target = until.unwrap_or(captured_ns + sc.config.epoch_ns);
+    let target = until.unwrap_or(captured_ns + EPOCH_NS);
     let before = node.trace().len();
     node.advance_to(target);
     println!(

@@ -20,9 +20,7 @@ use maestro_fleet::{Fleet, FleetConfig, FleetFaultPlan};
 use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
 use maestro_machine::{Cost, PState};
 use maestro_runtime::TaskSpec;
-use maestro_service::{
-    ArrivalConfig, GovernorConfig, ServiceConfig, ServiceHandle, ServiceSource, ServiceStack,
-};
+use maestro_service::{ArrivalConfig, ServiceConfig, ServiceHandle, ServiceSource, ServiceStack};
 
 /// A named, reproducible run recipe: configuration plus spec workload.
 #[derive(Clone, Debug)]
@@ -192,10 +190,10 @@ pub struct ServiceScenario {
     pub name: &'static str,
     /// Facade configuration.
     pub config: MaestroConfig,
-    /// The service workload: arrivals, admission, retries, request shape.
+    /// The service workload: arrivals, request classes, retry budget.
     pub service: ServiceConfig,
-    /// Governor configuration; `None` runs ungoverned (the storm demos).
-    pub governor: Option<GovernorConfig>,
+    /// The governor's p99 SLO; `None` runs ungoverned (the storm demos).
+    pub slo_p99_ns: Option<u64>,
 }
 
 /// Every service scenario name the registry resolves. The `svc-pareto-*`
@@ -246,32 +244,29 @@ fn pareto_service(seed: u64) -> ServiceConfig {
 /// the same recipe, so a snapshot taken under `service_scenario(n)` can be
 /// resumed by any process that can call `service_scenario(n)`.
 pub fn service_scenario(name: &str) -> Option<ServiceScenario> {
-    let (service, governor) = match name {
-        "svc-steady" => (
-            ServiceConfig::simple(101, 40_000.0, 60_000, 2_000_000),
-            Some(GovernorConfig::new(2_000_000)),
-        ),
+    let (service, slo_p99_ns) = match name {
+        "svc-steady" => (ServiceConfig::simple(101, 40_000.0, 60_000, 2_000_000), Some(2_000_000)),
         "svc-burst" => {
             let mut cfg = ServiceConfig::simple(102, 30_000.0, 60_000, 2_000_000);
             cfg.arrivals = bursty_arrivals(102, 30_000.0, 60_000);
-            (cfg, Some(GovernorConfig::new(2_000_000)))
+            (cfg, Some(2_000_000))
         }
         "svc-storm" => {
             let mut cfg = storm_service(103);
-            cfg.retry.budget = None;
+            cfg.retry_budget = None;
             (cfg, None)
         }
         "svc-storm-guarded" => (storm_service(103), None),
-        "svc-pareto-tight" => (pareto_service(104), Some(GovernorConfig::new(700_000))),
-        "svc-pareto-mid" => (pareto_service(104), Some(GovernorConfig::new(1_400_000))),
-        "svc-pareto-relaxed" => (pareto_service(104), Some(GovernorConfig::new(2_800_000))),
+        "svc-pareto-tight" => (pareto_service(104), Some(700_000)),
+        "svc-pareto-mid" => (pareto_service(104), Some(1_400_000)),
+        "svc-pareto-relaxed" => (pareto_service(104), Some(2_800_000)),
         _ => return None,
     };
     Some(ServiceScenario {
         name: SERVICE_SCENARIO_NAMES.iter().find(|&&n| n == name)?,
         config: MaestroConfig::fixed(16),
         service,
-        governor,
+        slo_p99_ns,
     })
 }
 
@@ -280,7 +275,7 @@ pub fn service_scenario(name: &str) -> Option<ServiceScenario> {
 /// to `try_run_service`/`run_service_captured`, and the shared handle the
 /// report layer reads after the run.
 pub fn service_facade(sc: &ServiceScenario) -> (Maestro, Box<ServiceSource>, ServiceHandle) {
-    let stack = ServiceStack::new(&sc.service, sc.governor.as_ref(), 0);
+    let stack = ServiceStack::new(&sc.service, sc.slo_p99_ns);
     let mut m = Maestro::new(sc.config.clone());
     if let Some(governor) = stack.governor {
         m.runtime_mut().add_monitor(Box::new(governor));
@@ -463,16 +458,13 @@ mod tests {
         // The storm pair differs only in the retry budget.
         let storm = service_scenario("svc-storm").unwrap();
         let guarded = service_scenario("svc-storm-guarded").unwrap();
-        assert!(storm.service.retry.budget.is_none(), "collapse demo runs unbudgeted");
-        assert!(guarded.service.retry.budget.is_some(), "recovery demo keeps the budget");
+        assert!(storm.service.retry_budget.is_none(), "collapse demo runs unbudgeted");
+        assert!(guarded.service.retry_budget.is_some(), "recovery demo keeps the budget");
         // The Pareto family is one workload under three SLOs.
         let tight = service_scenario("svc-pareto-tight").unwrap();
         let relaxed = service_scenario("svc-pareto-relaxed").unwrap();
         assert_eq!(tight.service, relaxed.service, "identical workload across the sweep");
-        assert!(
-            tight.governor.as_ref().unwrap().slo_p99_ns
-                < relaxed.governor.as_ref().unwrap().slo_p99_ns
-        );
+        assert!(tight.slo_p99_ns.unwrap() < relaxed.slo_p99_ns.unwrap());
     }
 
     #[test]

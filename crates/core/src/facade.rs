@@ -822,12 +822,12 @@ mod tests {
 
     #[test]
     fn service_run_completes_under_the_slo_governor() {
-        use maestro_service::{GovernorConfig, ServiceConfig, ServiceStack, ServiceSummary};
+        use maestro_service::{ServiceConfig, ServiceStack, ServiceSummary};
 
         let cfg = ServiceConfig::simple(5, 40_000.0, 2_000, 2_000_000);
-        let stack = ServiceStack::new(&cfg, Some(&GovernorConfig::new(1_500_000)), 0);
+        let stack = ServiceStack::new(&cfg, Some(1_500_000));
         let mut m = Maestro::new(MaestroConfig::fixed(16));
-        let governor = stack.governor.expect("a governor config yields a governor");
+        let governor = stack.governor.expect("an SLO yields a governor");
         m.runtime_mut().add_monitor(Box::new(governor));
         let r =
             m.try_run_service("svc", &mut (), stack.source).expect("healthy service run finishes");

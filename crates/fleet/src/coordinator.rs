@@ -31,55 +31,15 @@
 //! * **loss, duplication, reordering, partition, and crash are all safe**
 //!   for free: whatever subset of sent grants a node ends up holding, its
 //!   enforced cap is ≤ `assumed(n, t)`, and the floors sum below the cap
-//!   by construction ([`CoordinatorConfig::validate`]).
+//!   by construction ([`FleetConfig::validate`]).
 
 use maestro_rcr::BudgetLease;
 
-/// Static coordinator parameters.
-#[derive(Copy, Clone, Debug)]
-pub struct CoordinatorConfig {
-    /// Fleet size.
-    pub nodes: usize,
-    /// Nodes per rack (last rack may be short).
-    pub nodes_per_rack: usize,
-    /// The global cap the fleet must respect, Watts.
-    pub cluster_cap_w: f64,
-    /// Per-node conservative floor, Watts. Must satisfy
-    /// `nodes × floor ≤ cluster cap`.
-    pub floor_w: f64,
-    /// Coordination epoch length.
-    pub epoch_ns: u64,
-    /// Lease time-to-live. Longer than one epoch so a single lost grant
-    /// degrades nothing; the next epoch's grant renews the lease first.
-    pub lease_ttl_ns: u64,
-    /// A node view older than this is treated as dead air: the node is
-    /// held at its floor until it is heard from again.
-    pub view_stale_after_ns: u64,
-}
+use crate::sim::{FleetConfig, EPOCH_NS, FLOOR_W};
 
-impl CoordinatorConfig {
-    /// Panic unless the configuration can possibly be safe.
-    pub fn validate(&self) {
-        assert!(self.nodes > 0 && self.nodes_per_rack > 0);
-        assert!(self.cluster_cap_w > 0.0 && self.floor_w >= 0.0);
-        assert!(
-            self.nodes as f64 * self.floor_w <= self.cluster_cap_w,
-            "floors alone exceed the cluster cap: {} × {} > {}",
-            self.nodes,
-            self.floor_w,
-            self.cluster_cap_w
-        );
-        assert!(self.lease_ttl_ns > self.epoch_ns, "a lease must outlive one epoch");
-    }
-
-    fn rack_of(&self, node: usize) -> usize {
-        node / self.nodes_per_rack
-    }
-
-    fn racks(&self) -> usize {
-        self.nodes.div_ceil(self.nodes_per_rack)
-    }
-}
+/// A node view older than this is treated as dead air: the node is held at
+/// its floor until it is heard from again.
+const VIEW_STALE_AFTER_NS: u64 = 2 * EPOCH_NS + EPOCH_NS / 2;
 
 /// The coordinator's last-heard view of one node.
 #[derive(Copy, Clone, Debug)]
@@ -110,7 +70,7 @@ pub struct CoordinatorStats {
 /// See the module docs.
 #[derive(Clone, Debug)]
 pub struct Coordinator {
-    cfg: CoordinatorConfig,
+    cfg: FleetConfig,
     epoch: u64,
     views: Vec<Option<NodeView>>,
     /// Per node: every sent grant whose expiry has not passed yet.
@@ -119,8 +79,8 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// A coordinator that has heard from nobody.
-    pub fn new(cfg: CoordinatorConfig) -> Self {
+    /// A coordinator for the fleet `cfg` that has heard from nobody.
+    pub fn new(cfg: FleetConfig) -> Self {
         cfg.validate();
         Coordinator {
             epoch: 0,
@@ -131,9 +91,13 @@ impl Coordinator {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &CoordinatorConfig {
+    /// The fleet configuration.
+    pub fn config(&self) -> &FleetConfig {
         &self.cfg
+    }
+
+    fn rack_of(&self, node: usize) -> usize {
+        node / self.cfg.nodes_per_rack
     }
 
     /// Current coordination epoch (0 = none run yet).
@@ -158,7 +122,7 @@ impl Coordinator {
             .iter()
             .filter(|l| l.expires_ns > now_ns)
             .map(|l| l.cap_w)
-            .fold(self.cfg.floor_w, f64::max)
+            .fold(FLOOR_W, f64::max)
     }
 
     /// `Σ assumed(n, t)` — the quantity the allocator keeps ≤ cluster cap.
@@ -184,14 +148,12 @@ impl Coordinator {
         // demand (at least the floor) for the live.
         let demand: Vec<f64> = (0..self.cfg.nodes)
             .map(|n| match &self.views[n] {
-                Some(v)
-                    if v.up && now_ns.saturating_sub(v.stamp_ns) <= self.cfg.view_stale_after_ns =>
-                {
-                    v.demand_w.max(self.cfg.floor_w)
+                Some(v) if v.up && now_ns.saturating_sub(v.stamp_ns) <= VIEW_STALE_AFTER_NS => {
+                    v.demand_w.max(FLOOR_W)
                 }
                 _ => {
                     self.stats.stale_views += 1;
-                    self.cfg.floor_w
+                    FLOOR_W
                 }
             })
             .collect();
@@ -210,16 +172,15 @@ impl Coordinator {
             .collect();
 
         // Cluster → rack: slack proportional to rack want.
-        let racks = self.cfg.racks();
-        let mut rack_want = vec![0.0f64; racks];
+        let mut rack_want = vec![0.0f64; self.cfg.nodes.div_ceil(self.cfg.nodes_per_rack)];
         for n in 0..self.cfg.nodes {
-            rack_want[self.cfg.rack_of(n)] += want[n];
+            rack_want[self.rack_of(n)] += want[n];
         }
         let total_want: f64 = rack_want.iter().sum();
 
         let mut grants = Vec::with_capacity(self.cfg.nodes);
         for n in 0..self.cfg.nodes {
-            let rack = self.cfg.rack_of(n);
+            let rack = self.rack_of(n);
             // Rack → node: the rack's share proportional to node want.
             let extra = if total_want > 0.0 && rack_want[rack] > 0.0 {
                 let rack_extra = slack * rack_want[rack] / total_want;
@@ -229,7 +190,7 @@ impl Coordinator {
             };
             // Shrinks grant the (lower) demand outright; growth is capped
             // by the node's share of the slack.
-            let cap_w = demand[n].min(residual[n] + extra).max(self.cfg.floor_w);
+            let cap_w = demand[n].min(residual[n] + extra).max(FLOOR_W);
             let lease = BudgetLease { epoch: self.epoch, cap_w, expires_ns };
             self.outstanding[n].push(lease);
             self.stats.grants_sent += 1;
@@ -250,16 +211,10 @@ mod tests {
 
     const SEC: u64 = 1_000_000_000;
 
-    fn cfg(nodes: usize) -> CoordinatorConfig {
-        CoordinatorConfig {
-            nodes,
-            nodes_per_rack: 4,
-            cluster_cap_w: nodes as f64 * 100.0,
-            floor_w: 40.0,
-            epoch_ns: SEC,
-            lease_ttl_ns: 5 * SEC / 2,
-            view_stale_after_ns: 5 * SEC / 2,
-        }
+    fn cfg(nodes: usize) -> FleetConfig {
+        let mut cfg = FleetConfig::new(nodes, 100.0, 0);
+        cfg.nodes_per_rack = 4;
+        cfg
     }
 
     fn view(stamp_ns: u64, demand_w: f64) -> NodeView {
@@ -303,7 +258,7 @@ mod tests {
         let g0 = c.allocate(0);
         assert!(g0[2].cap_w > 40.0);
         // Nodes 2 & 3 partitioned: no new reports. 3 s later their stamps
-        // are beyond view_stale_after.
+        // are beyond VIEW_STALE_AFTER_NS.
         c.report(0, view(3 * SEC, 120.0));
         c.report(1, view(3 * SEC, 120.0));
         let g1 = c.allocate(3 * SEC);
@@ -371,7 +326,15 @@ mod tests {
     #[should_panic(expected = "floors alone exceed")]
     fn unsafe_floor_config_is_rejected() {
         let mut bad = cfg(4);
-        bad.floor_w = 200.0;
+        bad.cluster_cap_w = 4.0 * FLOOR_W - 1.0;
+        Coordinator::new(bad);
+    }
+
+    #[test]
+    #[should_panic(expected = "a lease must outlive one epoch")]
+    fn lease_within_one_epoch_is_rejected() {
+        let mut bad = cfg(4);
+        bad.lease_ttl_ns = EPOCH_NS;
         Coordinator::new(bad);
     }
 }

@@ -42,12 +42,11 @@ pub mod load;
 pub mod node;
 pub mod sim;
 
-pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorStats, NodeView};
+pub use coordinator::{Coordinator, CoordinatorStats, NodeView};
 pub use faults::FleetFaultPlan;
 pub use harness::{default_jobs, parallel_map};
-pub use load::{LoadParams, LoadProfile};
+pub use load::LoadProfile;
 pub use node::{
-    duty_for, NodeConfig, NodeEvent, NodeSim, NodeState, NodeStats, NodeWork, Telemetry,
-    GOVERNOR_MAX_LEVEL,
+    duty_for, NodeEvent, NodeSim, NodeState, NodeStats, NodeWork, Telemetry, GOVERNOR_MAX_LEVEL,
 };
-pub use sim::{Fleet, FleetConfig, FleetReport, NodeReport, GRANT_TRANSIT_NS};
+pub use sim::{Fleet, FleetConfig, FleetReport, NodeReport, EPOCH_NS, FLOOR_W, GRANT_TRANSIT_NS};

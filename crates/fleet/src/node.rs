@@ -13,9 +13,9 @@
 //!
 //! **Crash semantics.** A scheduled crash powers the machine off
 //! ([`maestro_machine::Machine::set_powered`]): 0 W, no energy, passive
-//! cooling, volatile state gone. The node-level restart policy *mirrors
-//! [`maestro_rcr::Supervisor`]* — it literally reuses
-//! [`SupervisorConfig`]: exponential backoff between restart attempts
+//! cooling, volatile state gone. The node restarts by the daemon
+//! supervisor's rule, [`SupervisorConfig::restart_backoff_ns`] under the
+//! stock [`SupervisorConfig`]: exponential backoff between restart attempts
 //! under a total restart budget, after which the node stays dark for good.
 //! A restarted node boots with a fresh daemon incarnation (its fault
 //! stream deterministically derived from `(fleet seed, node, incarnation)`)
@@ -35,59 +35,19 @@ use maestro_rcr::{
 };
 
 use crate::faults::FleetFaultPlan;
-use crate::load::{LoadParams, LoadProfile};
+use crate::load::LoadProfile;
+use crate::sim::FLOOR_W;
 
 /// Governor throttle ladder: level `g` programs duty `32 >> g` on every
 /// core, so level 0 is FULL duty and [`GOVERNOR_MAX_LEVEL`] is `MIN`.
 pub const GOVERNOR_MAX_LEVEL: u8 = 5;
 
+/// Governor decision period.
+const GOVERNOR_PERIOD_NS: u64 = 100_000_000;
+
 /// The duty cycle the governor programs at ladder `level`.
 pub fn duty_for(level: u8) -> DutyCycle {
     DutyCycle::new(32 >> level.min(GOVERNOR_MAX_LEVEL)).expect("32>>g is a valid duty level")
-}
-
-/// Static configuration of one node (everything a snapshot does *not*
-/// carry; restore rebuilds the node from this and replays the state).
-#[derive(Clone, Debug)]
-pub struct NodeConfig {
-    /// Node index in the fleet.
-    pub id: usize,
-    /// Fleet size (for the rolling-wave phase shift).
-    pub n_nodes: usize,
-    /// Conservative local safe cap: enforced whenever no lease is held.
-    pub floor_w: f64,
-    /// Governor decision period.
-    pub governor_period_ns: u64,
-    /// RCR daemon sample period.
-    pub sample_period_ns: u64,
-    /// Node-level crash-restart policy (backoff/budget semantics of
-    /// [`SupervisorConfig`], applied to the whole node).
-    pub restart: SupervisorConfig,
-    /// Demand-estimate intercept: idle whole-node Watts.
-    pub idle_node_w: f64,
-    /// Demand-estimate slope: Watts per busy core at intensity 1.
-    pub per_core_w: f64,
-    /// Load-wave parameters.
-    pub load: LoadParams,
-}
-
-impl NodeConfig {
-    /// Defaults for node `id` of `n_nodes`: 40 W floor, 100 ms governor
-    /// and daemon periods, the stock supervisor restart policy, and the
-    /// default rolling wave.
-    pub fn new(id: usize, n_nodes: usize) -> Self {
-        NodeConfig {
-            id,
-            n_nodes,
-            floor_w: 40.0,
-            governor_period_ns: 100_000_000,
-            sample_period_ns: 100_000_000,
-            restart: SupervisorConfig::default(),
-            idle_node_w: 55.0,
-            per_core_w: 5.5,
-            load: LoadParams::default(),
-        }
-    }
 }
 
 /// One entry of a node's degradation trace.
@@ -132,13 +92,13 @@ pub enum NodeEvent {
 impl NodeEvent {
     /// The enforced-cap change this event implies, if any, for the
     /// cap-safety timeline: `Some(new_cap_w)` when the event moves the cap.
-    pub fn cap_change_w(&self, floor_w: f64) -> Option<f64> {
+    pub fn cap_change_w(&self) -> Option<f64> {
         match self {
             NodeEvent::LeaseOffer { cap_w, decision: LeaseDecision::Applied, .. } => Some(*cap_w),
             NodeEvent::LeaseExpired { floor_w: f } => Some(*f),
             // A crash drops draw to 0 and a reboot holds an empty slot:
             // both enforce (at most) the floor.
-            NodeEvent::Crashed | NodeEvent::Restarted { .. } => Some(floor_w),
+            NodeEvent::Crashed | NodeEvent::Restarted { .. } => Some(FLOOR_W),
             _ => None,
         }
     }
@@ -251,7 +211,7 @@ impl std::ops::AddAssign for NodeWork {
 /// One node of the fleet. See the module docs for the model.
 #[derive(Clone, Debug)]
 pub struct NodeSim {
-    cfg: NodeConfig,
+    id: usize,
     faults: FleetFaultPlan,
     machine: Machine,
     sup: Supervisor,
@@ -281,20 +241,19 @@ pub struct NodeSim {
 }
 
 impl NodeSim {
-    /// Build node `cfg.id` at virtual time 0, powered and idle. The node
-    /// keeps `faults` as a shared handle and copies out only its own crash
-    /// instants.
-    pub fn new(cfg: NodeConfig, faults: FleetFaultPlan) -> Self {
+    /// Build node `id` of a fleet of `n_nodes` at virtual time 0, powered
+    /// and idle. The node keeps `faults` as a shared handle and copies out
+    /// only its own crash instants.
+    pub fn new(id: usize, n_nodes: usize, faults: FleetFaultPlan) -> Self {
         let machine = Machine::new(MachineConfig::sandybridge_2x8());
-        let sup = Self::build_supervisor(&machine, &cfg, &faults, 0);
-        let load = LoadProfile::new(cfg.load, cfg.id, cfg.n_nodes);
-        let lease = LeaseSlot::new(cfg.floor_w);
+        let sup = Self::build_supervisor(&machine, id, &faults, 0);
         NodeSim {
-            governor_due_ns: cfg.governor_period_ns,
+            id,
+            governor_due_ns: GOVERNOR_PERIOD_NS,
             throttle_level: 0,
             load_active: 0,
             load_due_ns: 0,
-            crashes: faults.crashes_for(cfg.id).to_vec(),
+            crashes: faults.crashes_for(id).to_vec(),
             crash_idx: 0,
             restart_due_ns: None,
             incarnation: 0,
@@ -305,22 +264,20 @@ impl NodeSim {
             work: NodeWork::default(),
             machine,
             sup,
-            lease,
-            load,
+            lease: LeaseSlot::new(FLOOR_W),
+            load: LoadProfile::new(id, n_nodes),
             faults,
-            cfg,
         }
     }
 
     fn build_supervisor(
         machine: &Machine,
-        cfg: &NodeConfig,
+        id: usize,
         faults: &FleetFaultPlan,
         incarnation: u32,
     ) -> Supervisor {
-        let sup =
-            Supervisor::with_period(machine, cfg.sample_period_ns, SupervisorConfig::default());
-        match faults.node_daemon_faults(cfg.id, incarnation) {
+        let sup = Supervisor::new(machine, SupervisorConfig::default());
+        match faults.node_daemon_faults(id, incarnation) {
             Some(plan) => sup.with_faults(plan),
             None => sup,
         }
@@ -328,12 +285,7 @@ impl NodeSim {
 
     /// Node index.
     pub fn id(&self) -> usize {
-        self.cfg.id
-    }
-
-    /// The node's static configuration.
-    pub fn config(&self) -> &NodeConfig {
-        &self.cfg
+        self.id
     }
 
     /// Current virtual time.
@@ -366,7 +318,7 @@ impl NodeSim {
         if !self.up() {
             return 0.0;
         }
-        self.load.demand_w(self.machine.now_ns(), self.cfg.idle_node_w, self.cfg.per_core_w)
+        self.load.demand_w(self.machine.now_ns())
     }
 
     /// Lifetime tallies (lease counters folded across reboots).
@@ -509,7 +461,7 @@ impl NodeSim {
 
         // 6. Governor decision.
         while self.governor_due_ns <= now {
-            self.governor_due_ns += self.cfg.governor_period_ns;
+            self.governor_due_ns += GOVERNOR_PERIOD_NS;
             self.work.governor_decisions += 1;
             self.govern();
         }
@@ -531,23 +483,14 @@ impl NodeSim {
         self.lease_totals.0 += a;
         self.lease_totals.1 += d;
         self.lease_totals.2 += e;
-        self.lease = LeaseSlot::new(self.cfg.floor_w);
+        self.lease = LeaseSlot::new(FLOOR_W);
         self.throttle_level = 0;
         self.load_active = 0;
-        if self.stats.restarts >= u64::from(self.cfg.restart.restart_budget) {
+        let backoff = SupervisorConfig::default().restart_backoff_ns(self.stats.restarts);
+        self.restart_due_ns = backoff.map(|b| self.machine.now_ns() + b);
+        if backoff.is_none() {
             self.stats.gave_up = true;
             self.push_event(NodeEvent::GaveUp);
-            self.restart_due_ns = None;
-        } else {
-            // Exponential backoff, mirroring the daemon supervisor.
-            let shift = self.stats.restarts.min(32) as u32;
-            let backoff = self
-                .cfg
-                .restart
-                .initial_backoff_ns
-                .saturating_mul(u64::from(self.cfg.restart.backoff_multiplier).pow(shift))
-                .min(self.cfg.restart.max_backoff_ns);
-            self.restart_due_ns = Some(self.machine.now_ns() + backoff);
         }
     }
 
@@ -555,10 +498,9 @@ impl NodeSim {
         self.machine.set_powered(true);
         self.incarnation += 1;
         self.stats.restarts += 1;
-        self.sup = Self::build_supervisor(&self.machine, &self.cfg, &self.faults, self.incarnation);
+        self.sup = Self::build_supervisor(&self.machine, self.id, &self.faults, self.incarnation);
         let now = self.machine.now_ns();
-        let period = self.cfg.governor_period_ns;
-        self.governor_due_ns = (now / period + 1) * period;
+        self.governor_due_ns = (now / GOVERNOR_PERIOD_NS + 1) * GOVERNOR_PERIOD_NS;
         self.load_due_ns = now; // re-apply the wave immediately
         self.push_event(NodeEvent::Restarted { incarnation: self.incarnation });
     }
@@ -572,7 +514,7 @@ impl NodeSim {
             return Telemetry::Warmup;
         }
         let now = self.machine.now_ns();
-        if !bb.is_healthy() || bb.staleness_ns(now) > 3 * self.cfg.sample_period_ns {
+        if !bb.is_healthy() || bb.staleness_ns(now) > 3 * self.sup.period_ns() {
             return Telemetry::Dark;
         }
         Telemetry::Power(bb.node_power_w())
@@ -633,15 +575,15 @@ impl NodeSim {
     // -----------------------------------------------------------------
 
     /// The snapshot codec for the node's full dynamic state (see
-    /// [`Codec`]). Decoding requires a node built from the same
-    /// [`NodeConfig`] and [`FleetFaultPlan`].
+    /// [`Codec`]). Decoding requires a node built with the same id, fleet
+    /// size and [`FleetFaultPlan`].
     pub fn codec<C: Codec>(&self, c: &mut C) -> Result<NodeState, SnapError> {
         let machine = self.machine.codec(c)?;
         let incarnation = c.u32(self.incarnation)?;
         // The daemon incarnation's fault stream depends on the incarnation
         // number: the reader decodes into a supervisor rebuilt to match.
         let sup = if C::DECODING {
-            Self::build_supervisor(&self.machine, &self.cfg, &self.faults, incarnation).codec(c)?
+            Self::build_supervisor(&self.machine, self.id, &self.faults, incarnation).codec(c)?
         } else {
             self.sup.codec(c)?
         };
@@ -728,7 +670,7 @@ mod tests {
     const SEC: u64 = 1_000_000_000;
 
     fn node(faults: FleetFaultPlan) -> NodeSim {
-        NodeSim::new(NodeConfig::new(0, 4), faults)
+        NodeSim::new(0, 4, faults)
     }
 
     fn grant(epoch: u64, cap_w: f64, expires_ns: u64) -> BudgetLease {
@@ -748,7 +690,7 @@ mod tests {
             .find(|(_, e)| matches!(e, NodeEvent::LeaseExpired { .. }))
             .expect("lease must expire");
         assert_eq!(expiry.0, 3 * SEC + 123, "event-timer precision, not a poll grid point");
-        assert_eq!(n.enforced_cap_w(), n.config().floor_w);
+        assert_eq!(n.enforced_cap_w(), FLOOR_W);
         // The governor slammed to the max ladder level at the same instant.
         let slam = n
             .trace()
@@ -766,7 +708,7 @@ mod tests {
         n.advance_to(SEC);
         assert!(!n.up(), "crash at 1 s");
         assert_eq!(n.power_w(), 0.0);
-        assert_eq!(n.enforced_cap_w(), n.config().floor_w, "RAM gone: lease forgotten");
+        assert_eq!(n.enforced_cap_w(), FLOOR_W, "RAM gone: lease forgotten");
         n.advance_to(20 * SEC);
         assert!(n.up(), "restarted after backoff");
         let s = n.stats();
@@ -778,7 +720,7 @@ mod tests {
             .iter()
             .find(|(_, e)| matches!(e, NodeEvent::Restarted { .. }))
             .expect("restart event");
-        assert_eq!(restart.0, SEC + n.config().restart.initial_backoff_ns);
+        assert_eq!(restart.0, SEC + SupervisorConfig::default().initial_backoff_ns);
     }
 
     #[test]
@@ -789,7 +731,7 @@ mod tests {
         n.advance_to(30 * SEC);
         let s = n.stats();
         assert!(s.gave_up);
-        assert_eq!(s.restarts, u64::from(n.config().restart.restart_budget));
+        assert_eq!(s.restarts, u64::from(SupervisorConfig::default().restart_budget));
         assert!(!n.up());
         assert!(n.trace().iter().any(|(_, e)| matches!(e, NodeEvent::GaveUp)));
         // Energy stopped accruing once dark.
@@ -866,14 +808,14 @@ mod tests {
                 .with_node_crashes(0, &[3 * SEC])
                 .with_daemon_faults(0.01, 900_000_000)
         };
-        let mut a = NodeSim::new(NodeConfig::new(0, 4), faults());
+        let mut a = NodeSim::new(0, 4, faults());
         a.deliver(0, grant(1, 100.0, 2 * SEC));
         a.deliver(SEC, grant(2, 95.0, 5 * SEC));
         a.advance_to(7 * SEC / 2);
         let mut w = SnapWriter::new();
         a.codec(&mut w).unwrap();
         let bytes = w.finish();
-        let mut b = NodeSim::new(NodeConfig::new(0, 4), faults());
+        let mut b = NodeSim::new(0, 4, faults());
         let mut r = SnapReader::new(&bytes);
         let st = b.codec(&mut r).unwrap();
         r.finish().unwrap();

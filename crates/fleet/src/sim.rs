@@ -25,11 +25,10 @@
 
 use maestro_machine::snap::{fingerprint, Codec, SnapError, SnapReader, SnapWriter};
 
-use crate::coordinator::{Coordinator, CoordinatorConfig, CoordinatorStats, NodeView};
+use crate::coordinator::{Coordinator, CoordinatorStats, NodeView};
 use crate::faults::FleetFaultPlan;
 use crate::harness::parallel_map;
-use crate::load::LoadParams;
-use crate::node::{NodeConfig, NodeSim, NodeState, NodeStats, NodeWork};
+use crate::node::{NodeSim, NodeState, NodeStats, NodeWork};
 
 /// Grant-message base transit latency (applied to every delivery, before
 /// any fault-plan delay).
@@ -38,6 +37,14 @@ pub const GRANT_TRANSIT_NS: u64 = 1_000_000;
 /// Extra lag of the duplicate copy behind the original.
 const DUP_LAG_NS: u64 = 500_000;
 
+/// Per-node conservative floor cap, Watts: what a node enforces whenever it
+/// holds no lease, and what the coordinator assumes of a node it has not
+/// heard from.
+pub const FLOOR_W: f64 = 40.0;
+
+/// Coordination epoch.
+pub const EPOCH_NS: u64 = 1_000_000_000;
+
 /// Everything needed to build a fleet deterministically.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -45,65 +52,54 @@ pub struct FleetConfig {
     pub nodes: usize,
     /// Nodes per rack for the hierarchical split.
     pub nodes_per_rack: usize,
-    /// Cluster power cap, Watts.
+    /// Cluster power cap, Watts. Must cover every node's floor.
     pub cluster_cap_w: f64,
-    /// Per-node conservative floor, Watts.
-    pub floor_w: f64,
-    /// Coordination epoch.
-    pub epoch_ns: u64,
-    /// Lease TTL (must exceed the epoch).
+    /// Lease time-to-live. Longer than one epoch so a single lost grant
+    /// degrades nothing; the next epoch's grant renews the lease first.
     pub lease_ttl_ns: u64,
-    /// Load-wave parameters shared by all nodes.
-    pub load: LoadParams,
     /// The fleet fault schedule.
     pub faults: FleetFaultPlan,
 }
 
 impl FleetConfig {
     /// A fleet of `nodes` nodes with a cluster cap of `cap_per_node_w`
-    /// Watts per node, 1 s epochs, 2.5 s leases, the default wave, and no
-    /// faults (seeded `seed`).
+    /// Watts per node, racks of 8, 2.5 s leases, and no faults (seeded
+    /// `seed`).
     pub fn new(nodes: usize, cap_per_node_w: f64, seed: u64) -> Self {
         FleetConfig {
             nodes,
             nodes_per_rack: 8,
             cluster_cap_w: nodes as f64 * cap_per_node_w,
-            floor_w: 40.0,
-            epoch_ns: 1_000_000_000,
             lease_ttl_ns: 2_500_000_000,
-            load: LoadParams::default(),
             faults: FleetFaultPlan::new(seed),
         }
     }
 
-    fn coordinator_config(&self) -> CoordinatorConfig {
-        CoordinatorConfig {
-            nodes: self.nodes,
-            nodes_per_rack: self.nodes_per_rack,
-            cluster_cap_w: self.cluster_cap_w,
-            floor_w: self.floor_w,
-            epoch_ns: self.epoch_ns,
-            lease_ttl_ns: self.lease_ttl_ns,
-            view_stale_after_ns: 2 * self.epoch_ns + self.epoch_ns / 2,
-        }
-    }
-
-    fn node_config(&self, id: usize) -> NodeConfig {
-        let mut cfg = NodeConfig::new(id, self.nodes);
-        cfg.floor_w = self.floor_w;
-        cfg.load = self.load;
-        cfg
+    /// Panic unless the configuration can possibly be safe.
+    pub fn validate(&self) {
+        assert!(self.nodes > 0 && self.nodes_per_rack > 0);
+        assert!(self.cluster_cap_w > 0.0);
+        assert!(
+            self.nodes as f64 * FLOOR_W <= self.cluster_cap_w,
+            "floors alone exceed the cluster cap: {} × {} > {}",
+            self.nodes,
+            FLOOR_W,
+            self.cluster_cap_w
+        );
+        assert!(self.lease_ttl_ns > EPOCH_NS, "a lease must outlive one epoch");
     }
 
     /// Fingerprint of everything a node snapshot must be restored against.
+    /// The floor and epoch bytes stay in the key, so node snapshots keep
+    /// their fingerprint.
     fn snapshot_fingerprint(&self) -> u64 {
         let mut key = Vec::new();
         key.extend_from_slice(b"maestro-fleet-node/v1");
         key.extend_from_slice(&(self.nodes as u64).to_le_bytes());
         key.extend_from_slice(&(self.nodes_per_rack as u64).to_le_bytes());
         key.extend_from_slice(&self.cluster_cap_w.to_le_bytes());
-        key.extend_from_slice(&self.floor_w.to_le_bytes());
-        key.extend_from_slice(&self.epoch_ns.to_le_bytes());
+        key.extend_from_slice(&FLOOR_W.to_le_bytes());
+        key.extend_from_slice(&EPOCH_NS.to_le_bytes());
         key.extend_from_slice(&self.lease_ttl_ns.to_le_bytes());
         key.extend_from_slice(&self.faults.seed().to_le_bytes());
         fingerprint(&key)
@@ -245,10 +241,9 @@ pub struct Fleet {
 impl Fleet {
     /// Build the fleet at virtual time 0.
     pub fn new(cfg: FleetConfig) -> Self {
-        let coord = Coordinator::new(cfg.coordinator_config());
-        let nodes = (0..cfg.nodes)
-            .map(|id| NodeSim::new(cfg.node_config(id), cfg.faults.clone()))
-            .collect();
+        let coord = Coordinator::new(cfg.clone());
+        let nodes =
+            (0..cfg.nodes).map(|id| NodeSim::new(id, cfg.nodes, cfg.faults.clone())).collect();
         Fleet {
             nodes,
             coord,
@@ -299,7 +294,7 @@ impl Fleet {
     }
 
     fn step_epoch(&mut self, jobs: usize) {
-        let t_end = self.now_ns + self.cfg.epoch_ns;
+        let t_end = self.now_ns + EPOCH_NS;
 
         // 1. Fan out: each node advances independently to the boundary.
         let nodes = std::mem::take(&mut self.nodes);
@@ -365,15 +360,14 @@ impl Fleet {
         // event's position in its node trace.
         let mut changes: Vec<(u64, usize, usize, f64)> = Vec::new();
         for node in &self.nodes {
-            let floor = node.config().floor_w;
             for (seq, (t, e)) in node.trace().iter().enumerate() {
-                if let Some(cap) = e.cap_change_w(floor) {
+                if let Some(cap) = e.cap_change_w() {
                     changes.push((*t, node.id(), seq, cap));
                 }
             }
         }
         changes.sort_unstable_by(|a, b| (a.0, a.1, a.2).partial_cmp(&(b.0, b.1, b.2)).expect("ints"));
-        let mut caps: Vec<f64> = self.nodes.iter().map(|n| n.config().floor_w).collect();
+        let mut caps = vec![FLOOR_W; self.nodes.len()];
         let mut sum: f64 = caps.iter().sum();
         let mut peak = sum;
         let mut violations = 0u64;
@@ -479,7 +473,7 @@ impl Fleet {
             return Err(SnapError::Corrupt("node index out of range for fleet config"));
         }
         let captured_ns = c.u64(now_ns)?;
-        let fresh = live.is_none().then(|| NodeSim::new(cfg.node_config(id), cfg.faults.clone()));
+        let fresh = live.is_none().then(|| NodeSim::new(id, cfg.nodes, cfg.faults.clone()));
         let st = live.or(fresh.as_ref()).expect("a live or fresh node").codec(c)?;
         Ok((st, captured_ns))
     }

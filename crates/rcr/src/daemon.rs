@@ -71,6 +71,17 @@ pub struct DaemonHealth {
     pub outlier_periods: u64,
 }
 
+impl std::ops::AddAssign for DaemonHealth {
+    fn add_assign(&mut self, o: DaemonHealth) {
+        self.published += o.published;
+        self.dropped += o.dropped;
+        self.probe_failures += o.probe_failures;
+        self.retried_samples += o.retried_samples;
+        self.stuck_periods += o.stuck_periods;
+        self.outlier_periods += o.outlier_periods;
+    }
+}
+
 impl DaemonHealth {
     /// The snapshot codec for the tallies (see [`Codec`]).
     pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {

@@ -47,6 +47,26 @@ pub struct SupervisorConfig {
     pub wedge_timeout_ns: Option<u64>,
 }
 
+impl SupervisorConfig {
+    /// The backoff before the next restart after `restarts` restarts have
+    /// been spent, or `None` once that exhausts the budget:
+    /// `initial · multiplier^restarts`, saturating, capped at
+    /// `max_backoff_ns`.
+    pub fn restart_backoff_ns(&self, restarts: u64) -> Option<u64> {
+        if restarts >= u64::from(self.restart_budget) {
+            return None;
+        }
+        let mut b = self.initial_backoff_ns;
+        for _ in 0..restarts {
+            b = b.saturating_mul(u64::from(self.backoff_multiplier));
+            if b >= self.max_backoff_ns {
+                break;
+            }
+        }
+        Some(b.min(self.max_backoff_ns))
+    }
+}
+
 impl Default for SupervisorConfig {
     /// Five restarts, 50 ms initial backoff doubling to a 1 s ceiling, no
     /// wedge detection (opt in; the controller's safe mode already covers
@@ -201,13 +221,7 @@ impl Supervisor {
     pub fn health(&self) -> DaemonHealth {
         let mut h = self.dead_health;
         if let Some(d) = &self.daemon {
-            let c = d.health();
-            h.published += c.published;
-            h.dropped += c.dropped;
-            h.probe_failures += c.probe_failures;
-            h.retried_samples += c.retried_samples;
-            h.stuck_periods += c.stuck_periods;
-            h.outlier_periods += c.outlier_periods;
+            h += d.health();
         }
         h
     }
@@ -277,35 +291,17 @@ impl Supervisor {
         self.blackboard.install(st.blackboard);
     }
 
-    fn backoff_for_restart(&self, nth: u64) -> u64 {
-        let mut b = self.cfg.initial_backoff_ns;
-        for _ in 0..nth {
-            b = b.saturating_mul(u64::from(self.cfg.backoff_multiplier));
-            if b >= self.cfg.max_backoff_ns {
-                return self.cfg.max_backoff_ns;
-            }
-        }
-        b.min(self.cfg.max_backoff_ns)
-    }
-
     /// Tear down the current incarnation (if any) at `now_ns`.
     fn kill(&mut self, now_ns: u64, wedge: bool) {
         let Some(d) = self.daemon.take() else { return };
         // Preserve the dead incarnation's tallies; its in-flight windows and
         // probe state die with it (the checkpoint carries what must survive).
-        let h = d.health();
-        self.dead_health.published += h.published;
-        self.dead_health.dropped += h.dropped;
-        self.dead_health.probe_failures += h.probe_failures;
-        self.dead_health.retried_samples += h.retried_samples;
-        self.dead_health.stuck_periods += h.stuck_periods;
-        self.dead_health.outlier_periods += h.outlier_periods;
+        self.dead_health += d.health();
         self.stats.kills += 1;
         self.stats.wedge_kills += u64::from(wedge);
-        if self.stats.restarts >= u64::from(self.cfg.restart_budget) {
-            self.stats.gave_up = true;
-        } else {
-            self.down_until_ns = now_ns + self.backoff_for_restart(self.stats.restarts);
+        match self.cfg.restart_backoff_ns(self.stats.restarts) {
+            Some(backoff) => self.down_until_ns = now_ns + backoff,
+            None => self.stats.gave_up = true,
         }
     }
 
@@ -475,19 +471,24 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_is_capped() {
-        let m = busy_machine();
         let cfg = SupervisorConfig {
+            restart_budget: 64,
             initial_backoff_ns: 50,
             backoff_multiplier: 2,
             max_backoff_ns: 300,
             ..SupervisorConfig::default()
         };
-        let sup = Supervisor::new(&m, cfg);
-        assert_eq!(sup.backoff_for_restart(0), 50);
-        assert_eq!(sup.backoff_for_restart(1), 100);
-        assert_eq!(sup.backoff_for_restart(2), 200);
-        assert_eq!(sup.backoff_for_restart(3), 300, "capped");
-        assert_eq!(sup.backoff_for_restart(10), 300, "no overflow at depth");
+        assert_eq!(cfg.restart_backoff_ns(0), Some(50));
+        assert_eq!(cfg.restart_backoff_ns(1), Some(100));
+        assert_eq!(cfg.restart_backoff_ns(2), Some(200));
+        assert_eq!(cfg.restart_backoff_ns(3), Some(300), "capped");
+        assert_eq!(cfg.restart_backoff_ns(10), Some(300), "no overflow at depth");
+        assert_eq!(cfg.restart_backoff_ns(64), None, "budget spent");
+        // The stock policy: 50, 100, 200, 400, 800 ms, then give up.
+        let stock = SupervisorConfig::default();
+        let ms: Vec<Option<u64>> =
+            (0..6).map(|n| stock.restart_backoff_ns(n).map(|b| b / 1_000_000)).collect();
+        assert_eq!(ms, [Some(50), Some(100), Some(200), Some(400), Some(800), None]);
     }
 
     #[test]

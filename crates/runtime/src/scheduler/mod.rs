@@ -1919,24 +1919,6 @@ mod tests {
     }
 
     #[test]
-    fn runtime_level_snapshot_round_trips() {
-        // The machine-layer Runtime::snapshot/restore pair (no task graph).
-        let mut rt = runtime(4);
-        rt.set_task_faults(Some(FaultPlan::new(9).with_task_panic_at_steps(&[1000])));
-        rt.machine_mut().advance(3_000_000);
-        let bytes = rt.snapshot();
-        let mut rt2 = runtime(4);
-        rt2.set_task_faults(Some(FaultPlan::new(9).with_task_panic_at_steps(&[1000])));
-        rt2.restore(&bytes).unwrap();
-        assert_eq!(rt2.machine().now_ns(), rt.machine().now_ns());
-        assert_eq!(
-            rt2.machine().total_energy_joules().to_bits(),
-            rt.machine().total_energy_joules().to_bits()
-        );
-        assert_eq!(rt2.snapshot(), bytes, "re-snapshot is byte-identical");
-    }
-
-    #[test]
     fn monitors_survive_suspension() {
         // A PowerTrace keeps sampling across the suspend/resume boundary and
         // ends with the same serialized state (deadline + full sample list)

@@ -5,11 +5,11 @@
 use std::collections::VecDeque;
 
 use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
-use maestro_machine::{Actuator, FaultCursor, FaultPlan, Machine};
+use maestro_machine::{Actuator, FaultPlan};
 
 use super::error::{RuntimeError, TaskFailure};
 use super::segment::{Segment, WorkerState};
-use super::{Exec, LoopEnd, RunAnchors, RunScalars, Runtime, Shepherd, TaskId, TaskRecord};
+use super::{Exec, LoopEnd, RunAnchors, RunScalars, Shepherd, TaskId, TaskRecord};
 use crate::cancel::CancelToken;
 use crate::report::RunOutcome;
 use crate::spec::{SpecTask, TaskSpec};
@@ -77,7 +77,8 @@ pub enum RunEnd {
     /// run start (a resumed run reports exactly like an unbroken one).
     Completed(RunOutcome),
     /// The run reached its [`SnapshotPlan::suspend_at_ns`] fence and parked;
-    /// feed the capture to [`Runtime::resume_captured`] to continue it.
+    /// feed the capture to [`crate::Runtime::resume_captured`] to continue
+    /// it.
     Suspended(RunCapture),
     /// The run failed mid-flight (panic, deadlock, deadline). Cadence
     /// snapshots taken before the failure are still returned — they are the
@@ -126,77 +127,6 @@ pub(super) struct CaptureCtl {
     suspended: Option<RunCapture>,
     /// First serialization failure; surfaced after teardown.
     error: Option<SnapError>,
-}
-
-/// The runtime block decoded by `Runtime::state_codec`.
-struct RuntimeState {
-    machine: Option<Machine>,
-    actuator: Option<Actuator>,
-    task_faults: Option<FaultCursor>,
-    throttled: bool,
-}
-
-impl Runtime {
-    /// Serialize the runtime's between-runs state: machine, actuator, task
-    /// fault cursor, throttle flag, and every monitor. This is the warm-state
-    /// snapshot for fork-style sweeps — capture once after warm-up, restore
-    /// into N runtimes whose configs differ only in policy knobs, and run a
-    /// variant in each. For capturing *mid-run* state use
-    /// [`Runtime::run_captured`].
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.header(self.config_fingerprint());
-        self.state_codec(&mut w).expect("live state encodes");
-        self.monitors_codec(&mut w).expect("live state encodes");
-        w.finish()
-    }
-
-    /// Restore state captured by [`Runtime::snapshot`] into this runtime.
-    /// The static configuration must match the captured one (fingerprint
-    /// check); monitors are restored in registration order.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
-        let mut r = SnapReader::new(bytes);
-        r.header(self.config_fingerprint())?;
-        let st = self.state_codec(&mut r)?;
-        let monitors = self.monitors_codec(&mut r)?;
-        r.finish()?;
-        self.install(st, monitors)
-    }
-
-    /// The runtime block's snapshot codec (see [`Codec`]): machine,
-    /// actuator, task-fault cursor, and the throttle flag (the limit is
-    /// configuration).
-    fn state_codec<K: Codec>(&self, c: &mut K) -> Result<RuntimeState, SnapError> {
-        Ok(RuntimeState {
-            machine: self.machine.codec(c)?,
-            actuator: self.actuator.codec(c)?,
-            task_faults: FaultPlan::cursor_codec(self.task_faults.as_ref(), c)?,
-            throttled: c.bool(self.throttle.active)?,
-        })
-    }
-
-    /// Every monitor, each framed so restore can verify full consumption of
-    /// its section. Decoding yields the sections for [`Runtime::install`].
-    fn monitors_codec<K: Codec>(&self, c: &mut K) -> Result<Vec<Vec<u8>>, SnapError> {
-        c.seq_fixed(&self.monitors, "monitor count mismatch", |c, m| c.framed(|w| m.snap_state(w)))
-    }
-
-    /// Install decoded runtime state, then restore every monitor from its
-    /// section, in registration order, against the installed machine.
-    fn install(&mut self, st: RuntimeState, monitors: Vec<Vec<u8>>) -> Result<(), SnapError> {
-        if let (Some(machine), Some(actuator)) = (st.machine, st.actuator) {
-            self.machine = machine;
-            self.actuator = actuator;
-        }
-        FaultPlan::install_cursor(self.task_faults.as_ref(), st.task_faults);
-        self.throttle.active = st.throttled;
-        for (m, section) in self.monitors.iter_mut().zip(&monitors) {
-            let mut r = SnapReader::new(section);
-            m.restore_state(&self.machine, &mut r)?;
-            r.finish()?;
-        }
-        Ok(())
-    }
 }
 
 impl RunAnchors {
@@ -587,8 +517,13 @@ impl<'r, C: 'static> Exec<'r, C> {
     ) -> Result<Option<impl FnOnce(&mut Self) -> Result<(), SnapError>>, SnapError> {
         // Run anchors: reporting stays relative to the original start.
         let anchors = self.anchors.codec(c)?;
-        let rt = self.rt.state_codec(c)?;
-        let clock_ns = rt.machine.as_ref().unwrap_or(&self.rt.machine).now_ns();
+        // The runtime block: machine, actuator, task-fault cursor, and the
+        // throttle flag (the limit is configuration).
+        let machine = self.rt.machine.codec(c)?;
+        let actuator = self.rt.actuator.codec(c)?;
+        let task_faults = FaultPlan::cursor_codec(self.rt.task_faults.as_ref(), c)?;
+        let throttled = c.bool(self.rt.throttle.active)?;
+        let clock_ns = machine.as_ref().unwrap_or(&self.rt.machine).now_ns();
         if anchors.start_ns > clock_ns {
             return Err(SnapError::Corrupt("run starts after the machine clock"));
         }
@@ -609,7 +544,11 @@ impl<'r, C: 'static> Exec<'r, C> {
             c.seq_fixed(&self.shepherds, "shepherd count mismatch", |c, s| s.codec(c))?;
         let workers =
             c.seq_fixed(&self.workers, "worker count mismatch", |c, w| w.codec(c, clock_ns))?;
-        let monitors = self.rt.monitors_codec(c)?;
+        // Every monitor, each framed so restore can verify full consumption
+        // of its section.
+        let monitors = c.seq_fixed(&self.rt.monitors, "monitor count mismatch", |c, m| {
+            c.framed(|w| m.snap_state(w))
+        })?;
         if c.bool(self.service.is_some())? != self.service.is_some() {
             return Err(SnapError::Corrupt("service section does not match run mode"));
         }
@@ -620,7 +559,7 @@ impl<'r, C: 'static> Exec<'r, C> {
 
         // Teardown reports actuation as deltas from the run start.
         let start = &run.start_actuation;
-        let end = rt.actuator.as_ref().map_or(*start, Actuator::totals);
+        let end = actuator.as_ref().map_or(*start, Actuator::totals);
         if start.attempts > end.attempts
             || start.verify_failures > end.verify_failures
             || start.failed_applies > end.failed_applies
@@ -681,8 +620,19 @@ impl<'r, C: 'static> Exec<'r, C> {
 
         Ok(Some(move |exec: &mut Self| -> Result<(), SnapError> {
             // The runtime block and its monitors first (monitors restore
-            // against the installed machine), then the run itself.
-            exec.rt.install(rt, monitors)?;
+            // against the installed machine, in registration order), then
+            // the run itself.
+            if let (Some(machine), Some(actuator)) = (machine, actuator) {
+                exec.rt.machine = machine;
+                exec.rt.actuator = actuator;
+            }
+            FaultPlan::install_cursor(exec.rt.task_faults.as_ref(), task_faults);
+            exec.rt.throttle.active = throttled;
+            for (m, section) in exec.rt.monitors.iter_mut().zip(&monitors) {
+                let mut r = SnapReader::new(section);
+                m.restore_state(&exec.rt.machine, &mut r)?;
+                r.finish()?;
+            }
             // The throttle *limit* is configuration, deliberately outside
             // the snapshot (one snapshot forks across limit variants), but
             // monitors that drive the limit as policy re-apply their

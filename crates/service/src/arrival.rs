@@ -129,11 +129,11 @@ pub struct ArrivalStream {
 }
 
 impl ArrivalStream {
-    /// Start a stream at virtual time `start_ns`.
-    pub fn new(cfg: ArrivalConfig, start_ns: u64) -> Self {
+    /// Start a stream at virtual time 0.
+    pub fn new(cfg: ArrivalConfig) -> Self {
         let mut s = ArrivalStream { cfg, rng: SplitMix64::new(0), next_ns: None, emitted: 0 };
         s.rng = SplitMix64::new(s.cfg.seed);
-        s.next_ns = if s.cfg.total_requests == 0 { None } else { Some(s.draw_after(start_ns)) };
+        s.next_ns = if s.cfg.total_requests == 0 { None } else { Some(s.draw_after(0)) };
         s
     }
 
@@ -203,7 +203,7 @@ mod tests {
             total_requests: 2_000,
         };
         let drain = || {
-            let mut s = ArrivalStream::new(cfg.clone(), 0);
+            let mut s = ArrivalStream::new(cfg.clone());
             let mut ts = Vec::new();
             while let Some(t) = s.pop_due(u64::MAX) {
                 ts.push(t);
@@ -229,7 +229,7 @@ mod tests {
             burst_mult: 8.0,
             total_requests: 10_000,
         };
-        let mut s = ArrivalStream::new(cfg.clone(), 0);
+        let mut s = ArrivalStream::new(cfg.clone());
         let mut in_burst = 0u64;
         while let Some(t) = s.pop_due(u64::MAX) {
             if cfg.in_burst(t) {
@@ -243,13 +243,13 @@ mod tests {
     #[test]
     fn snapshot_resumes_the_exact_stream() {
         let cfg = ArrivalConfig::steady(11, 100_000.0, 500);
-        let mut full = ArrivalStream::new(cfg.clone(), 0);
+        let mut full = ArrivalStream::new(cfg.clone());
         let mut reference = Vec::new();
         while let Some(t) = full.pop_due(u64::MAX) {
             reference.push(t);
         }
 
-        let mut s = ArrivalStream::new(cfg.clone(), 0);
+        let mut s = ArrivalStream::new(cfg.clone());
         let mut got = Vec::new();
         for _ in 0..200 {
             got.push(s.pop_due(u64::MAX).unwrap());
@@ -257,7 +257,7 @@ mod tests {
         let mut w = SnapWriter::new();
         s.codec(&mut w).unwrap();
         let bytes = w.finish();
-        let fresh = ArrivalStream::new(cfg, 0);
+        let fresh = ArrivalStream::new(cfg);
         let mut r = SnapReader::new(&bytes);
         let mut resumed = fresh.codec(&mut r).unwrap();
         assert_rejects_corruption(&bytes, |input| {

@@ -28,52 +28,36 @@ use maestro_runtime::{Monitor, ThrottleState};
 
 use crate::source::ServiceHandle;
 
-/// Governor tuning.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GovernorConfig {
-    /// The SLO: window p99 must stay at or below this.
-    pub slo_p99_ns: u64,
-    /// Decision epoch length, ns.
-    pub period_ns: u64,
-    /// Shepherd limits for energy levels `1..=ladder.len()` (level 0 is
-    /// throttle-off). Deeper levels should be tighter.
-    pub ladder: Vec<usize>,
-    /// Deepest brownout level the governor may order.
-    pub max_brownout: u8,
-    /// Comfort threshold, percent of the SLO: below this p99 the governor
-    /// deepens energy saving.
-    pub comfort_pct: u64,
-}
+// The governor's tuning for the paper's 2×8 node.
 
-impl GovernorConfig {
-    /// Defaults for the paper's 2×8 node: 1 ms epochs, the 12/8/6/4 duty
-    /// ladder, two brownout levels, comfort at 60 % of the SLO.
-    pub fn new(slo_p99_ns: u64) -> Self {
-        GovernorConfig {
-            slo_p99_ns,
-            period_ns: 1_000_000,
-            ladder: vec![12, 8, 6, 4],
-            max_brownout: 2,
-            comfort_pct: 60,
-        }
-    }
-}
+/// Decision epoch length.
+const PERIOD_NS: u64 = 1_000_000;
+
+/// Shepherd limits for energy levels `1..=LADDER.len()` (level 0 is
+/// throttle-off), deeper levels tighter.
+const LADDER: [usize; 4] = [12, 8, 6, 4];
+
+/// Deepest brownout level the governor may order.
+const MAX_BROWNOUT: u8 = 2;
+
+/// Comfort threshold, percent of the SLO: below this p99 the governor
+/// deepens energy saving.
+const COMFORT_PCT: u64 = 60;
 
 /// The monitor. Install with `runtime.add_monitor` alongside the service
 /// source that shares its [`ServiceHandle`].
 pub struct SloGovernor {
-    cfg: GovernorConfig,
+    /// The SLO: window p99 must stay at or below this.
+    slo_p99_ns: u64,
     shared: ServiceHandle,
     next_ns: u64,
 }
 
 impl SloGovernor {
-    /// A governor sharing `shared` with the run's service source.
-    pub fn new(cfg: GovernorConfig, shared: ServiceHandle) -> Self {
-        assert!(!cfg.ladder.is_empty(), "energy ladder needs at least one level");
-        assert!(cfg.period_ns > 0, "decision epoch must be positive");
-        let next_ns = cfg.period_ns;
-        SloGovernor { cfg, shared, next_ns }
+    /// A governor holding window p99 to `slo_p99_ns`, sharing `shared` with
+    /// the run's service source.
+    pub fn new(slo_p99_ns: u64, shared: ServiceHandle) -> Self {
+        SloGovernor { slo_p99_ns, shared, next_ns: PERIOD_NS }
     }
 
     fn apply(&self, throttle: &mut ThrottleState, energy_level: usize) {
@@ -81,7 +65,7 @@ impl SloGovernor {
             throttle.active = false;
         } else {
             throttle.active = true;
-            throttle.limit_per_shepherd = self.cfg.ladder[energy_level - 1];
+            throttle.limit_per_shepherd = LADDER[energy_level - 1];
         }
     }
 }
@@ -93,11 +77,11 @@ impl SloGovernor {
         let sh = self.shared.borrow();
         let next_ns = c.u64(self.next_ns)?;
         let energy_level = c.u64(sh.energy_level as u64)? as usize;
-        if energy_level > self.cfg.ladder.len() {
+        if energy_level > LADDER.len() {
             return Err(SnapError::Corrupt("energy level beyond the configured ladder"));
         }
         let brownout_level = c.u8(sh.brownout_level)?;
-        if brownout_level > self.cfg.max_brownout {
+        if brownout_level > MAX_BROWNOUT {
             return Err(SnapError::Corrupt("brownout level beyond the configured maximum"));
         }
         let energy_steps = c.u64(sh.energy_steps)?;
@@ -114,22 +98,21 @@ impl Monitor for SloGovernor {
         let mut sh = self.shared.borrow_mut();
         if sh.window.count() > 0 {
             let p99 = sh.window.quantile(0.99).unwrap_or(u64::MAX);
-            if p99 > self.cfg.slo_p99_ns {
+            if p99 > self.slo_p99_ns {
                 // Violating: restore performance before degrading fidelity.
                 if sh.energy_level > 0 {
                     sh.energy_level -= 1;
                     sh.energy_steps += 1;
-                } else if sh.brownout_level < self.cfg.max_brownout {
+                } else if sh.brownout_level < MAX_BROWNOUT {
                     sh.brownout_level += 1;
                     sh.brownout_steps += 1;
                 }
-            } else if p99.saturating_mul(100) < self.cfg.slo_p99_ns.saturating_mul(self.cfg.comfort_pct)
-            {
+            } else if p99.saturating_mul(100) < self.slo_p99_ns.saturating_mul(COMFORT_PCT) {
                 // Comfortable: recover fidelity before saving more energy.
                 if sh.brownout_level > 0 {
                     sh.brownout_level -= 1;
                     sh.brownout_steps += 1;
-                } else if sh.energy_level < self.cfg.ladder.len() {
+                } else if sh.energy_level < LADDER.len() {
                     sh.energy_level += 1;
                     sh.energy_steps += 1;
                 }
@@ -139,7 +122,7 @@ impl Monitor for SloGovernor {
         let level = sh.energy_level;
         drop(sh);
         self.apply(throttle, level);
-        self.next_ns = machine.now_ns() + self.cfg.period_ns;
+        self.next_ns = machine.now_ns() + PERIOD_NS;
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
@@ -176,7 +159,7 @@ mod tests {
 
     fn governor() -> (SloGovernor, ServiceHandle, Machine) {
         let handle = service_handle();
-        let g = SloGovernor::new(GovernorConfig::new(1_000_000), handle.clone());
+        let g = SloGovernor::new(1_000_000, handle.clone());
         (g, handle, Machine::new(MachineConfig::sandybridge_2x8()))
     }
 
@@ -245,7 +228,7 @@ mod tests {
         // in the snapshot.
         let cfg = ServiceConfig::simple(7, 40_000.0, 40, 2_000_000);
         let build = || {
-            let stack = ServiceStack::new(&cfg, Some(&GovernorConfig::new(1_000_000)), 0);
+            let stack = ServiceStack::new(&cfg, Some(1_000_000));
             let machine = Machine::new(MachineConfig::sandybridge_2x8());
             let mut rt = Runtime::new(machine, RuntimeParams::qthreads(4)).unwrap();
             rt.add_monitor(Box::new(stack.governor.expect("governed stack")));

@@ -32,12 +32,12 @@ pub mod report;
 pub mod source;
 
 pub use arrival::{ArrivalConfig, ArrivalStream, SplitMix64};
-pub use governor::{GovernorConfig, SloGovernor};
+pub use governor::SloGovernor;
 pub use hist::{LatencyHist, BUCKETS, MAX_RELATIVE_ERROR};
 pub use report::ServiceSummary;
 pub use source::{
-    service_handle, RequestClass, RetryBudget, RetryConfig, ServiceConfig, ServiceHandle,
-    ServiceShared, ServiceSource,
+    service_handle, RequestClass, RetryBudget, ServiceConfig, ServiceHandle, ServiceShared,
+    ServiceSource,
 };
 
 /// A matched source + optional governor sharing one [`ServiceHandle`] —
@@ -46,19 +46,19 @@ pub use source::{
 pub struct ServiceStack {
     /// The request source, ready to box into the runtime.
     pub source: Box<ServiceSource>,
-    /// The SLO governor, when a governor config was provided.
+    /// The SLO governor, when an SLO was provided.
     pub governor: Option<SloGovernor>,
     /// The shared state both sides publish into.
     pub handle: ServiceHandle,
 }
 
 impl ServiceStack {
-    /// Build a stack whose arrival stream starts at virtual time
-    /// `start_ns` (pass the machine's current clock for warm runtimes).
-    pub fn new(cfg: &ServiceConfig, governor: Option<&GovernorConfig>, start_ns: u64) -> Self {
+    /// Build a stack whose arrival stream starts at virtual time 0, with a
+    /// governor holding window p99 to `slo_p99_ns` when one is given.
+    pub fn new(cfg: &ServiceConfig, slo_p99_ns: Option<u64>) -> Self {
         let handle = service_handle();
-        let source = Box::new(ServiceSource::new(cfg.clone(), start_ns, handle.clone()));
-        let governor = governor.map(|g| SloGovernor::new(g.clone(), handle.clone()));
+        let source = Box::new(ServiceSource::new(cfg.clone(), handle.clone()));
+        let governor = slo_p99_ns.map(|slo| SloGovernor::new(slo, handle.clone()));
         ServiceStack { source, governor, handle }
     }
 }

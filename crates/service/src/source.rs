@@ -58,17 +58,30 @@ pub struct RetryBudget {
     pub cap_millitokens: u64,
 }
 
-/// Client-side retry behaviour.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct RetryConfig {
-    /// First backoff, ns; attempt `k` waits `base · 2^(k-1)`, capped.
-    pub base_backoff_ns: u64,
-    /// Backoff cap, ns.
-    pub max_backoff_ns: u64,
-    /// Per-class budget; `None` disables budgets entirely (the retry-storm
-    /// configuration).
-    pub budget: Option<RetryBudget>,
-}
+/// Admission: hard in-flight cap (queue-depth shedding).
+const MAX_IN_FLIGHT: usize = 256;
+
+/// Admission: estimated service time of one request at full duty, used for
+/// the deadline-feasibility check.
+const EST_SERVICE_NS: u64 = 50_000;
+
+/// Admission: assumed service concurrency (≈ worker count); the
+/// feasibility estimate is `EST_SERVICE_NS · (in_flight + 1) / this`.
+const ADMISSION_CONCURRENCY: u64 = 16;
+
+/// Fan-out of one request's task tree at full fidelity; brownout level `b`
+/// degrades it to `max(1, fanout >> b)` leaves.
+const REQUEST_FANOUT: usize = 4;
+
+/// Cost of each leaf.
+const LEAF_COST: Cost = Cost { cpu_cycles: 30_000, mem_refs: 1_500, mlp: 2.0, intensity: 0.7 };
+
+/// First retry backoff; attempt `k` waits `BASE_BACKOFF_NS · 2^(k-1)`,
+/// capped at [`MAX_BACKOFF_NS`].
+const BASE_BACKOFF_NS: u64 = 200_000;
+
+/// Retry backoff cap.
+const MAX_BACKOFF_NS: u64 = 5_000_000;
 
 /// Full configuration of a service workload.
 #[derive(Clone, Debug, PartialEq)]
@@ -77,47 +90,22 @@ pub struct ServiceConfig {
     pub arrivals: ArrivalConfig,
     /// Request classes (at least one).
     pub classes: Vec<RequestClass>,
-    /// Retry behaviour.
-    pub retry: RetryConfig,
-    /// Admission: hard in-flight cap (queue-depth shedding).
-    pub max_in_flight: usize,
-    /// Admission: estimated service time of one request at full duty, used
-    /// for the deadline-feasibility check.
-    pub est_service_ns: u64,
-    /// Admission: assumed service concurrency (≈ worker count); the
-    /// feasibility estimate is `est_service_ns · (in_flight + 1) / this`.
-    pub admission_concurrency: usize,
-    /// Fan-out of one request's task tree at full fidelity; brownout level
-    /// `b` degrades it to `max(1, fanout >> b)` leaves.
-    pub request_fanout: usize,
-    /// Cost of each leaf.
-    pub leaf_cost: Cost,
-    /// Cost of the join step.
-    pub join_cost: Cost,
+    /// Per-class retry budget; `None` disables budgets entirely (the
+    /// retry-storm configuration).
+    pub retry_budget: Option<RetryBudget>,
 }
 
 impl ServiceConfig {
-    /// A single-class service with sensible defaults for tests and
-    /// scenarios: steady arrivals at `rate_rps`, deadline `deadline_ns`,
-    /// 3 attempts with budgeted retries.
+    /// A single-class service for tests and scenarios: steady arrivals at
+    /// `rate_rps`, deadline `deadline_ns`, 3 attempts with budgeted retries.
     pub fn simple(seed: u64, rate_rps: f64, total_requests: u64, deadline_ns: u64) -> Self {
         ServiceConfig {
             arrivals: ArrivalConfig::steady(seed, rate_rps, total_requests),
             classes: vec![RequestClass { weight: 1, deadline_ns, retry_limit: 3 }],
-            retry: RetryConfig {
-                base_backoff_ns: 200_000,
-                max_backoff_ns: 5_000_000,
-                budget: Some(RetryBudget {
-                    per_arrival_millitokens: 100,
-                    cap_millitokens: 50_000,
-                }),
-            },
-            max_in_flight: 256,
-            est_service_ns: 50_000,
-            admission_concurrency: 16,
-            request_fanout: 4,
-            leaf_cost: Cost::new(30_000, 1_500, 2.0, 0.7),
-            join_cost: Cost::ZERO,
+            retry_budget: Some(RetryBudget {
+                per_arrival_millitokens: 100,
+                cap_millitokens: 50_000,
+            }),
         }
     }
 }
@@ -206,13 +194,12 @@ pub struct ServiceSource {
 }
 
 impl ServiceSource {
-    /// Build a source starting its arrival stream at virtual time
-    /// `start_ns`, publishing into `shared`.
-    pub fn new(cfg: ServiceConfig, start_ns: u64, shared: ServiceHandle) -> Self {
+    /// Build a source starting its arrival stream at virtual time 0,
+    /// publishing into `shared`.
+    pub fn new(cfg: ServiceConfig, shared: ServiceHandle) -> Self {
         assert!(!cfg.classes.is_empty(), "service needs at least one request class");
         assert!(cfg.classes.iter().all(|c| c.weight > 0), "class weights must be positive");
-        assert!(cfg.admission_concurrency > 0, "admission concurrency must be positive");
-        let arrivals = ArrivalStream::new(cfg.arrivals.clone(), start_ns);
+        let arrivals = ArrivalStream::new(cfg.arrivals.clone());
         let n_classes = cfg.classes.len();
         let class_rng = SplitMix64::new(cfg.arrivals.seed ^ CLASS_STREAM_SALT);
         ServiceSource {
@@ -248,14 +235,10 @@ impl ServiceSource {
     /// deadline).
     fn admit(&self, class: u8) -> bool {
         let depth = self.inflight.len();
-        if depth >= self.cfg.max_in_flight {
+        if depth >= MAX_IN_FLIGHT {
             return false;
         }
-        let expected_ns = self
-            .cfg
-            .est_service_ns
-            .saturating_mul(depth as u64 + 1)
-            / self.cfg.admission_concurrency as u64;
+        let expected_ns = EST_SERVICE_NS.saturating_mul(depth as u64 + 1) / ADMISSION_CONCURRENCY;
         expected_ns <= self.cfg.classes[class as usize].deadline_ns
     }
 
@@ -276,13 +259,13 @@ impl ServiceSource {
             }
             sh.brownout_level
         };
-        let fanout = (self.cfg.request_fanout >> level).max(1);
+        let fanout = (REQUEST_FANOUT >> level).max(1);
         let spec = if fanout <= 1 {
-            TaskSpec::leaf(self.cfg.leaf_cost)
+            TaskSpec::leaf(LEAF_COST)
         } else {
             TaskSpec::fork_join(
-                (0..fanout).map(|_| TaskSpec::leaf(self.cfg.leaf_cost)).collect(),
-                self.cfg.join_cost,
+                (0..fanout).map(|_| TaskSpec::leaf(LEAF_COST)).collect(),
+                Cost::ZERO,
             )
         };
         let deadline = now_ns.saturating_add(self.cfg.classes[class as usize].deadline_ns);
@@ -341,7 +324,7 @@ impl RequestSource for ServiceSource {
                 let c = &mut self.shared.borrow_mut().counters;
                 c.arrived += 1;
             }
-            if let Some(b) = self.cfg.retry.budget {
+            if let Some(b) = self.cfg.retry_budget {
                 let bucket = &mut self.budgets_mt[class as usize];
                 *bucket = (*bucket + b.per_arrival_millitokens).min(b.cap_millitokens);
             }
@@ -371,22 +354,16 @@ impl RequestSource for ServiceSource {
         } else {
             let class = &self.cfg.classes[att.class as usize];
             let attempts_left = att.attempt < class.retry_limit;
-            let affordable = match self.cfg.retry.budget {
+            let affordable = match self.cfg.retry_budget {
                 None => true,
                 Some(_) => self.budgets_mt[att.class as usize] >= 1000,
             };
             if attempts_left && affordable {
-                if self.cfg.retry.budget.is_some() {
+                if self.cfg.retry_budget.is_some() {
                     self.budgets_mt[att.class as usize] -= 1000;
                 }
                 let shift = (att.attempt - 1).min(32);
-                let backoff = self
-                    .cfg
-                    .retry
-                    .base_backoff_ns
-                    .saturating_mul(1u64 << shift)
-                    .min(self.cfg.retry.max_backoff_ns)
-                    .max(1);
+                let backoff = BASE_BACKOFF_NS.saturating_mul(1u64 << shift).min(MAX_BACKOFF_NS);
                 let due = now_ns.saturating_add(backoff);
                 let seq = self.retry_seq;
                 self.retry_seq += 1;
@@ -560,7 +537,7 @@ mod tests {
         // everything poll emits, completes each attempt `complete_after_ns`
         // later (cancelled when that is past the attempt deadline).
         let handle = service_handle();
-        let mut src = ServiceSource::new(cfg, 0, handle.clone());
+        let mut src = ServiceSource::new(cfg, handle.clone());
         let mut out = Vec::new();
         let mut live: Vec<(u64, u64, bool)> = Vec::new(); // (done_ns, id, cancelled)
         let mut now;
@@ -609,7 +586,7 @@ mod tests {
     #[test]
     fn slow_service_retries_then_cancels_within_budget() {
         let mut cfg = ServiceConfig::simple(6, 10_000.0, 400, 100_000);
-        cfg.retry.budget =
+        cfg.retry_budget =
             Some(RetryBudget { per_arrival_millitokens: 500, cap_millitokens: 10_000 });
         let c = drive(cfg, 1_000_000); // nothing can meet the deadline
         assert_eq!(c.completed, 0, "{c:?}");
@@ -625,13 +602,13 @@ mod tests {
     fn unbudgeted_retries_amplify_load() {
         let storm = {
             let mut cfg = ServiceConfig::simple(6, 10_000.0, 400, 100_000);
-            cfg.retry.budget = None;
+            cfg.retry_budget = None;
             cfg.classes[0].retry_limit = 6;
             drive(cfg, 1_000_000)
         };
         let budgeted = {
             let mut cfg = ServiceConfig::simple(6, 10_000.0, 400, 100_000);
-            cfg.retry.budget =
+            cfg.retry_budget =
                 Some(RetryBudget { per_arrival_millitokens: 100, cap_millitokens: 5_000 });
             cfg.classes[0].retry_limit = 6;
             drive(cfg, 1_000_000)
@@ -650,7 +627,7 @@ mod tests {
     fn source_snapshot_roundtrip_preserves_ledger() {
         let cfg = ServiceConfig::simple(9, 50_000.0, 300, 200_000);
         let handle = service_handle();
-        let mut src = ServiceSource::new(cfg.clone(), 0, handle.clone());
+        let mut src = ServiceSource::new(cfg.clone(), handle.clone());
         let mut out = Vec::new();
         // Inject a few waves without completing anything.
         let mut now = 0;
@@ -670,7 +647,7 @@ mod tests {
         let bytes = w.finish();
 
         let handle2 = service_handle();
-        let mut back = ServiceSource::new(cfg, 0, handle2.clone());
+        let mut back = ServiceSource::new(cfg, handle2.clone());
         let mut r = SnapReader::new(&bytes);
         back.restore_state(&mut r).unwrap();
         r.finish().unwrap();

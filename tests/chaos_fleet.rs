@@ -18,7 +18,7 @@
 //! fans the seeds out across jobs; locally the whole set runs in-process.
 
 use maestro_bench::chaos::{seeds, with_chaos_context};
-use maestro_fleet::{Fleet, FleetConfig, FleetFaultPlan, NodeEvent, GOVERNOR_MAX_LEVEL};
+use maestro_fleet::{Fleet, FleetConfig, FleetFaultPlan, NodeEvent, FLOOR_W, GOVERNOR_MAX_LEVEL};
 use maestro_rcr::LeaseDecision;
 use std::cell::Cell;
 
@@ -170,7 +170,6 @@ fn partitioned_node_degrades_exactly_at_lease_expiry() {
         // Between expiry and partition end the node holds its floor; after
         // the partition it re-acquires a lease at the first epoch boundary
         // (grant sent at 10 s, one transit later).
-        let floor = fleet.node(2).config().floor_w;
         let rejoin = trace
             .iter()
             .find(|(t, e)| {
@@ -180,7 +179,7 @@ fn partitioned_node_degrades_exactly_at_lease_expiry() {
             .expect("the node rejoins after the partition");
         assert_eq!(rejoin.0, 10 * SEC + maestro_fleet::GRANT_TRANSIT_NS);
         if let NodeEvent::LeaseOffer { cap_w, .. } = rejoin.1 {
-            assert!(cap_w >= floor, "rejoin grant at least the floor");
+            assert!(cap_w >= FLOOR_W, "rejoin grant at least the floor");
         }
         // Cap safety held throughout.
         assert_eq!(fleet.report().cap_violations, 0);

@@ -26,7 +26,7 @@ use maestro_bench::chaos::with_chaos_context;
 use maestro_bench::experiments::service_at_scale;
 use maestro_machine::{DutyCycle, FaultPlan};
 use maestro_runtime::{RuntimeError, ServiceCounters};
-use maestro_service::{GovernorConfig, ServiceConfig, ServiceStack, ServiceSummary};
+use maestro_service::{ServiceConfig, ServiceStack, ServiceSummary};
 use maestro_workloads::Scale;
 use std::cell::Cell;
 
@@ -152,10 +152,9 @@ fn conservation_holds_under_composed_overload_and_fault_chaos() {
             let mut service = ServiceConfig::simple(seed, rate, total, deadline);
             service.classes[0].retry_limit = 2 + (splitmix(&mut rng) % 3) as u32;
             if !budgets_on {
-                service.retry.budget = None;
+                service.retry_budget = None;
             }
-            let governor = GovernorConfig::new(2 * deadline);
-            let stack = ServiceStack::new(&service, Some(&governor), 0);
+            let stack = ServiceStack::new(&service, Some(2 * deadline));
             let handle = stack.handle.clone();
 
             let mut m = Maestro::new(MaestroConfig::fixed(16));
@@ -203,7 +202,7 @@ fn service_error_paths_drain_in_flight_and_restore_full_duty() {
             // in different admission/retry states.
             let mut service = sc.service.clone();
             service.arrivals.seed = seed;
-            let stack = ServiceStack::new(&service, sc.governor.as_ref(), 0);
+            let stack = ServiceStack::new(&service, sc.slo_p99_ns);
             let handle = stack.handle.clone();
 
             let mut cfg = sc.config.clone();
