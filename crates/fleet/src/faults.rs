@@ -22,15 +22,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use maestro_machine::FaultPlan;
+use maestro_machine::{FaultPlan, SplitMix64};
 
-/// SplitMix64: the repo-standard deterministic mixer (same finalizer the
-/// chaos suites use), applied here as a stateless hash.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// [`SplitMix64`] applied as a stateless hash: the first draw of a
+/// generator whose state is `z`.
+fn splitmix(z: u64) -> u64 {
+    SplitMix64::new(z).next_u64()
 }
 
 /// Map a hash to a unit-interval f64 (53-bit mantissa convention).

@@ -10,10 +10,8 @@
 //! A [`FaultPlan`] scripts all of those against the simulated node so the
 //! downstream stack (probe retry, window outlier rejection, blackboard
 //! staleness, controller safe mode) can be tested and benchmarked under
-//! failure. Every fault draw comes from a seeded [SplitMix64] stream, so a
+//! failure. Every fault draw comes from a seeded [`SplitMix64`] stream, so a
 //! plan reproduces the same fault schedule on every run.
-//!
-//! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 //!
 //! The MSR-level faults are applied by [`FaultyMsr`], a read-side decorator
 //! over any [`MsrDevice`]; the daemon-level faults (drops, jitter, stalls)
@@ -61,6 +59,43 @@ impl FaultCursor {
             energy_reads: c.u64(self.energy_reads)?,
             frozen: c.seq(&self.frozen, |c, &(core, value)| Ok((c.u16(core)?, c.u64(value)?)))?,
         })
+    }
+}
+
+/// The [splitmix64] generator: tiny, seedable, and a single `u64` of state,
+/// which is all a snapshot has to carry. Fault plans, the service's arrival
+/// and class streams, and the fleet's stateless fault hash all draw from it.
+///
+/// [splitmix64]: https://prng.di.unimi.it/splitmix64.c
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// A generator whose state is `state` (a seed, or a snapshotted
+    /// [`SplitMix64::state`]).
+    pub fn new(state: u64) -> Self {
+        SplitMix64 { state }
+    }
+
+    /// Next raw 64-bit draw.
+    pub fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform draw in the open interval `(0, 1)` with 53 significant bits.
+    pub fn next_open01(&mut self) -> f64 {
+        ((self.next_u64() >> 11) as f64 + 0.5) * (1.0 / 9_007_199_254_740_992.0)
+    }
+
+    /// Raw state, for snapshots.
+    pub fn state(&self) -> u64 {
+        self.state
     }
 }
 
@@ -124,7 +159,7 @@ pub struct FaultPlan {
     task_wedge_at_steps: Vec<u64>,
     wedges_consumed: Cell<usize>,
     lost_wake_rate: f64,
-    rng: Cell<u64>,
+    rng: Cell<SplitMix64>,
     energy_reads: Cell<u64>,
     frozen: Mutex<HashMap<u16, u64>>,
 }
@@ -158,7 +193,10 @@ impl Clone for FaultPlan {
 impl FaultPlan {
     /// A plan with no faults, drawing from a stream seeded by `seed`.
     pub fn new(seed: u64) -> Self {
-        FaultPlan { rng: Cell::new(seed ^ 0x5DEE_CE66_D1CE_4E5B), ..FaultPlan::default() }
+        FaultPlan {
+            rng: Cell::new(SplitMix64::new(seed ^ 0x5DEE_CE66_D1CE_4E5B)),
+            ..FaultPlan::default()
+        }
     }
 
     /// Each MSR read fails with probability `rate` (a retriable
@@ -382,7 +420,7 @@ impl FaultPlan {
             kills_consumed: self.kills_consumed.get(),
             panics_consumed: self.panics_consumed.get(),
             wedges_consumed: self.wedges_consumed.get(),
-            rng_state: self.rng.get(),
+            rng_state: self.rng.get().state(),
             energy_reads: self.energy_reads.get(),
             frozen,
         }
@@ -395,7 +433,7 @@ impl FaultPlan {
         self.kills_consumed.set(cursor.kills_consumed);
         self.panics_consumed.set(cursor.panics_consumed);
         self.wedges_consumed.set(cursor.wedges_consumed);
-        self.rng.set(cursor.rng_state);
+        self.rng.set(SplitMix64::new(cursor.rng_state));
         self.energy_reads.set(cursor.energy_reads);
         let mut frozen = self.frozen.lock().expect("fault plan lock");
         frozen.clear();
@@ -413,11 +451,10 @@ impl FaultPlan {
     }
 
     fn next_u64(&self) -> u64 {
-        let mut s = self.rng.get().wrapping_add(0x9E37_79B9_7F4A_7C15);
-        self.rng.set(s);
-        s = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        s = (s ^ (s >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        s ^ (s >> 31)
+        let mut rng = self.rng.get();
+        let draw = rng.next_u64();
+        self.rng.set(rng);
+        draw
     }
 
     fn next_unit(&self) -> f64 {

@@ -15,44 +15,7 @@
 //! stream the suspended run would have produced.
 
 use maestro_machine::snap::{Codec, SnapError};
-
-/// The splitmix64 generator — tiny, seedable, and a single `u64` of state,
-/// which is all a snapshot has to carry.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// A generator seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in the open interval `(0, 1)` with 53 significant bits.
-    pub fn next_open01(&mut self) -> f64 {
-        ((self.next_u64() >> 11) as f64 + 0.5) * (1.0 / 9_007_199_254_740_992.0)
-    }
-
-    /// Raw state, for snapshots.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Rebuild from a snapshotted state.
-    pub fn from_state(state: u64) -> Self {
-        SplitMix64 { state }
-    }
-}
+use maestro_machine::SplitMix64;
 
 /// Shape of the arrival rate over virtual time.
 #[derive(Clone, Debug, PartialEq)]
@@ -175,7 +138,7 @@ impl ArrivalStream {
     /// The snapshot codec for the dynamic cursor (see [`Codec`]); the
     /// config is reconstruction input, carried over from `self`.
     pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
-        let rng = SplitMix64::from_state(c.u64(self.rng.state())?);
+        let rng = SplitMix64::new(c.u64(self.rng.state())?);
         let next_ns = c.opt_u64(self.next_ns)?;
         let emitted = c.u64(self.emitted)?;
         if emitted > self.cfg.total_requests {

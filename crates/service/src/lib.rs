@@ -31,7 +31,7 @@ pub mod hist;
 pub mod report;
 pub mod source;
 
-pub use arrival::{ArrivalConfig, ArrivalStream, SplitMix64};
+pub use arrival::{ArrivalConfig, ArrivalStream};
 pub use governor::SloGovernor;
 pub use hist::{LatencyHist, BUCKETS, MAX_RELATIVE_ERROR};
 pub use report::ServiceSummary;

@@ -31,10 +31,10 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
-use maestro_machine::Cost;
+use maestro_machine::{Cost, SplitMix64};
 use maestro_runtime::{RequestSource, ServiceCounters, ServiceInjection, TaskSpec};
 
-use crate::arrival::{ArrivalConfig, ArrivalStream, SplitMix64};
+use crate::arrival::{ArrivalConfig, ArrivalStream};
 use crate::hist::LatencyHist;
 
 /// One request class: an SLO tier with its own deadline and retry budget
@@ -465,7 +465,7 @@ impl ServiceSource {
             Ok((class, c.u64(arrival_ns)?, c.u64(u64::from(attempt))? as u32))
         };
         let arrivals = self.arrivals.codec(c)?;
-        let class_rng = SplitMix64::from_state(c.u64(self.class_rng.state())?);
+        let class_rng = SplitMix64::new(c.u64(self.class_rng.state())?);
         let next_req_id = c.u64(self.next_req_id)?;
         let retry_seq = c.u64(self.retry_seq)?;
         let inflight_list = c.seq(self.inflight.keys(), |c, &id| {

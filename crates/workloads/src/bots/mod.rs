@@ -20,9 +20,6 @@ pub mod sort;
 pub mod sparselu;
 pub mod strassen;
 
-use crate::compiler::CompilerConfig;
-use maestro_runtime::RuntimeParams;
-
 /// Task-generation variant for alignment and sparselu.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Variant {
@@ -30,15 +27,4 @@ pub enum Variant {
     For,
     /// Single-generator task generation.
     Single,
-}
-
-/// Family OpenMP pool with a workload-calibrated contention slope.
-pub(crate) fn omp_params_with_slope(
-    cc: CompilerConfig,
-    workers: usize,
-    slope_cycles: u64,
-) -> RuntimeParams {
-    let mut p = cc.omp_runtime_params(workers);
-    p.queue_contention_cycles_per_worker = slope_cycles;
-    p
 }

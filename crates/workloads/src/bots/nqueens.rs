@@ -120,7 +120,7 @@ impl Workload for NQueensCutoff {
 
     fn runtime_params(&self, cc: CompilerConfig, workers: usize) -> RuntimeParams {
         let plan = profiles::plan_bag(self.name(), cc, self.task_count(), OMP_DISPATCH_BASE);
-        super::omp_params_with_slope(cc, workers, plan.slope_cycles)
+        cc.omp_params_with_slope(workers, plan.slope_cycles)
     }
 
     fn run(&self, m: &mut Maestro, cc: CompilerConfig) -> RunReport {

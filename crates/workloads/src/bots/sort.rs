@@ -207,7 +207,7 @@ impl Workload for SortCutoff {
     fn runtime_params(&self, cc: CompilerConfig, workers: usize) -> RuntimeParams {
         let tasks = Self::dispatch_count(self.elements, self.cutoff);
         let plan = profiles::plan_bag(self.name(), cc, tasks, OMP_DISPATCH_BASE);
-        super::omp_params_with_slope(cc, workers, plan.slope_cycles)
+        cc.omp_params_with_slope(workers, plan.slope_cycles)
     }
 
     fn run(&self, m: &mut Maestro, cc: CompilerConfig) -> RunReport {

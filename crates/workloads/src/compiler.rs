@@ -122,6 +122,14 @@ impl CompilerConfig {
         }
     }
 
+    /// [`CompilerConfig::omp_runtime_params`] with a workload-calibrated
+    /// contention slope installed.
+    pub(crate) fn omp_params_with_slope(&self, workers: usize, slope_cycles: u64) -> RuntimeParams {
+        let mut p = self.omp_runtime_params(workers);
+        p.queue_contention_cycles_per_worker = slope_cycles;
+        p
+    }
+
     /// The Qthreads/MAESTRO runtime used for the throttling study
     /// (Tables IV-VII): per-shepherd queues, near-flat contention.
     pub fn qthreads_runtime_params(&self, workers: usize) -> RuntimeParams {

@@ -115,7 +115,7 @@ impl Workload for Fibonacci {
         // Internal nodes hit the pool twice (initial dispatch + resume after
         // the children), so per call the runtime charges the slope ~1.5×
         // the bag model's assumption; rescale so the aggregate matches.
-        super::omp_params_with_slope(cc, workers, plan.slope_cycles * 2 / 3)
+        cc.omp_params_with_slope(workers, plan.slope_cycles * 2 / 3)
     }
 
     fn run(&self, m: &mut Maestro, cc: CompilerConfig) -> RunReport {

@@ -14,18 +14,3 @@ pub mod fibonacci;
 pub mod mergesort;
 pub mod nqueens;
 pub mod reduction;
-
-use crate::compiler::CompilerConfig;
-use maestro_runtime::RuntimeParams;
-
-/// The family's OpenMP runtime parameters with a workload-specific
-/// contention slope installed.
-pub(crate) fn omp_params_with_slope(
-    cc: CompilerConfig,
-    workers: usize,
-    slope_cycles: u64,
-) -> RuntimeParams {
-    let mut p = cc.omp_runtime_params(workers);
-    p.queue_contention_cycles_per_worker = slope_cycles;
-    p
-}

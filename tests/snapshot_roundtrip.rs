@@ -5,11 +5,13 @@
 //!   snapshot is indistinguishable from resuming the in-memory one;
 //! * a suspended-and-resumed run is **byte-identical** to an unbroken
 //!   fence-matched run — same report text, same energy bits, same counters;
-//! * one warm snapshot forks into several policy variants, deterministically.
+//! * one warm snapshot forks into several policy variants, deterministically;
+//! * a run suspended after a daemon kill, restart and checkpoint restore
+//!   resumes to the unbroken run's summary.
 
 use maestro::{Maestro, MaestroConfig, MaestroSnapshot, RunReport};
 use maestro_bench::scenario::limit_variant;
-use maestro_machine::Cost;
+use maestro_machine::{Cost, FaultPlan};
 use maestro_runtime::{SnapshotPlan, TaskSpec};
 
 const MS: u64 = 1_000_000;
@@ -180,4 +182,46 @@ fn one_warm_snapshot_forks_into_deterministic_policy_variants() {
         );
         assert!(a.joules > 0.0 && a.joules.is_finite(), "limit {limit}: {a}");
     }
+}
+
+/// A resume across a daemon restart: the adaptive run's daemon dies at
+/// 250 ms, the supervisor restarts it once its 50 ms backoff has passed
+/// (at 350 ms), and the controller resumes from its checkpoint in the same
+/// period. The run is suspended well after that, so the recovery tallies
+/// at the suspension point come from the snapshot, and the resumed
+/// report (its summary included) must equal the unbroken run's.
+#[test]
+fn resume_after_daemon_restart_reports_the_same_summary() {
+    const KILL_NS: u64 = 250 * MS;
+    const SUSPEND_NS: u64 = 600 * MS;
+    let config = || {
+        let mut cfg = MaestroConfig::adaptive(16);
+        cfg.controller.faults = Some(FaultPlan::new(21).with_daemon_kills(&[KILL_NS]));
+        cfg
+    };
+    let spec = TaskSpec::fork_join(
+        (0..3000).map(|_| TaskSpec::leaf(Cost::new(13_000_000, 500_000, 8.0, 0.95))).collect(),
+        Cost::ZERO,
+    );
+    let run = |plan: &SnapshotPlan| {
+        Maestro::new(config())
+            .run_captured("restart", &mut (), spec.clone().into_task(), plan)
+            .expect("capture succeeds")
+    };
+
+    let unbroken = run(&SnapshotPlan::none().with_fence(SUSPEND_NS))
+        .report()
+        .expect("unbroken run completes");
+    let snap = run(&SnapshotPlan::suspend_at(SUSPEND_NS)).suspended().expect("run suspends");
+    let snap = MaestroSnapshot::from_bytes(&snap.to_bytes()).expect("snapshot decodes");
+    let resumed = Maestro::new(config())
+        .resume_captured(&mut (), &snap, &SnapshotPlan::none())
+        .expect("resume succeeds")
+        .report()
+        .expect("resumed run completes");
+
+    let t = resumed.throttle.as_ref().expect("adaptive summary");
+    assert_eq!((t.daemon_kills, t.daemon_restarts), (1, 1), "{t:?}");
+    assert!(t.checkpoint_restores >= 1, "{t:?}");
+    assert_eq!(identity(&unbroken), identity(&resumed), "the restart must survive the resume");
 }
