@@ -27,7 +27,9 @@ use std::rc::Rc;
 
 use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
 use maestro_machine::{FaultPlan, Machine, PState, SocketId};
-use maestro_rcr::{Level, MeterThresholds, Supervisor, SupervisorConfig, ThrottleSignals};
+use maestro_rcr::{
+    Level, MeterThresholds, Supervisor, SupervisorConfig, SupervisorStats, ThrottleSignals,
+};
 use maestro_runtime::{Monitor, ThrottleState};
 
 use crate::facade::Policy;
@@ -143,11 +145,19 @@ pub struct ControllerSample {
     pub safe_mode: bool,
 }
 
-/// The full decision history of one controller.
+/// The full decision history of one controller, and the one home of its
+/// control-plane tallies.
 #[derive(Clone, Debug, Default)]
 pub struct ControllerTrace {
     /// Decisions in time order.
     pub samples: Vec<ControllerSample>,
+    /// Times the controller resumed from its checkpoint after an epoch
+    /// change (a daemon restart).
+    pub checkpoint_restores: u64,
+    /// The supervisor's kill and restart tallies as of the last decision.
+    /// A copy of state the supervisor snapshots itself, so it is re-derived
+    /// on restore rather than encoded.
+    pub supervisor: SupervisorStats,
 }
 
 impl ControllerTrace {
@@ -186,65 +196,10 @@ impl ControllerTrace {
 /// Shared handle to a controller's trace (usable after the run finishes).
 pub type TraceHandle = Rc<RefCell<ControllerTrace>>;
 
-/// The controller state worth carrying across a daemon restart: the last
-/// trusted classification and the actuation it left (for the adaptive rule
-/// the flag *is* the hysteresis band position — `ThrottleSignals::apply`
-/// folds it forward).
-///
-/// Restoring it on an epoch change keeps recovery from re-deciding off
-/// post-restart warm-up artifacts (an empty power window classifies as
-/// zero Watts, i.e. Low) and re-triggering a spurious transition.
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
-pub struct ControllerCheckpoint {
-    /// The knob's setting after the last trusted decision.
-    pub actuation: Actuation,
-    /// Power classification of that decision.
-    pub power_level: Level,
-    /// Memory classification of that decision.
-    pub memory_level: Level,
-}
-
-/// Control-plane robustness tallies, updated on every controller period and
-/// readable after the run through the shared handle
-/// ([`ThrottleController::control_plane`]).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct ControlPlaneStats {
-    /// Daemon deaths the supervisor observed (scripted + wedge).
-    pub daemon_kills: u64,
-    /// Daemon restarts the supervisor performed.
-    pub daemon_restarts: u64,
-    /// Deaths attributed to wedge detection.
-    pub wedge_kills: u64,
-    /// True once the supervisor exhausted its restart budget.
-    pub daemon_gave_up: bool,
-    /// Blackboard epoch (restart generation) at the last period.
-    pub blackboard_epoch: u64,
-    /// Times the controller resumed from its checkpoint after an epoch change.
-    pub checkpoint_restores: u64,
-    /// Controller periods spent in safe mode.
-    pub safe_mode_periods: u64,
-}
-
-impl ControlPlaneStats {
-    /// The snapshot codec (see [`Codec`]): every counter in declaration
-    /// order.
-    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
-        Ok(ControlPlaneStats {
-            daemon_kills: c.u64(self.daemon_kills)?,
-            daemon_restarts: c.u64(self.daemon_restarts)?,
-            wedge_kills: c.u64(self.wedge_kills)?,
-            daemon_gave_up: c.bool(self.daemon_gave_up)?,
-            blackboard_epoch: c.u64(self.blackboard_epoch)?,
-            checkpoint_restores: c.u64(self.checkpoint_restores)?,
-            safe_mode_periods: c.u64(self.safe_mode_periods)?,
-        })
-    }
-}
-
 /// The node controller: a supervised RCR daemon plus the classification
 /// rule of its [`Policy`], wrapped in a safe-mode monitor that fails open
 /// when the measurement pipeline degrades. Clones share the trace,
-/// heartbeat, control-plane and blackboard handles.
+/// heartbeat and blackboard handles.
 #[derive(Clone)]
 pub struct ThrottleController {
     policy: Policy,
@@ -256,8 +211,13 @@ pub struct ThrottleController {
     degraded_streak: u32,
     healthy_streak: u32,
     last_epoch: u64,
-    checkpoint: Option<ControllerCheckpoint>,
-    cp_stats: Rc<Cell<ControlPlaneStats>>,
+    /// The actuation of the last trusted decision, carried across a daemon
+    /// restart. For the adaptive rule the flag *is* the hysteresis band
+    /// position (`ThrottleSignals::apply` folds it forward). Re-imposing it
+    /// on an epoch change keeps recovery from re-deciding off post-restart
+    /// warm-up artifacts (an empty power window classifies as zero Watts,
+    /// i.e. Low) and re-triggering a spurious transition.
+    checkpoint: Option<Actuation>,
     heartbeat: Rc<Cell<u64>>,
     trace: TraceHandle,
 }
@@ -305,7 +265,6 @@ impl ThrottleController {
             healthy_streak: 0,
             last_epoch: 0,
             checkpoint: None,
-            cp_stats: Rc::default(),
             heartbeat: Rc::default(),
             trace: Rc::default(),
         };
@@ -333,12 +292,6 @@ impl ThrottleController {
     /// snapshots — a watchdog can watch it to detect a wedged pipeline.
     pub fn heartbeat(&self) -> Rc<Cell<u64>> {
         Rc::clone(&self.heartbeat)
-    }
-
-    /// Shared handle to the control-plane tallies, refreshed every period;
-    /// the facade reads it after the controller has been consumed by the run.
-    pub fn control_plane(&self) -> Rc<Cell<ControlPlaneStats>> {
-        Rc::clone(&self.cp_stats)
     }
 
     /// A blackboard view older than this is considered stale: 1.5 daemon
@@ -442,13 +395,11 @@ impl Monitor for ThrottleController {
         let epoch = bb.epoch();
         if epoch != self.last_epoch {
             self.last_epoch = epoch;
-            if let Some(cp) = self.checkpoint {
+            if let Some(actuation) = self.checkpoint {
                 if !self.safe_mode {
-                    cp.actuation.apply(machine, throttle);
+                    actuation.apply(machine, throttle);
                 }
-                let mut s = self.cp_stats.get();
-                s.checkpoint_restores += 1;
-                self.cp_stats.set(s);
+                self.trace.borrow_mut().checkpoint_restores += 1;
             }
         }
         let snaps = self.supervisor.blackboard().snapshot_all();
@@ -470,22 +421,11 @@ impl Monitor for ThrottleController {
         let (power_w, actuation) = self.respond(machine, throttle, signals, hottest_w, trusted);
         actuation.apply(machine, throttle);
         if meters_valid {
-            self.checkpoint = Some(ControllerCheckpoint {
-                actuation,
-                power_level: signals.power,
-                memory_level: signals.memory,
-            });
+            self.checkpoint = Some(actuation);
         }
-        let sup_stats = self.supervisor.stats();
-        let mut s = self.cp_stats.get();
-        s.daemon_kills = sup_stats.kills;
-        s.daemon_restarts = sup_stats.restarts;
-        s.wedge_kills = sup_stats.wedge_kills;
-        s.daemon_gave_up = sup_stats.gave_up;
-        s.blackboard_epoch = epoch;
-        s.safe_mode_periods += u64::from(self.safe_mode);
-        self.cp_stats.set(s);
-        self.trace.borrow_mut().samples.push(ControllerSample {
+        let mut trace = self.trace.borrow_mut();
+        trace.supervisor = self.supervisor.stats();
+        trace.samples.push(ControllerSample {
             t_ns: machine.now_ns(),
             power_w,
             mem_concurrency: mem,
@@ -524,27 +464,23 @@ impl Monitor for ThrottleController {
 
 impl ThrottleController {
     /// The snapshot codec (see [`Codec`]): the supervised pipeline, safe-mode
-    /// state, the last checkpoint, control-plane stats, heartbeat, and the
-    /// decision trace. The reader decodes into a copy of the controller
-    /// (`None` on the writer) that shares its handles, and writes the
-    /// restored values through them once everything has decoded, so outside
-    /// holders (the facade's report hooks, watchdogs) observe them.
+    /// state, the last checkpoint, the checkpoint-restore tally, heartbeat,
+    /// and the decision trace. The reader decodes into a copy of the
+    /// controller (`None` on the writer) that shares its handles, and writes
+    /// the restored values through them once everything has decoded, so
+    /// outside holders (the facade's report hooks, watchdogs) observe them.
+    /// The trace's supervisor tallies are taken from the decoded supervisor.
     fn codec<C: Codec>(&self, c: &mut C) -> Result<Option<Self>, SnapError> {
         let supervisor = self.supervisor.codec(c)?;
         let safe_mode = c.bool(self.safe_mode)?;
         let degraded_streak = c.u32(self.degraded_streak)?;
         let healthy_streak = c.u32(self.healthy_streak)?;
         let last_epoch = c.u64(self.last_epoch)?;
-        let checkpoint = c.opt(self.checkpoint.as_ref(), |c, cp| {
-            Ok(ControllerCheckpoint {
-                actuation: self.actuation_codec(c, cp.actuation)?,
-                power_level: level_codec(c, cp.power_level)?,
-                memory_level: level_codec(c, cp.memory_level)?,
-            })
-        })?;
-        let cp_stats = self.cp_stats.get().codec(c)?;
+        let checkpoint = c.opt(self.checkpoint.as_ref(), |c, &a| self.actuation_codec(c, a))?;
+        let trace = self.trace.borrow();
+        let checkpoint_restores = c.u64(trace.checkpoint_restores)?;
         let heartbeat = c.u64(self.heartbeat.get())?;
-        let samples = c.seq(&self.trace.borrow().samples, |c, s| {
+        let samples = c.seq(&trace.samples, |c, s| {
             Ok(ControllerSample {
                 t_ns: c.u64(s.t_ns)?,
                 power_w: c.f64(s.power_w)?,
@@ -555,10 +491,8 @@ impl ThrottleController {
                 safe_mode: c.bool(s.safe_mode)?,
             })
         })?;
+        drop(trace);
         Ok(C::DECODING.then(|| {
-            self.cp_stats.set(cp_stats);
-            self.heartbeat.set(heartbeat);
-            self.trace.borrow_mut().samples = samples;
             let mut restored = ThrottleController {
                 safe_mode,
                 degraded_streak,
@@ -568,6 +502,12 @@ impl ThrottleController {
                 ..self.clone()
             };
             restored.supervisor.install(supervisor);
+            self.heartbeat.set(heartbeat);
+            *self.trace.borrow_mut() = ControllerTrace {
+                samples,
+                checkpoint_restores,
+                supervisor: restored.supervisor.stats(),
+            };
             restored
         }))
     }
@@ -751,17 +691,16 @@ mod tests {
             &m,
             ControllerConfig { faults: Some(plan), ..Default::default() },
         );
-        let stats = ctrl.control_plane();
         let mut throttle = ThrottleState::new(6);
         fire_over(&mut m, &mut ctrl, &mut throttle, 4.0);
 
-        let s = stats.get();
-        assert_eq!(s.daemon_kills, 1, "{s:?}");
-        assert_eq!(s.daemon_restarts, 1, "{s:?}");
-        assert_eq!(s.blackboard_epoch, 1, "{s:?}");
-        assert!(s.checkpoint_restores >= 1, "{s:?}");
-        assert!(throttle.active, "hot+contended stays throttled through the crash");
         let t = trace.borrow();
+        let s = t.supervisor;
+        assert_eq!(s.kills, 1, "{s:?}");
+        assert_eq!(s.restarts, 1, "{s:?}");
+        assert_eq!(ctrl.blackboard().epoch(), 1);
+        assert!(t.checkpoint_restores >= 1, "{}", t.checkpoint_restores);
+        assert!(throttle.active, "hot+contended stays throttled through the crash");
         assert_eq!(ControllerTrace::activations(&t.samples), 1, "no flapping across the restart");
         let first_on = t.samples.iter().position(|x| x.actuation.throttled()).unwrap();
         assert!(
@@ -780,7 +719,7 @@ mod tests {
         // A crash-looping daemon: killed every 300 ms, budget of 2 restarts.
         let kills: Vec<u64> = (1..=10).map(|i| NS_PER_SEC + i * 3 * NS_PER_SEC / 10).collect();
         let plan = FaultPlan::new(34).with_daemon_kills(&kills);
-        let (mut ctrl, _trace) = ThrottleController::with_config(
+        let (mut ctrl, trace) = ThrottleController::with_config(
             &m,
             ControllerConfig {
                 faults: Some(plan),
@@ -788,17 +727,18 @@ mod tests {
                 ..Default::default()
             },
         );
-        let stats = ctrl.control_plane();
         let mut throttle = ThrottleState::new(6);
         fire_over(&mut m, &mut ctrl, &mut throttle, 5.0);
 
-        let s = stats.get();
-        assert!(s.daemon_gave_up, "{s:?}");
-        assert_eq!(s.daemon_restarts, 2, "budget caps restarts: {s:?}");
+        let t = trace.borrow();
+        let s = t.supervisor;
+        assert!(s.gave_up, "{s:?}");
+        assert_eq!(s.restarts, 2, "budget caps restarts: {s:?}");
         assert!(ctrl.in_safe_mode(), "a permanently dark pipeline is safe mode");
         assert!(!throttle.active, "fails open at full duty");
         assert_eq!(throttle.effective_limit(), usize::MAX);
-        assert!(s.safe_mode_periods >= 10, "{s:?}");
+        let safe_mode_periods = t.samples.iter().filter(|x| x.safe_mode).count();
+        assert!(safe_mode_periods >= 10, "{safe_mode_periods}");
     }
 
     #[test]

@@ -12,9 +12,7 @@ use maestro_runtime::{
     RuntimeParams, SnapshotPlan, TaskValue, Watchdog,
 };
 
-use crate::controller::{
-    ControlPlaneStats, ControllerConfig, ControllerTrace, ThrottleController, TraceHandle,
-};
+use crate::controller::{ControllerConfig, ControllerTrace, ThrottleController, TraceHandle};
 
 /// Concurrency policy for a run, matching the paper's table rows (plus the
 /// alternative mechanisms evaluated by the `ablation`/`powercap` targets).
@@ -94,10 +92,6 @@ pub struct ThrottleSummary {
     pub activations: usize,
     /// Controller decisions taken.
     pub decisions: usize,
-    /// Worker-seconds spent in the low-power spin loop.
-    pub throttled_worker_s: f64,
-    /// Duty-register writes performed.
-    pub duty_writes: u64,
     /// Decisions forced by the controller's safe mode (measurement pipeline
     /// degraded — throttling deactivated, full duty cycle restored).
     pub safe_mode_decisions: usize,
@@ -112,12 +106,6 @@ pub struct ThrottleSummary {
     pub daemon_gave_up: bool,
     /// Times the controller resumed from its checkpoint after a restart.
     pub checkpoint_restores: u64,
-    /// Duty-write transactions that exhausted their retries during the run.
-    pub failed_duty_applies: u64,
-    /// Per-core actuator circuit breakers tripped during the run.
-    pub breaker_trips: u64,
-    /// Cores forcibly reset to FULL duty by the actuator during the run.
-    pub forced_duty_resets: u64,
 }
 
 /// Everything measured about one run: the region report fields (time,
@@ -137,8 +125,9 @@ pub struct RunReport {
     /// Scheduler counters.
     pub stats: RunStats,
     /// Present for adaptive runs (the duty-cycle flag is not the DVFS or
-    /// power-cap knob).
-    pub throttle: Option<ThrottleSummary>,
+    /// power-cap knob). Boxed so a completed [`MaestroRunEnd`] stays within
+    /// about 200 bytes of a suspended one.
+    pub throttle: Option<Box<ThrottleSummary>>,
     /// The root task's value.
     pub value: TaskValue,
 }
@@ -174,11 +163,12 @@ impl std::fmt::Display for RunReport {
                     if t.daemon_gave_up { ", gave up" } else { "" }
                 )?;
             }
-            if t.breaker_trips > 0 || t.failed_duty_applies > 0 {
+            let s = &self.stats;
+            if s.breaker_trips > 0 || s.failed_duty_applies > 0 {
                 write!(
                     f,
                     " [actuation: {} failed apply(s), {} breaker trip(s), {} forced reset(s)]",
-                    t.failed_duty_applies, t.breaker_trips, t.forced_duty_resets
+                    s.failed_duty_applies, s.breaker_trips, s.forced_duty_resets
                 )?;
             }
         }
@@ -192,7 +182,6 @@ pub struct Maestro {
     runtime: Runtime,
     trace: Option<TraceHandle>,
     watchdog_missed: Option<Rc<Cell<u64>>>,
-    control_plane: Option<Rc<Cell<ControlPlaneStats>>>,
     policy: Policy,
 }
 
@@ -211,12 +200,10 @@ impl Maestro {
         let mut runtime = Runtime::new(Machine::new(machine), runtime)?;
         let mut trace = None;
         let mut watchdog_missed = None;
-        let mut control_plane = None;
         if policy != Policy::Fixed {
             let (controller, t) =
                 ThrottleController::with_policy(runtime.machine(), policy, controller);
             let heartbeat = controller.heartbeat();
-            control_plane = Some(controller.control_plane());
             trace = Some(t);
             runtime.add_monitor(Box::new(controller));
             if let Policy::Adaptive { limit_per_shepherd } = policy {
@@ -228,7 +215,7 @@ impl Maestro {
                 runtime.add_monitor(Box::new(watchdog));
             }
         }
-        Ok(Maestro { runtime, trace, watchdog_missed, control_plane, policy })
+        Ok(Maestro { runtime, trace, watchdog_missed, policy })
     }
 
     /// The controller's decision trace, for every policy but
@@ -277,10 +264,14 @@ impl Maestro {
     /// The facade-side measurement baselines taken at run start, so per-run
     /// summaries subtract prior runs on the same warm instance.
     fn run_anchors(&self) -> RunAnchors {
+        let trace = self.trace.as_ref().map(|t| t.borrow());
+        let trace = trace.as_deref();
         RunAnchors {
-            decisions_before: self.trace.as_ref().map_or(0, |t| t.borrow().samples.len()) as u64,
+            decisions_before: trace.map_or(0, |t| t.samples.len()) as u64,
             missed_before: self.watchdog_missed.as_ref().map_or(0, |m| m.get()),
-            cp_before: self.control_plane.as_ref().map(|h| h.get()).unwrap_or_default(),
+            kills_before: trace.map_or(0, |t| t.supervisor.kills),
+            restarts_before: trace.map_or(0, |t| t.supervisor.restarts),
+            restores_before: trace.map_or(0, |t| t.checkpoint_restores),
         }
     }
 
@@ -296,25 +287,18 @@ impl Maestro {
         let throttle = self.trace.as_ref().filter(|_| adaptive).map(|t| {
             let trace = t.borrow();
             let run_samples = &trace.samples[decisions_before.min(trace.samples.len())..];
-            let cp = self.control_plane.as_ref().map(|h| h.get()).unwrap_or_default();
-            ThrottleSummary {
+            Box::new(ThrottleSummary {
                 throttled_fraction: ControllerTrace::throttled_fraction(run_samples),
                 activations: ControllerTrace::activations(run_samples),
                 decisions: run_samples.len(),
-                throttled_worker_s: outcome.stats.throttled_worker_ns as f64 * 1e-9,
-                duty_writes: outcome.stats.duty_writes,
                 safe_mode_decisions: run_samples.iter().filter(|s| s.safe_mode).count(),
                 missed_deadlines: self.watchdog_missed.as_ref().map_or(0, |m| m.get())
                     - anchors.missed_before,
-                daemon_kills: cp.daemon_kills - anchors.cp_before.daemon_kills,
-                daemon_restarts: cp.daemon_restarts - anchors.cp_before.daemon_restarts,
-                daemon_gave_up: cp.daemon_gave_up,
-                checkpoint_restores: cp.checkpoint_restores
-                    - anchors.cp_before.checkpoint_restores,
-                failed_duty_applies: outcome.stats.failed_duty_applies,
-                breaker_trips: outcome.stats.breaker_trips,
-                forced_duty_resets: outcome.stats.forced_duty_resets,
-            }
+                daemon_kills: trace.supervisor.kills - anchors.kills_before,
+                daemon_restarts: trace.supervisor.restarts - anchors.restarts_before,
+                daemon_gave_up: trace.supervisor.gave_up,
+                checkpoint_restores: trace.checkpoint_restores - anchors.restores_before,
+            })
         });
         RunReport {
             name: name.to_string(),
@@ -361,7 +345,7 @@ impl Maestro {
         let anchors = self.run_anchors();
         let region = Region::start(name, self.runtime.machine());
         let captured = self.runtime.run_service_captured(app, source, plan)?;
-        Ok(self.wrap_captured(name, region, anchors, captured))
+        Ok(self.wrap_captured(region, anchors, captured))
     }
 
     /// Resume a suspended service run. `source` must be freshly built with
@@ -377,7 +361,7 @@ impl Maestro {
     ) -> Result<MaestroRun, SnapError> {
         let captured =
             self.runtime.resume_service_captured(app, source, &snapshot.runtime_bytes, plan)?;
-        Ok(self.wrap_captured(&snapshot.name, snapshot.region.clone(), snapshot.anchors, captured))
+        Ok(self.wrap_captured(snapshot.region.clone(), snapshot.anchors, captured))
     }
 
     // ------------------------------------------------------------------
@@ -399,7 +383,7 @@ impl Maestro {
         let anchors = self.run_anchors();
         let region = Region::start(name, self.runtime.machine());
         let captured = self.runtime.run_captured(app, root, plan)?;
-        Ok(self.wrap_captured(name, region, anchors, captured))
+        Ok(self.wrap_captured(region, anchors, captured))
     }
 
     /// Resume a suspended run on this (freshly built or warm) facade. The
@@ -414,18 +398,18 @@ impl Maestro {
         plan: &SnapshotPlan,
     ) -> Result<MaestroRun, SnapError> {
         let captured = self.runtime.resume_captured(app, &snapshot.runtime_bytes, plan)?;
-        Ok(self.wrap_captured(&snapshot.name, snapshot.region.clone(), snapshot.anchors, captured))
+        Ok(self.wrap_captured(snapshot.region.clone(), snapshot.anchors, captured))
     }
 
+    /// Wrap a captured runtime run measured over `region`, which carries
+    /// the workload label.
     fn wrap_captured(
         &self,
-        name: &str,
         region: Region,
         anchors: RunAnchors,
         captured: CapturedRun,
     ) -> MaestroRun {
         let to_snapshot = |t_ns: u64, bytes: Vec<u8>| MaestroSnapshot {
-            name: name.to_string(),
             t_ns,
             region: region.clone(),
             anchors,
@@ -436,6 +420,7 @@ impl Maestro {
         let end = match captured.end {
             RunEnd::Completed(outcome) => {
                 let report = region.clone().end(self.runtime.machine());
+                let name = region.name();
                 MaestroRunEnd::Completed(self.build_report(name, outcome, report, &anchors))
             }
             RunEnd::Suspended(cap) => MaestroRunEnd::Suspended(to_snapshot(cap.t_ns, cap.bytes)),
@@ -451,7 +436,9 @@ impl Maestro {
 struct RunAnchors {
     decisions_before: u64,
     missed_before: u64,
-    cp_before: ControlPlaneStats,
+    kills_before: u64,
+    restarts_before: u64,
+    restores_before: u64,
 }
 
 impl RunAnchors {
@@ -461,7 +448,9 @@ impl RunAnchors {
         Ok(RunAnchors {
             decisions_before: c.u64(self.decisions_before)?,
             missed_before: c.u64(self.missed_before)?,
-            cp_before: self.cp_before.codec(c)?,
+            kills_before: c.u64(self.kills_before)?,
+            restarts_before: c.u64(self.restarts_before)?,
+            restores_before: c.u64(self.restores_before)?,
         })
     }
 }
@@ -512,7 +501,6 @@ impl MaestroRun {
 /// final report is bit-identical to an unbroken run's.
 #[derive(Clone, Debug, Default)]
 pub struct MaestroSnapshot {
-    name: String,
     t_ns: u64,
     region: Region,
     anchors: RunAnchors,
@@ -520,9 +508,9 @@ pub struct MaestroSnapshot {
 }
 
 impl MaestroSnapshot {
-    /// Workload label of the captured run.
+    /// Workload label of the captured run (its measurement region's name).
     pub fn name(&self) -> &str {
-        &self.name
+        self.region.name()
     }
 
     /// Virtual time of the capture, nanoseconds.
@@ -548,12 +536,11 @@ impl MaestroSnapshot {
         Ok(snap)
     }
 
-    /// The snapshot codec (see [`Codec`]): scenario name, capture time,
-    /// the open region, the controller baselines, and the runtime's own
-    /// snapshot as a blob.
+    /// The snapshot codec (see [`Codec`]): capture time, the open region
+    /// (which carries the workload label), the controller baselines, and
+    /// the runtime's own snapshot as a blob.
     fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
         Ok(MaestroSnapshot {
-            name: c.str(&self.name)?,
             t_ns: c.u64(self.t_ns)?,
             region: self.region.codec(c)?,
             anchors: self.anchors.codec(c)?,
@@ -608,7 +595,7 @@ mod tests {
         let t = r.throttle.expect("adaptive run has a summary");
         assert!(t.decisions > 5, "controller must have run: {t:?}");
         assert!(t.throttled_fraction > 0.3, "hot+contended must throttle: {t:?}");
-        assert!(t.throttled_worker_s > 0.0);
+        assert!(r.stats.throttled_worker_ns > 0);
     }
 
     #[test]
@@ -815,8 +802,8 @@ mod tests {
         }
         // Contended workload: the tighter limit throttles at least as much
         // worker time as the loosest one.
-        let tight = &reports[0].1.throttle.as_ref().unwrap().throttled_worker_s;
-        let loose = &reports[2].1.throttle.as_ref().unwrap().throttled_worker_s;
+        let tight = reports[0].1.stats.throttled_worker_ns;
+        let loose = reports[2].1.stats.throttled_worker_ns;
         assert!(tight >= loose, "tight {tight} vs loose {loose}");
     }
 

@@ -41,8 +41,8 @@ pub mod controller;
 pub mod facade;
 
 pub use controller::{
-    Actuation, ControlPlaneStats, ControllerCheckpoint, ControllerConfig, ControllerSample,
-    ControllerTrace, SafeModeConfig, ThrottleController, TraceHandle,
+    Actuation, ControllerConfig, ControllerSample, ControllerTrace, SafeModeConfig,
+    ThrottleController, TraceHandle,
 };
 pub use facade::{
     Maestro, MaestroConfig, MaestroRun, MaestroRunEnd, MaestroSnapshot, Policy, RunReport,

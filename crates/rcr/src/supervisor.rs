@@ -95,6 +95,18 @@ pub struct SupervisorStats {
     pub gave_up: bool,
 }
 
+impl SupervisorStats {
+    /// The snapshot codec (see [`Codec`]): every tally in declaration order.
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
+        Ok(SupervisorStats {
+            kills: c.u64(self.kills)?,
+            wedge_kills: c.u64(self.wedge_kills)?,
+            restarts: c.u64(self.restarts)?,
+            gave_up: c.bool(self.gave_up)?,
+        })
+    }
+}
+
 /// What one call to [`Supervisor::sample`] did.
 #[derive(Debug)]
 #[must_use = "a robust caller must notice when the pipeline is not publishing"]
@@ -259,12 +271,7 @@ impl Supervisor {
         let down_until_ns = c.u64(self.down_until_ns)?;
         let next_due_ns = c.u64(self.next_due_ns)?;
         let dead_health = self.dead_health.codec(c)?;
-        let stats = SupervisorStats {
-            kills: c.u64(self.stats.kills)?,
-            wedge_kills: c.u64(self.stats.wedge_kills)?,
-            restarts: c.u64(self.stats.restarts)?,
-            gave_up: c.bool(self.stats.gave_up)?,
-        };
+        let stats = self.stats.codec(c)?;
         // A snapshot taken while the daemon was down discards the freshly
         // built incarnation without tallying a kill.
         let supervisor = C::DECODING.then(|| {

@@ -96,8 +96,9 @@ pub trait Monitor {
     }
 }
 
-/// A monitor that records the node power trace at a fixed period — used by
-/// the experiment harness to plot power over time, and handy in tests.
+/// A monitor that records the node power trace at a fixed period. Only the
+/// runtime's own tests use it: a sampling monitor that rides through the
+/// event loop and across snapshot suspend and resume.
 #[derive(Clone, Debug)]
 pub struct PowerTrace {
     period_ns: u64,
@@ -264,27 +265,22 @@ impl Monitor for Watchdog {
         _machine: &Machine,
         r: &mut SnapReader<'_>,
     ) -> Result<(), SnapError> {
-        let (next_ns, beat, last_beat, missed) = self.codec(r)?;
+        let (next_ns, last_beat, missed) = self.codec(r)?;
         self.next_ns = next_ns;
-        // Writes through the shared handles so external holders (run
-        // reports, the supervised component) see the restored values.
-        self.heartbeat.set(beat);
         self.last_beat = last_beat;
+        // Writes through the shared handle so external holders (run
+        // reports) see the restored tally.
         self.missed.set(missed);
         Ok(())
     }
 }
 
 impl Watchdog {
-    /// The snapshot codec (see [`Codec`]): deadline, heartbeat, last seen
-    /// beat, missed tally.
-    fn codec<C: Codec>(&self, c: &mut C) -> Result<(u64, u64, u64, u64), SnapError> {
-        Ok((
-            c.u64(self.next_ns)?,
-            c.u64(self.heartbeat.get())?,
-            c.u64(self.last_beat)?,
-            c.u64(self.missed.get())?,
-        ))
+    /// The snapshot codec (see [`Codec`]): deadline, last seen beat, missed
+    /// tally. The heartbeat belongs to the supervised component, which
+    /// snapshots and restores it.
+    fn codec<C: Codec>(&self, c: &mut C) -> Result<(u64, u64, u64), SnapError> {
+        Ok((c.u64(self.next_ns)?, c.u64(self.last_beat)?, c.u64(self.missed.get())?))
     }
 }
 

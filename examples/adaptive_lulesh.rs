@@ -44,7 +44,8 @@ fn main() {
         );
         println!(
             "{:.1} worker-seconds were spent spinning at 1/32 duty ({} duty-MSR writes).",
-            t.throttled_worker_s, t.duty_writes
+            dynamic.stats.throttled_worker_ns as f64 * 1e-9,
+            dynamic.stats.duty_writes
         );
     }
     let saving = 1.0 - dynamic.joules / fixed16.joules;

@@ -59,8 +59,8 @@ fn main() {
              {:.2} worker-seconds in the low-power spin state, {} duty-MSR writes",
             t.decisions,
             t.throttled_fraction * 100.0,
-            t.throttled_worker_s,
-            t.duty_writes
+            report.stats.throttled_worker_ns as f64 * 1e-9,
+            report.stats.duty_writes
         );
     }
     println!();

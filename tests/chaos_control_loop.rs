@@ -162,8 +162,9 @@ fn full_loop_survives_seeded_chaos_schedules() {
                 report.stats
             );
             assert!(
-                t.forced_duty_resets >= t.failed_duty_applies,
-                "seed {seed}: failed applies force resets: {t:?}"
+                report.stats.forced_duty_resets >= report.stats.failed_duty_applies,
+                "seed {seed}: failed applies force resets: {:?}",
+                report.stats
             );
         });
     }
@@ -299,10 +300,11 @@ fn torn_writes_trip_breakers_and_fail_open() {
         t_now.set(m.machine().now_ns());
         assert_all_cores_full(&m, "torn writes");
 
-        let t = report.throttle.as_ref().expect("adaptive summary");
-        assert!(t.failed_duty_applies > 0, "all-torn writes must fail applies: {t:?}");
-        assert!(t.breaker_trips > 0, "hair-trigger breakers must trip: {t:?}");
-        assert!(t.forced_duty_resets > 0, "{t:?}");
+        assert!(report.throttle.is_some(), "adaptive summary");
+        let s = &report.stats;
+        assert!(s.failed_duty_applies > 0, "all-torn writes must fail applies: {s:?}");
+        assert!(s.breaker_trips > 0, "hair-trigger breakers must trip: {s:?}");
+        assert!(s.forced_duty_resets > 0, "{s:?}");
         let shown = report.to_string();
         assert!(
             shown.contains("breaker trip(s)") && shown.contains("failed apply(s)"),

@@ -27,7 +27,8 @@ fn adaptive_runs_are_reproducible() {
     let run = || {
         let w = by_name("lulesh", Scale::Test).expect("registered");
         let r = run_maestro(w.as_ref(), cc, 16, maestro::Policy::Adaptive { limit_per_shepherd: 6 });
-        (r.elapsed_s.to_bits(), r.joules.to_bits(), r.throttle.map(|t| (t.decisions, t.duty_writes)))
+        let throttle = r.throttle.map(|t| (t.decisions, r.stats.duty_writes));
+        (r.elapsed_s.to_bits(), r.joules.to_bits(), throttle)
     };
     assert_eq!(run(), run());
 }

@@ -37,26 +37,26 @@ use maestro_workloads::Scale;
 
 /// The committed table, in computation order.
 const GOLDEN: &[(&str, u64)] = &[
-    ("contended-adaptive", 0xde5e9f5a909c8c6e),
-    ("contended-fixed", 0x95a8d61eab04ef34),
-    ("scalable-adaptive", 0x0c64f390308b693c),
-    ("contended-dvfs", 0xcbc6d32a484910f7),
-    ("contended-powercap", 0xc0e036ce47cb622c),
-    ("svc-steady", 0xc52ffee65126a819),
-    ("svc-burst", 0x1c0a3a77af7bfa0b),
-    ("svc-storm", 0xac5f90734ffc372d),
-    ("svc-storm-guarded", 0xaf391509c48af456),
-    ("svc-pareto-tight", 0xac3d0e9e0432c5fe),
-    ("svc-pareto-mid", 0x1e154d2cd59eff2a),
-    ("svc-pareto-relaxed", 0x55af12be7608a4c6),
-    ("fleet-smoke", 0xaf6ebdf683b8bf5d),
+    ("contended-adaptive", 0xd024b0d1d4498e33),
+    ("contended-fixed", 0xb12c89796703526a),
+    ("scalable-adaptive", 0xbc9fc3522e42b1bc),
+    ("contended-dvfs", 0xdaf785d23056016f),
+    ("contended-powercap", 0xd0c432aa6fd0662b),
+    ("svc-steady", 0x7800e9dab6426b2a),
+    ("svc-burst", 0x03dafe4b3e221fc7),
+    ("svc-storm", 0x89b0204c05f12144),
+    ("svc-storm-guarded", 0x000be8363ccf6fa0),
+    ("svc-pareto-tight", 0xf9ae24a6a7b400d1),
+    ("svc-pareto-mid", 0xfb9f4a1ef115faab),
+    ("svc-pareto-relaxed", 0x649a8d6643b31e80),
+    ("fleet-smoke", 0xbf3c0c4af05156ec),
     ("table1", 0x531b88d5bdeb3d1f),
     ("table4", 0x09a37e9752d65c76),
     ("table5", 0x3f384d1d1aa449c4),
     ("table6", 0x360fde5bd631ac15),
     ("table7", 0x52edf08c003f9029),
     ("ablation", 0x81800b80a94c5817),
-    ("fleet-correlated-failures", 0x8d7f558b29032ab6),
+    ("fleet-correlated-failures", 0xbe43a9808d2109c1),
 ];
 
 /// Batch suspension point: mid-run for every batch scenario.
