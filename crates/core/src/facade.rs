@@ -4,7 +4,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, PagedBytes, SnapError, SnapReader, SnapWriter};
 use maestro_machine::{fingerprint, Machine, MachineConfig, PState};
 use maestro_rcr::{Region, RegionReport, DEFAULT_SAMPLE_PERIOD_NS};
 use maestro_runtime::{
@@ -360,7 +360,7 @@ impl Maestro {
         plan: &SnapshotPlan,
     ) -> Result<MaestroRun, SnapError> {
         let captured =
-            self.runtime.resume_service_captured(app, source, &snapshot.runtime_bytes, plan)?;
+            self.runtime.resume_service_captured(app, source, &snapshot.runtime_bytes.to_vec(), plan)?;
         Ok(self.wrap_captured(snapshot.region.clone(), snapshot.anchors, captured))
     }
 
@@ -397,7 +397,7 @@ impl Maestro {
         snapshot: &MaestroSnapshot,
         plan: &SnapshotPlan,
     ) -> Result<MaestroRun, SnapError> {
-        let captured = self.runtime.resume_captured(app, &snapshot.runtime_bytes, plan)?;
+        let captured = self.runtime.resume_captured(app, &snapshot.runtime_bytes.to_vec(), plan)?;
         Ok(self.wrap_captured(snapshot.region.clone(), snapshot.anchors, captured))
     }
 
@@ -409,7 +409,7 @@ impl Maestro {
         anchors: RunAnchors,
         captured: CapturedRun,
     ) -> MaestroRun {
-        let to_snapshot = |t_ns: u64, bytes: Vec<u8>| MaestroSnapshot {
+        let to_snapshot = |t_ns: u64, bytes: PagedBytes| MaestroSnapshot {
             t_ns,
             region: region.clone(),
             anchors,
@@ -504,7 +504,7 @@ pub struct MaestroSnapshot {
     t_ns: u64,
     region: Region,
     anchors: RunAnchors,
-    runtime_bytes: Vec<u8>,
+    runtime_bytes: PagedBytes,
 }
 
 impl MaestroSnapshot {
@@ -544,7 +544,7 @@ impl MaestroSnapshot {
             t_ns: c.u64(self.t_ns)?,
             region: self.region.codec(c)?,
             anchors: self.anchors.codec(c)?,
-            runtime_bytes: c.blob(&self.runtime_bytes)?,
+            runtime_bytes: c.paged(&self.runtime_bytes)?,
         })
     }
 }
@@ -762,6 +762,13 @@ mod tests {
             let plan = SnapshotPlan::suspend_at(SUSPEND_NS + 1_000_000);
             Maestro::new(MaestroConfig::adaptive(16)).resume_captured(&mut (), &snap, &plan).map(drop)
         });
+    }
+
+    #[test]
+    fn snapshots_cross_threads() {
+        // Fork sweeps hand one snapshot to many worker threads.
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<MaestroSnapshot>();
     }
 
     #[test]

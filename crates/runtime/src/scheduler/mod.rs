@@ -1687,7 +1687,7 @@ mod tests {
         // Resume on a *fresh* runtime with identical configuration.
         let mut rt2 = runtime(8);
         let resumed =
-            rt2.resume_captured::<()>(&mut (), &cap.bytes, &SnapshotPlan::none()).unwrap();
+            rt2.resume_captured::<()>(&mut (), &cap.bytes.to_vec(), &SnapshotPlan::none()).unwrap();
         let out = match resumed.end {
             RunEnd::Completed(out) => out,
             other => panic!("resumed run did not complete: {other:?}"),
@@ -1724,13 +1724,13 @@ mod tests {
         let mut b = runtime(8);
         // Times are run-relative: the second stop is at absolute s2.
         let cap2 = b
-            .resume_captured::<()>(&mut (), &cap1.bytes, &SnapshotPlan::suspend_at(s2))
+            .resume_captured::<()>(&mut (), &cap1.bytes.to_vec(), &SnapshotPlan::suspend_at(s2))
             .unwrap()
             .suspended()
             .expect("second suspension");
         assert_eq!(cap2.t_ns, s2);
         let mut c = runtime(8);
-        let out = match c.resume_captured::<()>(&mut (), &cap2.bytes, &SnapshotPlan::none()) {
+        let out = match c.resume_captured::<()>(&mut (), &cap2.bytes.to_vec(), &SnapshotPlan::none()) {
             Ok(CapturedRun { end: RunEnd::Completed(out), .. }) => out,
             other => panic!("final leg did not complete: {other:?}"),
         };
@@ -1757,7 +1757,7 @@ mod tests {
             let mut rt2 = runtime(4);
             // Fence-match the remainder of the cadence schedule.
             let out = match rt2
-                .resume_captured::<()>(&mut (), &snap.bytes, &SnapshotPlan::every(cadence))
+                .resume_captured::<()>(&mut (), &snap.bytes.to_vec(), &SnapshotPlan::every(cadence))
                 .unwrap()
                 .end
             {
@@ -1767,6 +1767,34 @@ mod tests {
             assert_eq!(out.joules.to_bits(), reference.joules.to_bits(), "from t={}", snap.t_ns);
             assert_eq!(out.stats, reference.stats, "from t={}", snap.t_ns);
         }
+    }
+
+    #[test]
+    fn cadence_captures_share_unchanged_pages() {
+        use std::sync::Arc;
+        // Twenty leaf tasks contend for four workers while a dense power trace
+        // grows every capture to several pages. A page byte-equal to the
+        // previous capture's page at its offset is shared, not stored
+        // again. Both counts are a bit-stable work count.
+        let mut rt = runtime(4);
+        rt.add_monitor(Box::new(PowerTrace::new(5_000)));
+        let captured = rt
+            .run_captured(&mut (), spec_tree(16, 4).into_task(), &SnapshotPlan::every(1_000_000))
+            .unwrap();
+        assert!(matches!(captured.end, RunEnd::Completed(_)));
+        let mut prev: &[Arc<[u8]>] = &[];
+        let (mut total, mut fresh) = (0, 0);
+        for cap in &captured.snapshots {
+            let pages = cap.bytes.pages();
+            total += pages.len();
+            fresh += pages
+                .iter()
+                .enumerate()
+                .filter(|&(i, page)| !prev.get(i).is_some_and(|p| Arc::ptr_eq(p, page)))
+                .count();
+            prev = pages;
+        }
+        assert_eq!((captured.snapshots.len(), total, fresh), (25, 286, 193));
     }
 
     #[test]
@@ -1792,7 +1820,7 @@ mod tests {
         // Different worker count => different fingerprint.
         let mut other = runtime(8);
         let err = other
-            .resume_captured::<()>(&mut (), &cap.bytes, &SnapshotPlan::none())
+            .resume_captured::<()>(&mut (), &cap.bytes.to_vec(), &SnapshotPlan::none())
             .expect_err("mismatched config must be rejected");
         assert!(matches!(err, SnapError::FingerprintMismatch { .. }), "got {err:?}");
     }
@@ -1814,13 +1842,14 @@ mod tests {
             .unwrap()
             .suspended()
             .unwrap();
+        let bytes = cap.bytes.to_vec();
         let mut rt2 = runtime(4);
         let err = rt2
-            .resume_captured::<()>(&mut (), &cap.bytes[..cap.bytes.len() - 9], &SnapshotPlan::none())
+            .resume_captured::<()>(&mut (), &bytes[..bytes.len() - 9], &SnapshotPlan::none())
             .expect_err("truncated snapshot must be rejected");
         assert!(matches!(err, SnapError::Truncated { .. }), "got {err:?}");
 
-        let mut garbage = cap.bytes.clone();
+        let mut garbage = bytes.clone();
         let last = garbage.len() - 1;
         garbage[last] ^= 0xff;
         let mut rt3 = runtime(4);
@@ -1831,7 +1860,7 @@ mod tests {
 
         // Every prefix is rejected, and no single-byte flip panics — in
         // decoding or in the resumed run that follows.
-        assert_rejects_corruption(&cap.bytes, |input| {
+        assert_rejects_corruption(&bytes, |input| {
             let plan = SnapshotPlan::suspend_at(3_000_000);
             runtime(4).resume_captured::<()>(&mut (), input, &plan).map(drop)
         });
@@ -1903,7 +1932,7 @@ mod tests {
         let reencode = |forge: Forge| {
             let mut host = runtime(4);
             let mut exec = Exec::new(&mut host, CancelToken::new());
-            exec.restore_exec(&cap.bytes).unwrap();
+            exec.restore_exec(&cap.bytes.to_vec()).unwrap();
             exec.arm_capture(&SnapshotPlan::none());
             forge(&mut exec);
             exec.snapshot_bytes()
@@ -1912,7 +1941,7 @@ mod tests {
         for (msg, forge) in cases {
             // Checks inside the one codec body already fire on encode.
             let resumed = reencode(forge).and_then(|bytes| {
-                runtime(4).resume_captured::<()>(&mut (), &bytes, &SnapshotPlan::none()).map(drop)
+                runtime(4).resume_captured::<()>(&mut (), &bytes.to_vec(), &SnapshotPlan::none()).map(drop)
             });
             assert_eq!(resumed, Err(SnapError::Corrupt(msg)));
         }
@@ -1949,7 +1978,7 @@ mod tests {
                 .unwrap();
             let mut rt2 = runtime(4);
             rt2.add_monitor(Box::new(PowerTrace::new(1_000_000)));
-            rt2.resume_captured::<()>(&mut (), &cap.bytes, &SnapshotPlan::none()).unwrap();
+            rt2.resume_captured::<()>(&mut (), &cap.bytes.to_vec(), &SnapshotPlan::none()).unwrap();
             trace_state(&mut rt2)
         };
         assert_eq!(unbroken, resumed, "power trace identical across the boundary");

@@ -4,7 +4,7 @@
 
 use std::collections::VecDeque;
 
-use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
+use maestro_machine::snap::{Codec, PagedBytes, SnapError, SnapReader, SnapWriter};
 use maestro_machine::{Actuator, FaultPlan};
 
 use super::error::{RuntimeError, TaskFailure};
@@ -66,8 +66,10 @@ impl SnapshotPlan {
 pub struct RunCapture {
     /// Absolute virtual time of the capture, nanoseconds.
     pub t_ns: u64,
-    /// The versioned snapshot bytes (see `maestro_machine::snap`).
-    pub bytes: Vec<u8>,
+    /// The versioned snapshot bytes (see `maestro_machine::snap`), paged:
+    /// a page equal to the previous capture's page at the same offset is
+    /// shared with it.
+    pub bytes: PagedBytes,
 }
 
 /// How a captured run ended.
@@ -127,6 +129,9 @@ pub(super) struct CaptureCtl {
     suspended: Option<RunCapture>,
     /// First serialization failure; surfaced after teardown.
     error: Option<SnapError>,
+    /// Every capture encodes into this buffer, reused from one capture to
+    /// the next, and is then paged against the previous capture.
+    scratch: Vec<u8>,
 }
 
 impl RunAnchors {
@@ -363,6 +368,7 @@ impl<'r, C: 'static> Exec<'r, C> {
             snapshots: Vec::new(),
             suspended: None,
             error: None,
+            scratch: Vec::new(),
         });
     }
 
@@ -483,15 +489,27 @@ impl<'r, C: 'static> Exec<'r, C> {
     /// every monitor — into one versioned snapshot. Fails with a typed error
     /// when the graph holds a task that cannot be captured (closure-based
     /// logic, or an inbox holding opaque values).
-    pub(super) fn snapshot_bytes(&self) -> Result<Vec<u8>, SnapError> {
-        let mut w = SnapWriter::new();
-        w.header(self.capture.as_ref().map_or(0, |c| c.fingerprint));
-        self.codec(&mut w)?;
-        // A cadence run can retain a thousand captures: drop the growth
-        // slack rather than keep up to twice each snapshot's size.
-        let mut bytes = w.finish();
-        bytes.shrink_to_fit();
-        Ok(bytes)
+    pub(super) fn snapshot_bytes(&mut self) -> Result<PagedBytes, SnapError> {
+        // The control block is out of `self` while the run encodes, which
+        // lets the encoding borrow the block's reused buffer.
+        let mut ctl =
+            self.capture.take().ok_or(SnapError::Corrupt("captured run without a capture plan"))?;
+        let mut w = SnapWriter::with_buffer(std::mem::take(&mut ctl.scratch));
+        w.header(ctl.fingerprint);
+        let encoded = self.codec(&mut w);
+        ctl.scratch = w.finish();
+        // A cadence run retains every capture, and consecutive captures
+        // mostly agree: page against the last one so unchanged pages are
+        // kept once.
+        let none = PagedBytes::default();
+        let prev = ctl.snapshots.last().map_or(&none, |c| &c.bytes);
+        let paged = encoded.map(|_| PagedBytes::share(&ctl.scratch, prev));
+        #[cfg(maestro_verify)]
+        if let Ok(paged) = &paged {
+            assert!(paged.to_vec() == ctl.scratch, "paged capture differs from its encoding");
+        }
+        self.capture = Some(ctl);
+        paged
     }
 
     /// Rebuild the entire run state from bytes written by `snapshot_bytes`

@@ -240,7 +240,7 @@ mod tests {
             .unwrap()
             .suspended()
             .expect("suspends mid-stream");
-        assert_rejects_corruption(&cap.bytes, |input| {
+        assert_rejects_corruption(&cap.bytes.to_vec(), |input| {
             let (mut rt, source) = build();
             let plan = SnapshotPlan::suspend_at(250_000);
             rt.resume_service_captured(&mut (), source, input, &plan).map(drop)

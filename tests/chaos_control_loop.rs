@@ -29,7 +29,7 @@ use maestro_bench::chaos::with_chaos_context;
 use maestro_bench::scenario;
 use maestro_machine::{
     Actuator, ActuatorConfig, CoreActivity, Cost, DutyCycle, FaultPlan, Machine, MachineConfig,
-    PState, SocketId, NS_PER_SEC,
+    PState, SocketId, SplitMix64, NS_PER_SEC,
 };
 use maestro_rcr::{Supervisor, SupervisorConfig};
 use maestro_runtime::{
@@ -46,18 +46,9 @@ fn seeds() -> Vec<u64> {
     maestro_bench::chaos::seeds(8)
 }
 
-/// SplitMix64 — the same generator the fault plans use, reused here to
-/// scatter kill times and fault rates deterministically per seed.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn unit_f64(state: &mut u64) -> f64 {
-    (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
+/// A uniform draw in `[0, 1)` with 53 significant bits.
+fn unit_f64(rng: &mut SplitMix64) -> f64 {
+    (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// A hot, memory-contended workload (high intensity, high MLP) — the kind
@@ -87,12 +78,12 @@ fn assert_all_cores_full(m: &Maestro, ctx: &str) {
 #[test]
 fn full_loop_survives_seeded_chaos_schedules() {
     for seed in seeds() {
-        let mut rng = seed;
+        let mut rng = SplitMix64::new(seed);
         // One to three kills, all landing while the run is hot (the
         // contended workload runs ≈2 s of virtual time).
-        let n_kills = 1 + (splitmix(&mut rng) % 3) as usize;
+        let n_kills = 1 + (rng.next_u64() % 3) as usize;
         let kills: Vec<u64> = (0..n_kills)
-            .map(|i| 300 * MS + i as u64 * 400 * MS + splitmix(&mut rng) % (100 * MS))
+            .map(|i| 300 * MS + i as u64 * 400 * MS + rng.next_u64() % (100 * MS))
             .collect();
         let err_rate = 0.05 + 0.10 * unit_f64(&mut rng);
         let drop_rate = 0.05 * unit_f64(&mut rng);
@@ -179,9 +170,9 @@ fn full_loop_survives_seeded_chaos_schedules() {
 fn dvfs_and_power_cap_survive_seeded_chaos_schedules() {
     let floor = PState::floor_of(1.8);
     for seed in seeds() {
-        let mut rng = seed ^ 0xa17e;
+        let mut rng = SplitMix64::new(seed ^ 0xa17e);
         let kills: Vec<u64> =
-            (0..2).map(|i| 300 * MS + i * 400 * MS + splitmix(&mut rng) % (100 * MS)).collect();
+            (0..2).map(|i| 300 * MS + i * 400 * MS + rng.next_u64() % (100 * MS)).collect();
         let err_rate = 0.05 + 0.10 * unit_f64(&mut rng);
         let drop_rate = 0.05 * unit_f64(&mut rng);
         for policy in [Policy::Dvfs { floor }, Policy::PowerCap { watts: 130.0 }] {
@@ -235,9 +226,9 @@ fn dvfs_and_power_cap_survive_seeded_chaos_schedules() {
 #[test]
 fn blackboard_energy_stays_exact_across_restarts() {
     for seed in seeds() {
-        let mut rng = seed.wrapping_mul(0x9e3779b97f4a7c15);
+        let mut rng = SplitMix64::new(seed.wrapping_mul(0x9e3779b97f4a7c15));
         let kills: Vec<u64> = (0..2)
-            .map(|i| NS_PER_SEC + i * NS_PER_SEC + splitmix(&mut rng) % (NS_PER_SEC / 2))
+            .map(|i| NS_PER_SEC + i * NS_PER_SEC + rng.next_u64() % (NS_PER_SEC / 2))
             .collect();
         let schedule = format!("read[err=0.100 kills={kills:?}]");
         let t_now = Cell::new(0u64);
@@ -353,8 +344,8 @@ fn daemon_kill_mid_run_recovers_and_reports_it() {
 fn task_faults_compose_with_chaos_schedules() {
     let mut total_lost_or_recovered = 0u64;
     for seed in seeds() {
-        let mut rng = seed ^ 0xface;
-        let kills = [250 * MS + splitmix(&mut rng) % (200 * MS)];
+        let mut rng = SplitMix64::new(seed ^ 0xface);
+        let kills = [250 * MS + rng.next_u64() % (200 * MS)];
         let err_rate = 0.05 + 0.10 * unit_f64(&mut rng);
         let fail_rate = 0.10 + 0.15 * unit_f64(&mut rng);
         let torn_rate = 0.10 * unit_f64(&mut rng);
@@ -388,9 +379,9 @@ fn task_faults_compose_with_chaos_schedules() {
 
             let start_ns = m.machine().now_ns();
             let root = if seed % 2 == 0 {
-                failing::panicking_bag(600, (splitmix(&mut rng) % 600) as usize)
+                failing::panicking_bag(600, (rng.next_u64() % 600) as usize)
             } else {
-                failing::wedging_bag(600, (splitmix(&mut rng) % 600) as usize)
+                failing::wedging_bag(600, (rng.next_u64() % 600) as usize)
             };
             let err = m
                 .try_run("task-chaos", &mut (), root)

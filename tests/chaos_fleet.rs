@@ -19,22 +19,15 @@
 
 use maestro_bench::chaos::{seeds, with_chaos_context};
 use maestro_fleet::{Fleet, FleetConfig, FleetFaultPlan, NodeEvent, FLOOR_W, GOVERNOR_MAX_LEVEL};
+use maestro_machine::SplitMix64;
 use maestro_rcr::LeaseDecision;
 use std::cell::Cell;
 
 const SEC: u64 = 1_000_000_000;
 
-/// SplitMix64 — scatter fault rates and windows deterministically per seed.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn unit_f64(state: &mut u64) -> f64 {
-    (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
+/// A uniform draw in `[0, 1)` with 53 significant bits.
+fn unit_f64(rng: &mut SplitMix64) -> f64 {
+    (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// The headline sweep: for each seed, a schedule composing a correlated
@@ -44,11 +37,11 @@ fn unit_f64(state: &mut u64) -> f64 {
 #[test]
 fn fleet_survives_crash_partition_and_message_chaos() {
     for seed in seeds(8) {
-        let mut rng = seed ^ 0xf1ee7;
-        let wave_start = 2 * SEC + splitmix(&mut rng) % SEC;
-        let wave_count = 2 + (splitmix(&mut rng) % 2) as usize;
-        let part_first = 5 + (splitmix(&mut rng) % 3) as usize;
-        let part_count = 2 + (splitmix(&mut rng) % 2) as usize;
+        let mut rng = SplitMix64::new(seed ^ 0xf1ee7);
+        let wave_start = 2 * SEC + rng.next_u64() % SEC;
+        let wave_count = 2 + (rng.next_u64() % 2) as usize;
+        let part_first = 5 + (rng.next_u64() % 3) as usize;
+        let part_count = 2 + (rng.next_u64() % 2) as usize;
         let loss = 0.10 + 0.20 * unit_f64(&mut rng);
         let dup = 0.20 * unit_f64(&mut rng);
         let delay_rate = 0.40 * unit_f64(&mut rng);

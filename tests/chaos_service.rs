@@ -24,7 +24,7 @@
 use maestro::{Maestro, MaestroConfig};
 use maestro_bench::chaos::with_chaos_context;
 use maestro_bench::experiments::service_at_scale;
-use maestro_machine::{DutyCycle, FaultPlan};
+use maestro_machine::{DutyCycle, FaultPlan, SplitMix64};
 use maestro_runtime::{RuntimeError, ServiceCounters};
 use maestro_service::{ServiceConfig, ServiceStack, ServiceSummary};
 use maestro_workloads::Scale;
@@ -37,17 +37,9 @@ fn seeds() -> Vec<u64> {
     maestro_bench::chaos::seeds(8)
 }
 
-/// SplitMix64 — deterministic per-seed parameter scatter.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn unit_f64(state: &mut u64) -> f64 {
-    (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
+/// A uniform draw in `[0, 1)` with 53 significant bits.
+fn unit_f64(rng: &mut SplitMix64) -> f64 {
+    (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
 fn assert_all_cores_full(m: &Maestro, ctx: &str) {
@@ -135,9 +127,9 @@ fn retry_storm_collapses_without_budgets_and_recovers_with_them() {
 #[test]
 fn conservation_holds_under_composed_overload_and_fault_chaos() {
     for seed in seeds() {
-        let mut rng = seed ^ 0x5e1f;
+        let mut rng = SplitMix64::new(seed ^ 0x5e1f);
         let rate = 60_000.0 + 60_000.0 * unit_f64(&mut rng);
-        let deadline = 300_000 + splitmix(&mut rng) % 500_000;
+        let deadline = 300_000 + rng.next_u64() % 500_000;
         let lost_wake = 0.2 + 0.2 * unit_f64(&mut rng);
         let write_fail = 0.10 + 0.15 * unit_f64(&mut rng);
         let torn = 0.10 * unit_f64(&mut rng);
@@ -150,7 +142,7 @@ fn conservation_holds_under_composed_overload_and_fault_chaos() {
         with_chaos_context(seed, &schedule, &t_now, || {
             let total = 4_000;
             let mut service = ServiceConfig::simple(seed, rate, total, deadline);
-            service.classes[0].retry_limit = 2 + (splitmix(&mut rng) % 3) as u32;
+            service.classes[0].retry_limit = 2 + (rng.next_u64() % 3) as u32;
             if !budgets_on {
                 service.retry_budget = None;
             }

@@ -11,7 +11,7 @@
 
 use maestro::{Maestro, MaestroConfig, MaestroSnapshot, RunReport};
 use maestro_bench::scenario::limit_variant;
-use maestro_machine::{Cost, FaultPlan};
+use maestro_machine::{Cost, FaultPlan, SplitMix64};
 use maestro_runtime::{SnapshotPlan, TaskSpec};
 
 const MS: u64 = 1_000_000;
@@ -23,26 +23,18 @@ fn seeds() -> Vec<u64> {
     }
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A random, snapshot-capable task tree: 150–400 leaves with randomized
 /// costs, a slice of them nested one fork-join level deeper. Runs ≳45 ms
 /// of virtual time on 16 workers, so suspension points up to 40 ms are
 /// always mid-run.
-fn random_spec(rng: &mut u64) -> TaskSpec {
-    let leaves = 150 + (splitmix(rng) % 251) as usize;
+fn random_spec(rng: &mut SplitMix64) -> TaskSpec {
+    let leaves = 150 + (rng.next_u64() % 251) as usize;
     let mut children: Vec<TaskSpec> = Vec::with_capacity(leaves);
     for _ in 0..leaves {
-        let cycles = 4_000_000 + splitmix(rng) % 16_000_000;
-        let refs = splitmix(rng) % 600_000;
-        let mlp = 1.0 + (splitmix(rng) % 8) as f64;
-        let intensity = 0.5 + 0.5 * ((splitmix(rng) % 100) as f64 / 100.0);
+        let cycles = 4_000_000 + rng.next_u64() % 16_000_000;
+        let refs = rng.next_u64() % 600_000;
+        let mlp = 1.0 + (rng.next_u64() % 8) as f64;
+        let intensity = 0.5 + 0.5 * ((rng.next_u64() % 100) as f64 / 100.0);
         children.push(TaskSpec::leaf(Cost::new(cycles, refs, mlp, intensity)));
     }
     // Nest the tail under an inner fork-join so the tree is not flat.
@@ -70,10 +62,10 @@ fn identity(r: &RunReport) -> (String, u64, u64, u64, String, String) {
 #[test]
 fn randomized_snapshots_round_trip_and_resume_bit_exactly() {
     for seed in seeds() {
-        let mut rng = seed ^ 0x5eed_f00d;
+        let mut rng = SplitMix64::new(seed ^ 0x5eed_f00d);
         let spec = random_spec(&mut rng);
-        let t1 = 10 * MS + splitmix(&mut rng) % (20 * MS);
-        let t2 = t1 + 5 * MS + splitmix(&mut rng) % (5 * MS);
+        let t1 = 10 * MS + rng.next_u64() % (20 * MS);
+        let t2 = t1 + 5 * MS + rng.next_u64() % (5 * MS);
 
         let mut m = Maestro::new(MaestroConfig::adaptive(16));
         let snap = m
@@ -111,9 +103,9 @@ fn randomized_snapshots_round_trip_and_resume_bit_exactly() {
 #[test]
 fn suspended_then_resumed_equals_unbroken_across_chaos_seeds() {
     for seed in seeds() {
-        let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut rng = SplitMix64::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
         let spec = random_spec(&mut rng);
-        let t = 10 * MS + splitmix(&mut rng) % (25 * MS);
+        let t = 10 * MS + rng.next_u64() % (25 * MS);
 
         let unbroken = {
             let mut m = Maestro::new(MaestroConfig::adaptive(16));
@@ -155,7 +147,7 @@ fn suspended_then_resumed_equals_unbroken_across_chaos_seeds() {
 /// deterministic down to the bits.
 #[test]
 fn one_warm_snapshot_forks_into_deterministic_policy_variants() {
-    let mut rng = 0xf0_4cu64;
+    let mut rng = SplitMix64::new(0xf0_4cu64);
     let spec = random_spec(&mut rng);
     let base = MaestroConfig::adaptive(16);
     let mut m = Maestro::new(base.clone());
