@@ -18,10 +18,14 @@
 //!   rendered table and the `Debug` form of every row (which prints each
 //!   float in its shortest round-trip form, so every bit counts).
 //!
+//! None of those carries a fault plan, so one more digest pins the bytes of
+//! a snapshot taken with all three plans present (see
+//! [`FAULTED_SNAPSHOT`]).
+//!
 //! A change that alters any of these on purpose re-baselines the table
 //! (the failure message prints the full recomputed table) and says why.
 
-use maestro::{Maestro, MaestroSnapshot, RunReport};
+use maestro::{Maestro, MaestroConfig, MaestroSnapshot, RunReport};
 use maestro_bench::experiments::{
     ablation, service_at_scale, table1, throttling_table, ThrottleTarget,
 };
@@ -31,7 +35,8 @@ use maestro_bench::scenario::{
 };
 use maestro_fleet::Fleet;
 use maestro_machine::snap::fingerprint;
-use maestro_runtime::SnapshotPlan;
+use maestro_machine::{Cost, FaultPlan};
+use maestro_runtime::{SnapshotPlan, TaskSpec};
 use maestro_service::ServiceSummary;
 use maestro_workloads::Scale;
 
@@ -58,6 +63,14 @@ const GOLDEN: &[(&str, u64)] = &[
     ("ablation", 0x81800b80a94c5817),
     ("fleet-correlated-failures", 0xbe43a9808d2109c1),
 ];
+
+/// The bytes of one mid-run snapshot carrying a daemon read plan, a
+/// duty-write plan and a task plan. The run is suspended at 600 ms: after
+/// the scripted daemon kill at 250 ms has been consumed, after the
+/// restarted incarnation has refreshed the supervisor's checkpoint, and
+/// inside the read plan's stuck window, so the plan's frozen readings are
+/// on the wire.
+const FAULTED_SNAPSHOT: u64 = 0x3fb5dc73a90b9fdf;
 
 /// Batch suspension point: mid-run for every batch scenario.
 const BATCH_SUSPEND_NS: u64 = 150_000_000;
@@ -196,4 +209,36 @@ fn every_scenario_matches_its_golden_digest() {
              recomputed table:\n{table}"
         );
     }
+}
+
+#[test]
+fn faulted_snapshot_matches_its_golden_digest() {
+    const MS: u64 = 1_000_000;
+    let mut cfg = MaestroConfig::adaptive(16);
+    cfg.controller.faults = Some(
+        FaultPlan::new(23)
+            .with_daemon_kills(&[250 * MS])
+            .with_stuck_counter(2, 40)
+            .with_sample_jitter(2 * MS)
+            .with_drop_sample_rate(0.1),
+    );
+    let mut m = Maestro::new(cfg);
+    m.runtime_mut().set_actuation_faults(Some(
+        FaultPlan::new(24).with_duty_write_fail_rate(0.2).with_duty_write_torn_rate(0.1),
+    ));
+    m.runtime_mut().set_task_faults(Some(FaultPlan::new(25).with_lost_wake_rate(0.2)));
+    let spec = TaskSpec::fork_join(
+        (0..3000).map(|_| TaskSpec::leaf(Cost::new(13_000_000, 500_000, 8.0, 0.95))).collect(),
+        Cost::ZERO,
+    );
+    let snap = m
+        .run_captured("faulted", &mut (), spec.into_task(), &SnapshotPlan::suspend_at(600 * MS))
+        .expect("capture succeeds")
+        .suspended()
+        .expect("run suspends mid-run");
+    let bytes = snap.to_bytes();
+    let reparsed = MaestroSnapshot::from_bytes(&bytes).expect("snapshot decodes");
+    assert_eq!(reparsed.to_bytes(), bytes, "re-serialization drifts");
+    let got = fingerprint(&bytes);
+    assert_eq!(got, FAULTED_SNAPSHOT, "faulted snapshot digest {got:#018x}");
 }

@@ -4,7 +4,8 @@
 //! * serialization round-trips bit-exactly, and resuming a reparsed
 //!   snapshot is indistinguishable from resuming the in-memory one;
 //! * a suspended-and-resumed run is **byte-identical** to an unbroken
-//!   fence-matched run — same report text, same energy bits, same counters;
+//!   fence-matched run — same report text, same energy bits, same counters —
+//!   with and without per-seed fault plans on every carrier;
 //! * one warm snapshot forks into several policy variants, deterministically;
 //! * a run suspended after a daemon kill, restart and checkpoint restore
 //!   resumes to the unbroken run's summary.
@@ -41,6 +42,47 @@ fn random_spec(rng: &mut SplitMix64) -> TaskSpec {
     let tail = children.split_off(children.len() - children.len() / 4);
     children.push(TaskSpec::fork_join(tail, Cost::compute(100_000, 0.3)));
     TaskSpec::fork_join(children, Cost::ZERO)
+}
+
+/// Per-seed fault plans for the four carriers a snapshot restores: the
+/// supervisor and each daemon incarnation (the read plan, with a stuck
+/// window from the first energy read, jitter and a drop rate), the actuator
+/// (duty-write faults) and the scheduler (lost spinner wakes).
+#[derive(Clone)]
+struct Plans {
+    read: FaultPlan,
+    write: FaultPlan,
+    task: FaultPlan,
+}
+
+fn unit_f64(rng: &mut SplitMix64) -> f64 {
+    (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+}
+
+fn random_plans(rng: &mut SplitMix64) -> Plans {
+    let seed = rng.next_u64();
+    Plans {
+        read: FaultPlan::new(seed)
+            .with_stuck_counter(0, 8 + rng.next_u64() % 24)
+            .with_sample_jitter(1 + rng.next_u64() % (3 * MS))
+            .with_drop_sample_rate(0.05 + 0.2 * unit_f64(rng)),
+        write: FaultPlan::new(seed ^ 0x5eed)
+            .with_duty_write_fail_rate(0.1 + 0.2 * unit_f64(rng))
+            .with_duty_write_torn_rate(0.1 * unit_f64(rng)),
+        task: FaultPlan::new(seed ^ 0x7a5c).with_lost_wake_rate(0.1 + 0.3 * unit_f64(rng)),
+    }
+}
+
+/// An adaptive 16-worker facade carrying `plans` (a fresh copy of each).
+fn adaptive_facade(plans: Option<&Plans>) -> Maestro {
+    let mut cfg = MaestroConfig::adaptive(16);
+    cfg.controller.faults = plans.map(|p| p.read.clone());
+    let mut m = Maestro::new(cfg);
+    if let Some(p) = plans {
+        m.runtime_mut().set_actuation_faults(Some(p.write.clone()));
+        m.runtime_mut().set_task_faults(Some(p.task.clone()));
+    }
+    m
 }
 
 /// Everything a byte-identity claim covers: the rendered report plus the
@@ -99,46 +141,53 @@ fn randomized_snapshots_round_trip_and_resume_bit_exactly() {
 
 /// The headline byte-identity claim, randomized: suspend anywhere, resume
 /// on a fresh facade, and the final report is bit-identical to an unbroken
-/// run whose event timeline was fence-matched at the suspension point.
+/// run whose event timeline was fence-matched at the suspension point. Each
+/// seed runs once without fault plans and once with its own plans on every
+/// carrier, so the plans' dynamic state must survive the snapshot too.
 #[test]
 fn suspended_then_resumed_equals_unbroken_across_chaos_seeds() {
     for seed in seeds() {
         let mut rng = SplitMix64::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
         let spec = random_spec(&mut rng);
         let t = 10 * MS + rng.next_u64() % (25 * MS);
+        let plans = random_plans(&mut rng);
 
-        let unbroken = {
-            let mut m = Maestro::new(MaestroConfig::adaptive(16));
-            m.run_captured(
-                "identity",
-                &mut (),
-                spec.clone().into_task(),
-                &SnapshotPlan::none().with_fence(t),
-            )
-            .expect("capture succeeds")
-            .report()
-            .unwrap_or_else(|| panic!("seed {seed}: unbroken run completes"))
-        };
+        for plans in [None, Some(&plans)] {
+            let variant = if plans.is_some() { "faulted" } else { "clean" };
+            let unbroken = adaptive_facade(plans)
+                .run_captured(
+                    "identity",
+                    &mut (),
+                    spec.clone().into_task(),
+                    &SnapshotPlan::none().with_fence(t),
+                )
+                .expect("capture succeeds")
+                .report()
+                .unwrap_or_else(|| panic!("seed {seed} ({variant}): unbroken run completes"));
 
-        let resumed = {
-            let mut m = Maestro::new(MaestroConfig::adaptive(16));
-            let snap = m
-                .run_captured("identity", &mut (), spec.into_task(), &SnapshotPlan::suspend_at(t))
+            let snap = adaptive_facade(plans)
+                .run_captured(
+                    "identity",
+                    &mut (),
+                    spec.clone().into_task(),
+                    &SnapshotPlan::suspend_at(t),
+                )
                 .expect("capture succeeds")
                 .suspended()
-                .unwrap_or_else(|| panic!("seed {seed}: run must suspend at t={t}"));
-            let mut m2 = Maestro::new(MaestroConfig::adaptive(16));
-            m2.resume_captured(&mut (), &snap, &SnapshotPlan::none())
+                .unwrap_or_else(|| panic!("seed {seed} ({variant}): run must suspend at t={t}"));
+            let resumed = adaptive_facade(plans)
+                .resume_captured(&mut (), &snap, &SnapshotPlan::none())
                 .expect("resume succeeds")
                 .report()
-                .unwrap_or_else(|| panic!("seed {seed}: resumed run completes"))
-        };
+                .unwrap_or_else(|| panic!("seed {seed} ({variant}): resumed run completes"));
 
-        assert_eq!(
-            identity(&unbroken),
-            identity(&resumed),
-            "seed {seed}: suspension at t={t} ns must be invisible in the final report"
-        );
+            assert_eq!(
+                identity(&unbroken),
+                identity(&resumed),
+                "seed {seed} ({variant}): suspension at t={t} ns must be invisible in the \
+                 final report"
+            );
+        }
     }
 }
 
