@@ -270,7 +270,7 @@ impl Actuator {
     }
 
     /// The snapshot codec for the actuator's dynamic state: per-core health,
-    /// breaker positions, trip count, fault-plan cursor (see [`Codec`]).
+    /// breaker positions, trip count, fault-plan state (see [`Codec`]).
     /// Configuration is not captured; restore into an actuator built with
     /// the same config. Decoding yields a copy of this actuator carrying the
     /// decoded state (`None` on the writer).
@@ -297,12 +297,8 @@ impl Actuator {
         if sum_totals(&health, trips).is_none() {
             return Err(SnapError::Corrupt("actuation counters overflow"));
         }
-        let cursor = FaultPlan::cursor_codec(self.faults.as_ref(), c)?;
-        Ok(C::DECODING.then(|| {
-            let a = Actuator { health, trips, ..self.clone() };
-            FaultPlan::install_cursor(a.faults.as_ref(), cursor);
-            a
-        }))
+        let faults = FaultPlan::codec(self.faults.as_ref(), c)?;
+        Ok(C::DECODING.then(|| Actuator { health, trips, faults, ..self.clone() }))
     }
 
     /// The recovery path: pin `core` at FULL via modulation disable, which

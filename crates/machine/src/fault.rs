@@ -17,50 +17,12 @@
 //! over any [`MsrDevice`]; the daemon-level faults (drops, jitter, stalls)
 //! are consumed by the RCR daemon in `maestro-rcr`, which carries the plan.
 
-use std::cell::Cell;
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 
 use crate::msr::{MsrDevice, MsrError, MSR_PKG_ENERGY_STATUS};
 use crate::snap::{Codec, SnapError};
 use crate::topology::CoreId;
-
-/// The dynamic position of a [`FaultPlan`]: schedule cursors, PRNG state,
-/// and the stuck-counter freeze map.
-///
-/// Two plans built from the same seed and schedules behave identically iff
-/// their cursors are equal, so a restored plan can be diffed against the
-/// original (`assert_eq!(a.cursor(), b.cursor())`) to prove the fault stream
-/// will continue bit-for-bit.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FaultCursor {
-    /// Scripted daemon kills consumed so far.
-    pub kills_consumed: usize,
-    /// Scripted task panics consumed so far.
-    pub panics_consumed: usize,
-    /// Scripted task wedges consumed so far.
-    pub wedges_consumed: usize,
-    /// The SplitMix64 stream state (next draw starts from here).
-    pub rng_state: u64,
-    /// Energy-counter reads observed (drives the stuck-counter window).
-    pub energy_reads: u64,
-    /// Frozen per-core energy readings inside a stuck window, sorted by core.
-    pub frozen: Vec<(u16, u64)>,
-}
-
-impl FaultCursor {
-    /// The snapshot codec for a cursor (see [`Codec`]).
-    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<FaultCursor, SnapError> {
-        Ok(FaultCursor {
-            kills_consumed: c.len(self.kills_consumed)?,
-            panics_consumed: c.len(self.panics_consumed)?,
-            wedges_consumed: c.len(self.wedges_consumed)?,
-            rng_state: c.u64(self.rng_state)?,
-            energy_reads: c.u64(self.energy_reads)?,
-            frozen: c.seq(&self.frozen, |c, &(core, value)| Ok((c.u16(core)?, c.u64(value)?)))?,
-        })
-    }
-}
 
 /// The [splitmix64] generator: tiny, seedable, and a single `u64` of state,
 /// which is all a snapshot has to carry. Fault plans, the service's arrival
@@ -141,7 +103,12 @@ pub enum DutyWriteEffect {
 ///
 /// All rates are probabilities in `[0, 1]` evaluated per event on the plan's
 /// own deterministic PRNG. The default plan injects nothing.
-#[derive(Debug, Default)]
+///
+/// Besides its static schedules and rates, a plan carries dynamic state:
+/// schedule cursors, the PRNG, and the stuck-counter freeze map. A clone
+/// carries that state too, so it continues the same fault stream, and
+/// [`FaultPlan::codec`] snapshots it.
+#[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     transient_error_rate: f64,
     extra_wrap_rate: f64,
@@ -161,33 +128,8 @@ pub struct FaultPlan {
     lost_wake_rate: f64,
     rng: Cell<SplitMix64>,
     energy_reads: Cell<u64>,
-    frozen: Mutex<HashMap<u16, u64>>,
-}
-
-impl Clone for FaultPlan {
-    fn clone(&self) -> Self {
-        FaultPlan {
-            transient_error_rate: self.transient_error_rate,
-            extra_wrap_rate: self.extra_wrap_rate,
-            drop_sample_rate: self.drop_sample_rate,
-            sample_jitter_ns: self.sample_jitter_ns,
-            stuck: self.stuck,
-            stall: self.stall,
-            duty_write_fail_rate: self.duty_write_fail_rate,
-            duty_write_torn_rate: self.duty_write_torn_rate,
-            duty_write_ignore_rate: self.duty_write_ignore_rate,
-            daemon_kills_ns: self.daemon_kills_ns.clone(),
-            kills_consumed: self.kills_consumed.clone(),
-            task_panic_at_steps: self.task_panic_at_steps.clone(),
-            panics_consumed: self.panics_consumed.clone(),
-            task_wedge_at_steps: self.task_wedge_at_steps.clone(),
-            wedges_consumed: self.wedges_consumed.clone(),
-            lost_wake_rate: self.lost_wake_rate,
-            rng: self.rng.clone(),
-            energy_reads: self.energy_reads.clone(),
-            frozen: Mutex::new(self.frozen.lock().expect("fault plan lock").clone()),
-        }
-    }
+    /// Frozen per-core energy readings inside a stuck window.
+    frozen: RefCell<BTreeMap<u16, u64>>,
 }
 
 impl FaultPlan {
@@ -405,41 +347,6 @@ impl FaultPlan {
         self.next_u64() % (self.sample_jitter_ns + 1)
     }
 
-    /// The plan's current dynamic position: schedule cursors, PRNG state,
-    /// stuck-counter freezes. See [`FaultCursor`].
-    pub fn cursor(&self) -> FaultCursor {
-        let mut frozen: Vec<(u16, u64)> = self
-            .frozen
-            .lock()
-            .expect("fault plan lock")
-            .iter()
-            .map(|(&c, &v)| (c, v))
-            .collect();
-        frozen.sort_unstable();
-        FaultCursor {
-            kills_consumed: self.kills_consumed.get(),
-            panics_consumed: self.panics_consumed.get(),
-            wedges_consumed: self.wedges_consumed.get(),
-            rng_state: self.rng.get().state(),
-            energy_reads: self.energy_reads.get(),
-            frozen,
-        }
-    }
-
-    /// Move this plan to a previously captured [`FaultCursor`] position. The
-    /// static schedules and rates are untouched; only the consumption
-    /// cursors, PRNG state, and freeze map are rewound.
-    pub fn restore_cursor(&self, cursor: &FaultCursor) {
-        self.kills_consumed.set(cursor.kills_consumed);
-        self.panics_consumed.set(cursor.panics_consumed);
-        self.wedges_consumed.set(cursor.wedges_consumed);
-        self.rng.set(SplitMix64::new(cursor.rng_state));
-        self.energy_reads.set(cursor.energy_reads);
-        let mut frozen = self.frozen.lock().expect("fault plan lock");
-        frozen.clear();
-        frozen.extend(cursor.frozen.iter().copied());
-    }
-
     fn roll(&self, p: f64) -> bool {
         if p <= 0.0 {
             return false;
@@ -461,26 +368,37 @@ impl FaultPlan {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// The snapshot codec for the cursor of an optional plan: presence
-    /// byte, then the cursor. Presence must match the live plan: a snapshot
-    /// taken with a plan cannot be restored without one (or vice versa) —
-    /// the fault stream would diverge.
-    pub fn cursor_codec<C: Codec>(
+    /// The snapshot codec for an optional plan (see [`Codec`]): presence
+    /// byte, then the dynamic state — schedule cursors, PRNG state, energy
+    /// reads, and the frozen readings in core order. The schedules and rates
+    /// are configuration and stay off the wire. Presence must match the live
+    /// plan: a snapshot taken with a plan cannot be restored without one (or
+    /// vice versa) — the fault stream would diverge. Decoding yields a copy
+    /// of the live plan carrying the decoded state (`None` on the writer).
+    pub fn codec<C: Codec>(
         plan: Option<&FaultPlan>,
         c: &mut C,
-    ) -> Result<Option<FaultCursor>, SnapError> {
+    ) -> Result<Option<FaultPlan>, SnapError> {
         if c.bool(plan.is_some())? != plan.is_some() {
             return Err(SnapError::Corrupt("fault plan presence mismatch"));
         }
-        plan.map(|p| p.cursor().codec(c)).transpose()
-    }
-
-    /// Install a cursor decoded by [`FaultPlan::cursor_codec`] into the
-    /// same optional plan.
-    pub fn install_cursor(plan: Option<&FaultPlan>, cursor: Option<FaultCursor>) {
-        if let (Some(p), Some(cursor)) = (plan, cursor) {
-            p.restore_cursor(&cursor);
-        }
+        let Some(live) = plan else { return Ok(None) };
+        let kills_consumed = c.len(live.kills_consumed.get())?;
+        let panics_consumed = c.len(live.panics_consumed.get())?;
+        let wedges_consumed = c.len(live.wedges_consumed.get())?;
+        let rng = c.u64(live.rng.get().state())?;
+        let energy_reads = c.u64(live.energy_reads.get())?;
+        let frozen: Vec<(u16, u64)> = live.frozen.borrow().iter().map(|(&k, &v)| (k, v)).collect();
+        let frozen = c.seq(&frozen, |c, &(core, value)| Ok((c.u16(core)?, c.u64(value)?)))?;
+        Ok(C::DECODING.then(|| FaultPlan {
+            kills_consumed: Cell::new(kills_consumed),
+            panics_consumed: Cell::new(panics_consumed),
+            wedges_consumed: Cell::new(wedges_consumed),
+            rng: Cell::new(SplitMix64::new(rng)),
+            energy_reads: Cell::new(energy_reads),
+            frozen: RefCell::new(frozen.into_iter().collect()),
+            ..live.clone()
+        }))
     }
 
     /// Apply MSR-read faults to a reading of `msr` via `core` whose true
@@ -496,7 +414,7 @@ impl FaultPlan {
         let read_idx = self.energy_reads.get();
         self.energy_reads.set(read_idx + 1);
         if let Some(w) = self.stuck {
-            let mut frozen = self.frozen.lock().expect("fault plan lock");
+            let mut frozen = self.frozen.borrow_mut();
             if (w.after_reads..w.after_reads.saturating_add(w.for_reads)).contains(&read_idx) {
                 return Ok(*frozen.entry(core.0).or_insert(value));
             }
@@ -732,13 +650,23 @@ mod tests {
         assert!(!cloned.task_panic_due(100), "clone carries consumed entries");
     }
 
+    /// A plan's dynamic state as [`FaultPlan::codec`] writes it.
+    fn encoded(plan: Option<&FaultPlan>) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        FaultPlan::codec(plan, &mut w).unwrap();
+        w.finish()
+    }
+
     #[test]
     fn cursor_round_trip_resumes_the_exact_fault_stream() {
-        let plan = FaultPlan::new(21)
-            .with_drop_sample_rate(0.4)
-            .with_daemon_kills(&[100, 200, 300])
-            .with_task_panic_at_steps(&[5, 10])
-            .with_stuck_counter(3, 10);
+        let config = || {
+            FaultPlan::new(21)
+                .with_drop_sample_rate(0.4)
+                .with_daemon_kills(&[100, 200, 300])
+                .with_task_panic_at_steps(&[5, 10])
+                .with_stuck_counter(3, 10)
+        };
+        let plan = config();
         let m = machine_after_1s();
         // Burn through some of the stream and schedules.
         for _ in 0..7 {
@@ -748,51 +676,35 @@ mod tests {
         }
         plan.kill_due(150);
         plan.task_panic_due(6);
-        let cursor = plan.cursor();
-        assert_eq!(cursor.kills_consumed, 1);
-        assert_eq!(cursor.panics_consumed, 1);
-        assert!(!cursor.frozen.is_empty(), "stuck window left a frozen entry");
-        // Serialize → deserialize → restore into a fresh plan with the same
-        // static config, then check the streams stay in lockstep.
-        let mut w = SnapWriter::new();
-        cursor.codec(&mut w).unwrap();
-        let bytes = w.finish();
-        let mut r = SnapReader::new(&bytes);
-        let decoded = cursor.codec(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(decoded, cursor);
+        assert_eq!((plan.kills_consumed.get(), plan.panics_consumed.get()), (1, 1));
+        assert!(!plan.frozen.borrow().is_empty(), "stuck window left a frozen entry");
+        // Serialize → decode into a fresh plan with the same static config,
+        // then check the streams stay in lockstep.
+        let bytes = encoded(Some(&plan));
         assert_rejects_corruption(&bytes, |input| {
             let mut r = SnapReader::new(input);
-            cursor.codec(&mut r)?;
+            FaultPlan::codec(Some(&plan), &mut r)?;
             r.finish()
         });
-        let twin = FaultPlan::new(21)
-            .with_drop_sample_rate(0.4)
-            .with_daemon_kills(&[100, 200, 300])
-            .with_task_panic_at_steps(&[5, 10])
-            .with_stuck_counter(3, 10);
-        twin.restore_cursor(&decoded);
-        assert_eq!(twin.cursor(), plan.cursor(), "restored plan diffs clean");
+        let mut r = SnapReader::new(&bytes);
+        let twin = FaultPlan::codec(Some(&config()), &mut r).unwrap().expect("a decoded plan");
+        r.finish().unwrap();
+        assert_eq!(encoded(Some(&twin)), bytes, "restored plan diffs clean");
         for _ in 0..16 {
             assert_eq!(twin.should_drop_sample(), plan.should_drop_sample());
         }
         assert_eq!(twin.kill_due(1000), plan.kill_due(1000));
-        assert_eq!(twin.cursor(), plan.cursor());
+        assert_eq!(encoded(Some(&twin)), encoded(Some(&plan)));
     }
 
     #[test]
     fn opt_plan_presence_mismatch_is_rejected() {
-        let plan = FaultPlan::new(22);
-        let mut w = SnapWriter::new();
-        FaultPlan::cursor_codec(Some(&plan), &mut w).unwrap();
-        let bytes = w.finish();
+        let bytes = encoded(Some(&FaultPlan::new(22)));
         let mut r = SnapReader::new(&bytes);
-        assert!(matches!(FaultPlan::cursor_codec(None, &mut r), Err(SnapError::Corrupt(_))));
-        let mut w = SnapWriter::new();
-        FaultPlan::cursor_codec(None, &mut w).unwrap();
-        let bytes = w.finish();
+        assert!(matches!(FaultPlan::codec(None, &mut r), Err(SnapError::Corrupt(_))));
+        let bytes = encoded(None);
         let mut r = SnapReader::new(&bytes);
-        assert_eq!(FaultPlan::cursor_codec(None, &mut r).unwrap(), None);
+        assert!(FaultPlan::codec(None, &mut r).unwrap().is_none());
         r.finish().unwrap();
     }
 

@@ -59,9 +59,7 @@ pub use cost::Cost;
 pub use duty::DutyCycle;
 pub use dvfs::{DvfsParams, PState};
 pub use engine::{CoreActivity, Machine, MachineConfig};
-pub use fault::{
-    DutyWriteEffect, FaultCursor, FaultPlan, FaultyMsr, SplitMix64, StallWindow, StuckWindow,
-};
+pub use fault::{DutyWriteEffect, FaultPlan, FaultyMsr, SplitMix64, StallWindow, StuckWindow};
 pub use msr::{
     MsrDevice, MsrError, IA32_CLOCK_MODULATION, IA32_PERF_CTL, IA32_THERM_STATUS,
     MSR_PKG_ENERGY_STATUS,

@@ -12,15 +12,14 @@
 //!
 //! This crate provides each of those pieces as a reusable component:
 //!
-//! * [`EnergySource`] — the abstract counter: a raw reading, its unit, and
-//!   its wrap modulus;
 //! * [`wrap::WrapTracker`] — accumulates raw readings across wraparounds;
 //! * [`probe::SocketProbe`] / [`probe::NodeProbe`] — per-socket and
-//!   whole-node Joule meters;
+//!   whole-node Joule meters with bounded retries and a plausibility check;
 //! * [`window::PowerWindow`] — jitter-smoothed average power over a sliding
 //!   window;
-//! * backends: [`msr_backend::MsrEnergySource`] (the simulated — or, on real
-//!   hardware, `/dev/cpu/*/msr` shaped — register file) and
+//! * backends, each a raw reading with its unit and wrap modulus:
+//!   [`msr_backend::MsrDomain`] (the simulated — or, on real hardware,
+//!   `/dev/cpu/*/msr` shaped — register file) and
 //!   [`powercap::PowercapDomain`] (the Linux sysfs powercap tree, used when
 //!   the library runs on a physical RAPL-capable machine).
 
@@ -32,14 +31,11 @@ pub mod probe;
 pub mod window;
 pub mod wrap;
 
-pub use msr_backend::MsrEnergySource;
+pub use msr_backend::MsrDomain;
 pub use powercap::PowercapDomain;
-pub use probe::{
-    NodeProbe, NodeProbeCheckpoint, NodeReading, ProbeError, RetryPolicy, SocketProbe,
-    SocketProbeCheckpoint, SocketReading,
-};
+pub use probe::{NodeProbe, NodeReading, ProbeError, SocketProbe, SocketReading};
 pub use window::PowerWindow;
-pub use wrap::{WrapCheckpoint, WrapTracker};
+pub use wrap::WrapTracker;
 
 /// Errors surfaced by energy-counter access.
 #[derive(Debug)]
@@ -103,19 +99,4 @@ impl From<std::io::Error> for RaplError {
     fn from(e: std::io::Error) -> Self {
         RaplError::Io(e)
     }
-}
-
-/// An energy counter: where raw readings come from and how to interpret them.
-///
-/// Readings are monotone modulo [`EnergySource::wrap_modulus`]; multiply the
-/// unwrapped count by [`EnergySource::unit_joules`] to get Joules.
-pub trait EnergySource {
-    /// One raw counter reading.
-    fn read_raw(&mut self) -> Result<u64, RaplError>;
-
-    /// Energy per raw count, Joules.
-    fn unit_joules(&self) -> f64;
-
-    /// The counter wraps modulo this value (e.g. `2^32` for the MSR).
-    fn wrap_modulus(&self) -> u64;
 }

@@ -9,31 +9,31 @@
 use maestro_machine::msr::MsrDevice;
 use maestro_machine::{CoreId, SocketId, Topology, MSR_PKG_ENERGY_STATUS, RAPL_UNIT_JOULES};
 
-use crate::{EnergySource, RaplError};
+use crate::RaplError;
 
 /// A borrowed view of one package's RAPL counter.
 ///
-/// Because the simulated machine is owned by the scheduler, this source
+/// Because the simulated machine is owned by the scheduler, this domain
 /// borrows the device per call rather than holding it; use
-/// [`MsrEnergySource::read_raw_from`] directly, or wrap device + source with
+/// [`MsrDomain::read_raw_from`] directly, or
 /// [`probe::SocketProbe`](crate::probe::SocketProbe) for accumulation.
 #[derive(Clone, Debug)]
-pub struct MsrEnergySource {
+pub struct MsrDomain {
     socket: SocketId,
     via_core: CoreId,
 }
 
-impl MsrEnergySource {
-    /// Energy source for `socket` on a node with the given topology.
+impl MsrDomain {
+    /// The counter of `socket` on a node with the given topology.
     pub fn new(topology: Topology, socket: SocketId) -> Self {
         let via_core = topology
             .cores_of(socket)
             .next()
             .expect("topology guarantees at least one core per socket");
-        MsrEnergySource { socket, via_core }
+        MsrDomain { socket, via_core }
     }
 
-    /// The package this source reads.
+    /// The package this domain reads.
     pub fn socket(&self) -> SocketId {
         self.socket
     }
@@ -54,34 +54,6 @@ impl MsrEnergySource {
     }
 }
 
-/// An owning adapter binding an [`MsrEnergySource`] to a device reference,
-/// giving the uniform [`EnergySource`] interface used by generic meters.
-pub struct BoundMsrSource<'d, D: MsrDevice> {
-    source: MsrEnergySource,
-    dev: &'d D,
-}
-
-impl<'d, D: MsrDevice> BoundMsrSource<'d, D> {
-    /// Bind `source` to `dev`.
-    pub fn new(source: MsrEnergySource, dev: &'d D) -> Self {
-        BoundMsrSource { source, dev }
-    }
-}
-
-impl<'d, D: MsrDevice> EnergySource for BoundMsrSource<'d, D> {
-    fn read_raw(&mut self) -> Result<u64, RaplError> {
-        self.source.read_raw_from(self.dev)
-    }
-
-    fn unit_joules(&self) -> f64 {
-        self.source.unit_joules()
-    }
-
-    fn wrap_modulus(&self) -> u64 {
-        self.source.wrap_modulus()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,23 +67,11 @@ mod tests {
             m.set_activity(c, CoreActivity::Busy { intensity: 1.0, ocr: 1.0 });
         }
         m.advance(NS_PER_SEC);
-        let s0 = MsrEnergySource::new(m.topology(), SocketId(0));
-        let s1 = MsrEnergySource::new(m.topology(), SocketId(1));
+        let s0 = MsrDomain::new(m.topology(), SocketId(0));
+        let s1 = MsrDomain::new(m.topology(), SocketId(1));
         let r0 = s0.read_raw_from(&m).unwrap();
         let r1 = s1.read_raw_from(&m).unwrap();
         assert!(r1 > r0, "busy socket must accumulate more: {r0} vs {r1}");
-    }
-
-    #[test]
-    fn bound_source_matches_direct_read() {
-        let mut m = Machine::new(MachineConfig::sandybridge_2x8());
-        m.advance(NS_PER_SEC / 2);
-        let src = MsrEnergySource::new(m.topology(), SocketId(0));
-        let direct = src.read_raw_from(&m).unwrap();
-        let mut bound = BoundMsrSource::new(src.clone(), &m);
-        assert_eq!(bound.read_raw().unwrap(), direct);
-        assert_eq!(bound.unit_joules(), RAPL_UNIT_JOULES);
-        assert_eq!(bound.wrap_modulus(), 1 << 32);
     }
 
     #[test]
@@ -121,7 +81,7 @@ mod tests {
             m.set_activity(c, CoreActivity::Busy { intensity: 0.7, ocr: 0.5 });
         }
         m.advance(3 * NS_PER_SEC);
-        let src = MsrEnergySource::new(m.topology(), SocketId(0));
+        let src = MsrDomain::new(m.topology(), SocketId(0));
         let raw = src.read_raw_from(&m).unwrap();
         let joules = raw as f64 * src.unit_joules();
         let truth = m.energy_joules(SocketId(0));

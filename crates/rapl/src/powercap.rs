@@ -17,7 +17,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::{EnergySource, RaplError};
+use crate::RaplError;
 
 /// The standard powercap root on Linux.
 pub const DEFAULT_POWERCAP_ROOT: &str = "/sys/class/powercap";
@@ -91,19 +91,20 @@ impl PowercapDomain {
     pub fn name(&self) -> &str {
         &self.name
     }
-}
 
-impl EnergySource for PowercapDomain {
-    fn read_raw(&mut self) -> Result<u64, RaplError> {
+    /// One raw counter reading, in microjoules.
+    pub fn read_raw(&self) -> Result<u64, RaplError> {
         read_u64(&self.energy_path)
     }
 
-    fn unit_joules(&self) -> f64 {
-        1e-6 // energy_uj counts microjoules
+    /// Energy per raw count: `energy_uj` counts microjoules.
+    pub fn unit_joules(&self) -> f64 {
+        1e-6
     }
 
-    fn wrap_modulus(&self) -> u64 {
-        // energy_uj wraps after max_energy_range_uj (inclusive range).
+    /// The counter wraps modulo this value: `energy_uj` wraps after
+    /// `max_energy_range_uj` (an inclusive range).
+    pub fn wrap_modulus(&self) -> u64 {
         self.max_range_uj.saturating_add(1).max(2)
     }
 }
@@ -146,7 +147,7 @@ mod tests {
     fn reads_energy_and_wrap_range() {
         let root = tmpdir("read");
         mkdomain(&root, "intel-rapl:0", "package-0", "5000000", "262143328850");
-        let mut d = PowercapDomain::discover(&root).unwrap().remove(0);
+        let d = PowercapDomain::discover(&root).unwrap().remove(0);
         assert_eq!(d.read_raw().unwrap(), 5_000_000);
         assert_eq!(d.unit_joules(), 1e-6);
         assert_eq!(d.wrap_modulus(), 262_143_328_851);
@@ -186,7 +187,7 @@ mod tests {
         mkdomain(&root, "intel-rapl:0", "package-0", "not-a-number", "100");
         match PowercapDomain::discover(&root) {
             // open() fails on max range? range is fine; energy read fails later.
-            Ok(mut domains) => match domains[0].read_raw() {
+            Ok(domains) => match domains[0].read_raw() {
                 Err(RaplError::Parse { content, .. }) => assert_eq!(content, "not-a-number"),
                 other => panic!("expected Parse, got {other:?}"),
             },

@@ -4,37 +4,25 @@ use maestro_machine::msr::MsrDevice;
 use maestro_machine::snap::{Codec, SnapError};
 use maestro_machine::{SocketId, Topology};
 
-use crate::msr_backend::MsrEnergySource;
-use crate::wrap::{WrapCheckpoint, WrapTracker};
+use crate::msr_backend::MsrDomain;
+use crate::wrap::WrapTracker;
 use crate::RaplError;
 
-/// How a probe handles readings that fail or look wrong.
+/// Read attempts per socket per sample.
 ///
 /// Retries are immediate re-reads: the caller runs on a virtual clock, so
-/// "backoff" is expressed as a bounded attempt budget per sample period
-/// rather than wall-clock sleeps — a sample that exhausts its budget is
-/// reported as failed and the period's cadence provides the backoff.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Total read attempts per socket per sample (≥ 1).
-    pub max_attempts: u32,
-    /// Largest believable energy step between two consecutive committed
-    /// samples, Joules. Steps above this are treated as corrupt readings
-    /// (e.g. a spurious counter back-jump misread as a full 32-bit wrap,
-    /// worth 33–66 kJ) and re-read instead of committed. Use
-    /// `f64::INFINITY` to disable the check.
-    pub max_step_joules: f64,
-}
+/// "backoff" is a bounded attempt budget per sample period rather than
+/// wall-clock sleeps — a sample that exhausts its budget is reported as
+/// failed and the period's cadence provides the backoff.
+pub const MAX_ATTEMPTS: u32 = 4;
 
-impl Default for RetryPolicy {
-    /// Four attempts, 30 kJ plausibility bound — far above any legitimate
-    /// step at sane sampling periods (a 150 W node needs 200 s between
-    /// samples to accumulate 30 kJ) yet below the smallest spurious-wrap
-    /// step of a 32-bit RAPL counter (≈33 kJ).
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 4, max_step_joules: 30_000.0 }
-    }
-}
+/// Largest believable energy step between two consecutive committed
+/// samples, Joules. Steps above it are treated as corrupt readings and
+/// re-read instead of committed: it is far above any legitimate step at
+/// sane sampling periods (a 150 W node needs 200 s between samples to
+/// accumulate 30 kJ) yet below the smallest spurious-wrap step of a 32-bit
+/// RAPL counter (≈33 kJ, a back-jump misread as a full wrap).
+pub const MAX_STEP_JOULES: f64 = 30_000.0;
 
 /// Why a retried sample ultimately failed.
 #[derive(Debug)]
@@ -136,14 +124,14 @@ pub struct NodeReading {
 /// first sample.
 #[derive(Clone, Debug)]
 pub struct SocketProbe {
-    source: MsrEnergySource,
+    source: MsrDomain,
     tracker: WrapTracker,
 }
 
 impl SocketProbe {
     /// Meter for one socket.
     pub fn new(topology: Topology, socket: SocketId) -> Self {
-        let source = MsrEnergySource::new(topology, socket);
+        let source = MsrDomain::new(topology, socket);
         let tracker = WrapTracker::new(source.wrap_modulus());
         SocketProbe { source, tracker }
     }
@@ -153,24 +141,11 @@ impl SocketProbe {
         self.source.socket()
     }
 
-    /// Take a reading; returns cumulative Joules since the first sample.
-    pub fn sample(&mut self, dev: &dyn MsrDevice) -> Result<f64, RaplError> {
-        let raw = self.source.read_raw_from(dev)?;
-        let total_units = self.tracker.update(raw);
-        Ok(total_units as f64 * self.source.unit_joules())
-    }
-
-    /// Take a reading under a [`RetryPolicy`]: transient read errors and
-    /// implausible counter jumps are re-read up to the attempt budget, and
-    /// nothing is committed to the cumulative total until a reading passes
-    /// the plausibility check — so a failed sample never corrupts energy
-    /// accounting.
-    pub fn sample_with_retry(
-        &mut self,
-        dev: &dyn MsrDevice,
-        policy: &RetryPolicy,
-    ) -> Result<SocketReading, ProbeError> {
-        assert!(policy.max_attempts >= 1, "retry policy needs at least one attempt");
+    /// Take a reading: transient read errors and implausible counter jumps
+    /// are re-read up to [`MAX_ATTEMPTS`], and nothing is committed to the
+    /// cumulative total until a reading passes the [`MAX_STEP_JOULES`]
+    /// check — so a failed sample never corrupts energy accounting.
+    pub fn sample(&mut self, dev: &dyn MsrDevice) -> Result<SocketReading, ProbeError> {
         let socket = self.socket();
         let mut attempts = 0u32;
         loop {
@@ -178,7 +153,7 @@ impl SocketProbe {
             match self.source.read_raw_from(dev) {
                 Ok(raw) => {
                     let step = self.tracker.peek(raw) as f64 * self.source.unit_joules();
-                    if step <= policy.max_step_joules {
+                    if step <= MAX_STEP_JOULES {
                         let total = self.tracker.update(raw);
                         return Ok(SocketReading {
                             socket,
@@ -186,12 +161,12 @@ impl SocketProbe {
                             attempts,
                         });
                     }
-                    if attempts >= policy.max_attempts {
+                    if attempts >= MAX_ATTEMPTS {
                         return Err(ProbeError::Implausible { socket, attempts, step_joules: step });
                     }
                 }
                 Err(source) if source.is_transient() => {
-                    if attempts >= policy.max_attempts {
+                    if attempts >= MAX_ATTEMPTS {
                         return Err(ProbeError::Transient { socket, attempts, source });
                     }
                 }
@@ -209,76 +184,27 @@ impl SocketProbe {
     pub fn wraps(&self) -> u64 {
         self.tracker.wraps()
     }
-
-    /// Restart accumulation at the next sample.
-    pub fn reset(&mut self) {
-        self.tracker.reset();
-    }
-
-    /// Snapshot the meter for restore into a replacement probe (sampler
-    /// restart). Cheap — a handful of words.
-    pub fn checkpoint(&self) -> SocketProbeCheckpoint {
-        SocketProbeCheckpoint { socket: self.socket(), wrap: self.tracker.checkpoint() }
-    }
-
-    /// Restore a snapshot taken with [`SocketProbe::checkpoint`]. The next
-    /// sample books the energy that accrued during the outage (the hardware
-    /// counter kept running), as long as the outage stayed within one wrap
-    /// period.
-    pub fn restore(&mut self, cp: &SocketProbeCheckpoint) {
-        assert_eq!(cp.socket, self.socket(), "checkpoint is for a different socket");
-        self.tracker.restore(cp.wrap);
-    }
-}
-
-/// Saved [`SocketProbe`] state (see [`SocketProbe::checkpoint`]).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct SocketProbeCheckpoint {
-    /// The socket the checkpointed probe was metering.
-    pub socket: SocketId,
-    /// The wrap tracker's accounting state.
-    pub wrap: WrapCheckpoint,
-}
-
-/// Saved [`NodeProbe`] state: one socket checkpoint per package.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NodeProbeCheckpoint {
-    /// Per-socket meter state, in socket order.
-    pub sockets: Vec<SocketProbeCheckpoint>,
-}
-
-impl NodeProbeCheckpoint {
-    /// The snapshot codec for a node checkpoint (see [`Codec`]). A valid
-    /// checkpoint meters sockets `0..sockets` in order, as
-    /// [`NodeProbe::new`] builds them; any other set is corrupt.
-    pub fn codec<C: Codec>(&self, c: &mut C, sockets: usize) -> Result<Self, SnapError> {
-        let mut next = 0;
-        let decoded = c.seq(&self.sockets, |c, s| {
-            let socket = SocketId(c.u8(s.socket.0)?);
-            if usize::from(socket.0) != next {
-                return Err(SnapError::Corrupt("probe checkpoint socket out of order"));
-            }
-            next += 1;
-            Ok(SocketProbeCheckpoint {
-                socket,
-                wrap: WrapCheckpoint {
-                    last_raw: c.opt_u64(s.wrap.last_raw)?,
-                    total: c.u128(s.wrap.total)?,
-                    wraps: c.u64(s.wrap.wraps)?,
-                },
-            })
-        })?;
-        if C::DECODING && decoded.len() != sockets {
-            return Err(SnapError::Corrupt("probe checkpoint socket count mismatch"));
-        }
-        Ok(NodeProbeCheckpoint { sockets: decoded })
-    }
 }
 
 /// A whole-node meter: one [`SocketProbe`] per package.
-#[derive(Clone, Debug)]
+///
+/// The probe is the daemon's whole energy-accounting state, so a restarted
+/// daemon carries on from a clone of its predecessor's probe.
+#[derive(Debug)]
 pub struct NodeProbe {
     probes: Vec<SocketProbe>,
+}
+
+impl Clone for NodeProbe {
+    fn clone(&self) -> Self {
+        NodeProbe { probes: self.probes.clone() }
+    }
+
+    /// Reuses this probe's buffer, so refreshing a held copy once per
+    /// sample allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.probes.clone_from(&source.probes);
+    }
 }
 
 impl NodeProbe {
@@ -289,29 +215,16 @@ impl NodeProbe {
         }
     }
 
-    /// Sample every package; returns total node Joules since first sample.
-    pub fn sample(&mut self, dev: &dyn MsrDevice) -> Result<f64, RaplError> {
-        let mut total = 0.0;
-        for p in &mut self.probes {
-            total += p.sample(dev)?;
-        }
-        Ok(total)
-    }
-
-    /// Sample every package under a [`RetryPolicy`].
+    /// Sample every package (see [`SocketProbe::sample`]).
     ///
     /// Sockets that were committed before a later socket failed keep their
     /// committed totals (they simply advance again on the next successful
     /// sample), so a partial failure never skews cumulative energy.
-    pub fn sample_with_retry(
-        &mut self,
-        dev: &dyn MsrDevice,
-        policy: &RetryPolicy,
-    ) -> Result<NodeReading, ProbeError> {
+    pub fn sample(&mut self, dev: &dyn MsrDevice) -> Result<NodeReading, ProbeError> {
         let mut total = 0.0;
         let mut attempts = 0u32;
         for p in &mut self.probes {
-            let r = p.sample_with_retry(dev, policy)?;
+            let r = p.sample(dev)?;
             total += r.joules;
             attempts += r.attempts;
         }
@@ -332,25 +245,18 @@ impl NodeProbe {
         self.probes.iter().map(|p| (p.socket(), p.joules())).collect()
     }
 
-    /// Restart accumulation on every socket.
-    pub fn reset(&mut self) {
-        for p in &mut self.probes {
-            p.reset();
-        }
-    }
-
-    /// Snapshot every socket meter (see [`SocketProbe::checkpoint`]).
-    pub fn checkpoint(&self) -> NodeProbeCheckpoint {
-        NodeProbeCheckpoint { sockets: self.probes.iter().map(|p| p.checkpoint()).collect() }
-    }
-
-    /// Restore a snapshot taken with [`NodeProbe::checkpoint`] into this
-    /// (freshly built) probe. Socket sets must match.
-    pub fn restore(&mut self, cp: &NodeProbeCheckpoint) {
-        assert_eq!(cp.sockets.len(), self.probes.len(), "checkpoint socket count mismatch");
-        for (p, s) in self.probes.iter_mut().zip(&cp.sockets) {
-            p.restore(s);
-        }
+    /// The snapshot codec (see [`Codec`]): the socket count, then per
+    /// socket in order its id and its wrap tracker. Decoding requires a
+    /// probe for the same topology and yields a copy of it carrying the
+    /// decoded accounting (an empty placeholder on the writer).
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<NodeProbe, SnapError> {
+        let probes = c.seq_fixed(&self.probes, "probe socket count mismatch", |c, p| {
+            if c.u8(p.socket().0)? != p.socket().0 {
+                return Err(SnapError::Corrupt("probe socket out of order"));
+            }
+            Ok(SocketProbe { source: p.source.clone(), tracker: p.tracker.codec(c)? })
+        })?;
+        Ok(NodeProbe { probes })
     }
 }
 
@@ -396,7 +302,7 @@ mod tests {
         node.sample(&m).unwrap();
         let e0 = m.total_energy_joules();
         m.advance(10 * NS_PER_SEC);
-        let total = node.sample(&m).unwrap();
+        let total = node.sample(&m).unwrap().joules;
         let truth = m.total_energy_joules() - e0;
         assert!((total - truth).abs() / truth < 1e-6, "{total} vs {truth}");
         let per = node.joules_per_socket();
@@ -410,17 +316,16 @@ mod tests {
         use maestro_machine::{FaultPlan, FaultyMsr};
         let mut m = loaded_machine();
         let mut probe = SocketProbe::new(m.topology(), SocketId(0));
-        let policy = RetryPolicy::default();
         // 40% of reads fail transiently; with 4 attempts per sample the odds
         // of a whole sample failing are ~2.6%, so most samples land.
         let plan = FaultPlan::new(11).with_transient_error_rate(0.4);
-        probe.sample_with_retry(&FaultyMsr::new(&m, &plan), &policy).unwrap();
+        probe.sample(&FaultyMsr::new(&m, &plan)).unwrap();
         let baseline = m.energy_joules(SocketId(0));
         let mut retried = 0u32;
         let mut failed = 0u32;
         for _ in 0..100 {
             m.advance(NS_PER_SEC / 10);
-            match probe.sample_with_retry(&FaultyMsr::new(&m, &plan), &policy) {
+            match probe.sample(&FaultyMsr::new(&m, &plan)) {
                 Ok(r) if r.attempts > 1 => retried += 1,
                 Ok(_) => {}
                 Err(ProbeError::Transient { .. }) => failed += 1,
@@ -430,7 +335,7 @@ mod tests {
         // Take one guaranteed-clean closing sample so the meter is current.
         m.advance(NS_PER_SEC / 10);
         let quiet = FaultPlan::new(0);
-        probe.sample_with_retry(&FaultyMsr::new(&m, &quiet), &policy).unwrap();
+        probe.sample(&FaultyMsr::new(&m, &quiet)).unwrap();
         assert!(retried > 10, "expected plenty of retried samples, saw {retried}");
         let truth = m.energy_joules(SocketId(0)) - baseline;
         let measured = probe.joules();
@@ -445,24 +350,23 @@ mod tests {
         use maestro_machine::{FaultPlan, FaultyMsr};
         let mut m = loaded_machine();
         let mut probe = SocketProbe::new(m.topology(), SocketId(0));
-        let policy = RetryPolicy::default();
         let quiet = FaultPlan::new(0);
-        probe.sample_with_retry(&FaultyMsr::new(&m, &quiet), &policy).unwrap();
+        probe.sample(&FaultyMsr::new(&m, &quiet)).unwrap();
         m.advance(NS_PER_SEC / 10);
         // Every read back-jumps, which the wrap tracker would book as a full
         // ~33-66 kJ wrap. All attempts look implausible, nothing commits.
         let always_wrap = FaultPlan::new(12).with_extra_wrap_rate(1.0);
         let before = probe.joules();
-        match probe.sample_with_retry(&FaultyMsr::new(&m, &always_wrap), &policy) {
+        match probe.sample(&FaultyMsr::new(&m, &always_wrap)) {
             Err(ProbeError::Implausible { attempts, step_joules, .. }) => {
-                assert_eq!(attempts, policy.max_attempts);
-                assert!(step_joules > policy.max_step_joules);
+                assert_eq!(attempts, MAX_ATTEMPTS);
+                assert!(step_joules > MAX_STEP_JOULES);
             }
             other => panic!("expected implausible-step failure, got {other:?}"),
         }
         assert_eq!(probe.joules(), before, "failed sample must not move the meter");
         // Once the corruption clears, accounting picks up where it left off.
-        let r = probe.sample_with_retry(&FaultyMsr::new(&m, &quiet), &policy).unwrap();
+        let r = probe.sample(&FaultyMsr::new(&m, &quiet)).unwrap();
         assert!(r.joules > before, "clean sample resumes accumulation");
         assert!(r.joules < 100.0, "0.1 s of load is a few Joules, not a wrap");
     }
@@ -472,7 +376,6 @@ mod tests {
         let m = loaded_machine();
         // A probe for a socket that does not exist on the device.
         let mut probe = SocketProbe::new(m.topology(), SocketId(0));
-        let policy = RetryPolicy { max_attempts: 3, max_step_joules: f64::INFINITY };
         // A device that fails structurally (not transiently) on every read.
         struct Dead;
         impl maestro_machine::msr::MsrDevice for Dead {
@@ -492,7 +395,7 @@ mod tests {
                 Err(maestro_machine::MsrError::ReadOnly(msr))
             }
         }
-        match probe.sample_with_retry(&Dead, &policy) {
+        match probe.sample(&Dead) {
             Err(ProbeError::Fatal { source, .. }) => assert!(!source.is_transient()),
             other => panic!("expected fatal error, got {other:?}"),
         }
@@ -506,16 +409,16 @@ mod tests {
         let baseline = m.total_energy_joules();
         m.advance(5 * NS_PER_SEC);
         node.sample(&m).unwrap();
-        let cp = node.checkpoint();
+        let mut held = NodeProbe::new(m.topology());
+        held.clone_from(&node);
 
         // The sampler "dies" here; the machine keeps burning energy.
         m.advance(3 * NS_PER_SEC);
 
-        // A replacement probe restores the checkpoint: its first sample must
-        // book both the pre-checkpoint total and the outage energy.
-        let mut reborn = NodeProbe::new(m.topology());
-        reborn.restore(&cp);
-        assert_eq!(reborn.joules(), node.joules(), "restore carries the total");
+        // Its replacement carries the held clone: the first sample must book
+        // both the pre-outage total and the outage energy.
+        let mut reborn = held.clone();
+        assert_eq!(reborn.joules(), node.joules(), "the clone carries the total");
         reborn.sample(&m).unwrap();
         let truth = m.total_energy_joules() - baseline;
         let measured = reborn.joules();
@@ -526,25 +429,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different socket")]
-    fn checkpoint_for_wrong_socket_rejected() {
-        let m = loaded_machine();
-        let p0 = SocketProbe::new(m.topology(), SocketId(0));
-        let mut p1 = SocketProbe::new(m.topology(), SocketId(1));
-        p1.restore(&p0.checkpoint());
-    }
-
-    #[test]
-    fn reset_restarts_accumulation() {
+    fn codec_round_trips_and_checks_the_socket_set() {
+        use maestro_machine::snap::{assert_rejects_corruption, SnapReader, SnapWriter};
+        use maestro_machine::Topology;
         let mut m = loaded_machine();
-        let mut probe = SocketProbe::new(m.topology(), SocketId(0));
-        probe.sample(&m).unwrap();
-        m.advance(NS_PER_SEC);
-        probe.sample(&m).unwrap();
-        assert!(probe.joules() > 0.0);
-        probe.reset();
-        assert_eq!(probe.joules(), 0.0);
-        let first_after = probe.sample(&m).unwrap();
-        assert_eq!(first_after, 0.0, "first sample after reset is the new zero");
+        let mut node = NodeProbe::new(m.topology());
+        for _ in 0..3 {
+            node.sample(&m).unwrap();
+            m.advance(NS_PER_SEC);
+        }
+        let mut w = SnapWriter::new();
+        node.codec(&mut w).unwrap();
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes);
+        let mut back = NodeProbe::new(m.topology()).codec(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.joules_per_socket(), node.joules_per_socket());
+        assert_eq!(back.sample(&m).unwrap(), node.sample(&m).unwrap());
+        assert_rejects_corruption(&bytes, |input| {
+            let mut r = SnapReader::new(input);
+            node.codec(&mut r)?;
+            r.finish()
+        });
+        let one_socket = NodeProbe::new(Topology::new(1, 8));
+        let mut r = SnapReader::new(&bytes);
+        assert!(matches!(one_socket.codec(&mut r), Err(SnapError::Corrupt(_))));
     }
 }

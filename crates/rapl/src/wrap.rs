@@ -9,6 +9,8 @@
 //! daemon samples every 0.1 s, four orders of magnitude faster than the wrap
 //! period, so a missed wrap would require the daemon to stall for minutes).
 
+use maestro_machine::snap::{Codec, SnapError};
+
 /// Accumulates a wrapping counter into a monotone 128-bit total.
 #[derive(Clone, Debug)]
 pub struct WrapTracker {
@@ -79,42 +81,21 @@ impl WrapTracker {
         self.wraps
     }
 
-    /// Forget all history (the next `update` becomes the new zero).
-    pub fn reset(&mut self) {
-        self.last_raw = None;
-        self.total = 0;
-        self.wraps = 0;
+    /// The snapshot codec (see [`Codec`]): last reading, total, wraps.
+    /// Decoding yields a tracker with this one's modulus; a last reading at
+    /// or above the modulus is corrupt, since a live tracker never holds one.
+    pub fn codec<C: Codec>(&self, c: &mut C) -> Result<WrapTracker, SnapError> {
+        let last_raw = c.opt_u64(self.last_raw)?;
+        if last_raw.is_some_and(|raw| raw >= self.modulus) {
+            return Err(SnapError::Corrupt("wrap tracker reading out of range"));
+        }
+        Ok(WrapTracker {
+            modulus: self.modulus,
+            last_raw,
+            total: c.u128(self.total)?,
+            wraps: c.u64(self.wraps)?,
+        })
     }
-
-    /// Snapshot the tracker for checkpoint/restore across a sampler restart.
-    pub fn checkpoint(&self) -> WrapCheckpoint {
-        WrapCheckpoint { last_raw: self.last_raw, total: self.total, wraps: self.wraps }
-    }
-
-    /// Restore a snapshot taken with [`WrapTracker::checkpoint`].
-    ///
-    /// The next `update` computes its delta against the checkpointed
-    /// `last_raw`, so energy that accrued between the checkpoint and the
-    /// restart is still booked — the counter is cumulative hardware state
-    /// that keeps running while the sampler is down. The only loss window is
-    /// an outage longer than one wrap period (~15 min under load), the same
-    /// bound the live sampler already operates under.
-    pub fn restore(&mut self, cp: WrapCheckpoint) {
-        self.last_raw = cp.last_raw.map(|r| r % self.modulus);
-        self.total = cp.total;
-        self.wraps = cp.wraps;
-    }
-}
-
-/// Saved [`WrapTracker`] state (see [`WrapTracker::checkpoint`]).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct WrapCheckpoint {
-    /// The last committed raw counter reading.
-    pub last_raw: Option<u64>,
-    /// The monotone total in raw units at checkpoint time.
-    pub total: u128,
-    /// Wraparounds observed at checkpoint time.
-    pub wraps: u64,
 }
 
 #[cfg(test)]
@@ -175,16 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_forgets() {
-        let mut t = WrapTracker::new(1 << 32);
-        t.update(5);
-        t.update(100);
-        t.reset();
-        assert_eq!(t.update(42), 0);
-        assert_eq!(t.wraps(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "at least 2")]
     fn tiny_modulus_rejected() {
         WrapTracker::new(1);
@@ -196,18 +167,40 @@ mod tests {
         let mut t = WrapTracker::new(m);
         t.update(100);
         t.update(500);
-        let cp = t.checkpoint();
-        // Tracker dies; a fresh one restores the checkpoint. The counter kept
+        // The sampler dies; its replacement carries a clone. The counter kept
         // running meanwhile: the next reading books the whole gap.
-        let mut fresh = WrapTracker::new(m);
-        fresh.restore(cp);
-        assert_eq!(fresh.total(), 400);
-        assert_eq!(fresh.update(900), 800, "gap 500→900 is not lost");
-        // Restore across a wrap still books the wrapped delta.
-        let mut late = WrapTracker::new(m);
-        late.restore(cp);
+        let mut reborn = t.clone();
+        assert_eq!(reborn.total(), 400);
+        assert_eq!(reborn.update(900), 800, "gap 500→900 is not lost");
+        // A gap across a wrap still books the wrapped delta.
+        let mut late = t.clone();
         assert_eq!(late.update(400), 400 + (u128::from(m) - 500 + 400));
         assert_eq!(late.wraps(), 1);
+    }
+
+    #[test]
+    fn codec_round_trips_and_rejects_out_of_range_readings() {
+        use maestro_machine::snap::{assert_rejects_corruption, SnapReader, SnapWriter};
+        let mut t = WrapTracker::new(1000);
+        for raw in [990, 5, 700] {
+            t.update(raw);
+        }
+        let mut w = SnapWriter::new();
+        t.codec(&mut w).unwrap();
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes);
+        let mut back = WrapTracker::new(1000).codec(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!((back.total(), back.wraps()), (t.total(), t.wraps()));
+        assert_eq!(back.update(710), t.update(710), "the last reading survives");
+        assert_rejects_corruption(&bytes, |input| {
+            let mut r = SnapReader::new(input);
+            t.codec(&mut r)?;
+            r.finish()
+        });
+        // The same bytes hold a reading past a narrower counter's modulus.
+        let mut r = SnapReader::new(&bytes);
+        assert!(matches!(WrapTracker::new(600).codec(&mut r), Err(SnapError::Corrupt(_))));
     }
 
     #[test]

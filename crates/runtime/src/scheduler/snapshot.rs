@@ -484,7 +484,7 @@ impl<'r, C: 'static> Exec<'r, C> {
         self.run_to_capture(app, None, plan)
     }
 
-    /// Serialize the *entire* run state — machine, actuator, fault cursors,
+    /// Serialize the *entire* run state — machine, actuator, fault plans,
     /// cancellation tree, task graph, queues, worker segments, counters, and
     /// every monitor — into one versioned snapshot. Fails with a typed error
     /// when the graph holds a task that cannot be captured (closure-based
@@ -535,11 +535,11 @@ impl<'r, C: 'static> Exec<'r, C> {
     ) -> Result<Option<impl FnOnce(&mut Self) -> Result<(), SnapError>>, SnapError> {
         // Run anchors: reporting stays relative to the original start.
         let anchors = self.anchors.codec(c)?;
-        // The runtime block: machine, actuator, task-fault cursor, and the
+        // The runtime block: machine, actuator, task-fault plan, and the
         // throttle flag (the limit is configuration).
         let machine = self.rt.machine.codec(c)?;
         let actuator = self.rt.actuator.codec(c)?;
-        let task_faults = FaultPlan::cursor_codec(self.rt.task_faults.as_ref(), c)?;
+        let task_faults = FaultPlan::codec(self.rt.task_faults.as_ref(), c)?;
         let throttled = c.bool(self.rt.throttle.active)?;
         let clock_ns = machine.as_ref().unwrap_or(&self.rt.machine).now_ns();
         if anchors.start_ns > clock_ns {
@@ -644,7 +644,7 @@ impl<'r, C: 'static> Exec<'r, C> {
                 exec.rt.machine = machine;
                 exec.rt.actuator = actuator;
             }
-            FaultPlan::install_cursor(exec.rt.task_faults.as_ref(), task_faults);
+            exec.rt.task_faults = task_faults;
             exec.rt.throttle.active = throttled;
             for (m, section) in exec.rt.monitors.iter_mut().zip(&monitors) {
                 let mut r = SnapReader::new(section);

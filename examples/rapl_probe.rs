@@ -11,26 +11,26 @@
 //! emulated `MSR_PKG_ENERGY_STATUS`.
 
 use maestro_machine::{CoreActivity, Machine, MachineConfig, SocketId, NS_PER_SEC};
-use maestro_rapl::{EnergySource, NodeProbe, PowercapDomain, WrapTracker};
+use maestro_rapl::{NodeProbe, PowercapDomain, WrapTracker};
 use std::path::Path;
 
 fn probe_real_hardware() -> bool {
     let root = Path::new(maestro_rapl::powercap::DEFAULT_POWERCAP_ROOT);
-    let Ok(mut domains) = PowercapDomain::discover(root) else {
+    let Ok(domains) = PowercapDomain::discover(root) else {
         return false;
     };
     println!("found {} RAPL package domain(s) under {}:", domains.len(), root.display());
     let mut trackers: Vec<WrapTracker> =
         domains.iter().map(|d| WrapTracker::new(d.wrap_modulus())).collect();
     let t0 = std::time::Instant::now();
-    for (d, t) in domains.iter_mut().zip(trackers.iter_mut()) {
+    for (d, t) in domains.iter().zip(trackers.iter_mut()) {
         if let Ok(raw) = d.read_raw() {
             t.update(raw);
         }
     }
     std::thread::sleep(std::time::Duration::from_secs(1));
     let dt = t0.elapsed().as_secs_f64();
-    for (d, t) in domains.iter_mut().zip(trackers.iter_mut()) {
+    for (d, t) in domains.iter().zip(trackers.iter_mut()) {
         if let Ok(raw) = d.read_raw() {
             let joules = t.update(raw) as f64 * d.unit_joules();
             println!("  {}: {:.2} J over {:.2} s = {:.1} W", d.name(), joules, dt, joules / dt);
