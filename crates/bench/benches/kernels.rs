@@ -8,6 +8,7 @@ use maestro_workloads::bots::sparselu::{bmod, lu0};
 use maestro_workloads::bots::strassen::Matrix;
 use maestro_workloads::lulesh::{kernels, Domain};
 use maestro_workloads::micro::mergesort::merge_sort;
+use maestro_workloads::micro::nqueens::{count_with_prefix, two_row_prefixes};
 use std::hint::black_box;
 
 fn bench_kernels(c: &mut Criterion) {
@@ -94,6 +95,17 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             raw = (raw + 123_456_789) % (1 << 32);
             black_box(t.update(raw))
+        });
+    });
+
+    // The micro nqueens cell's leaves at paper scale: all 110 two-row
+    // prefixes of the 12x12 board.
+    g.throughput(Throughput::Elements(110));
+    g.bench_function("nqueens_n12_prefixes", |b| {
+        b.iter(|| {
+            let total: u64 =
+                two_row_prefixes(12).map(|(c0, c1)| count_with_prefix(12, &[c0, c1])).sum();
+            black_box(total)
         });
     });
 

@@ -9,7 +9,7 @@ use maestro_machine::Cost;
 use maestro_runtime::{BoxTask, RuntimeParams, Step, TaskCtx, TaskLogic, TaskValue};
 
 use crate::compiler::CompilerConfig;
-use crate::micro::nqueens::count_with_prefix;
+use crate::micro::nqueens::Board;
 use crate::profiles::{self, cost_split};
 use crate::registry::{Group, Scale, Workload};
 
@@ -32,30 +32,22 @@ impl NQueensCutoff {
 
     /// Number of tasks: valid prefixes up to the cutoff depth (each valid
     /// prefix of length < cutoff spawns per-column children).
-    fn count_tasks(n: usize, depth: usize, prefix: &mut Vec<usize>) -> u64 {
-        if prefix.len() == depth {
+    fn count_tasks(board: Board, cutoff: usize) -> u64 {
+        if board.depth() == cutoff {
             return 1;
         }
-        let mut total = 1; // this internal node
-        for col in 0..n {
-            if crate::micro::nqueens::prefix_safe(prefix, col) {
-                prefix.push(col);
-                total += Self::count_tasks(n, depth, prefix);
-                prefix.pop();
-            }
-        }
-        total
+        // This internal node, plus its subtrees.
+        1 + board.children().map(|b| Self::count_tasks(b, cutoff)).sum::<u64>()
     }
 
     fn task_count(&self) -> u64 {
-        Self::count_tasks(self.n, self.cutoff_depth, &mut Vec::new())
+        Self::count_tasks(Board::empty(self.n), self.cutoff_depth)
     }
 }
 
 struct QueensTask {
-    n: usize,
     cutoff: usize,
-    prefix: Vec<usize>,
+    board: Board,
     per_task: Cost,
     phase: u8,
     value: u64,
@@ -66,25 +58,25 @@ impl TaskLogic<()> for QueensTask {
         match self.phase {
             0 => {
                 self.phase = 1;
-                if self.prefix.len() == self.cutoff {
-                    self.value = count_with_prefix(self.n, &self.prefix);
+                if self.board.depth() == self.cutoff {
+                    self.value = self.board.count();
                     return Step::Compute(self.per_task);
                 }
-                let mut children: Vec<BoxTask<()>> = Vec::new();
-                for col in 0..self.n {
-                    if crate::micro::nqueens::prefix_safe(&self.prefix, col) {
-                        let mut prefix = self.prefix.clone();
-                        prefix.push(col);
-                        children.push(Box::new(QueensTask {
-                            n: self.n,
+                // Children in ascending column order: task ids and the
+                // schedule follow the spawn order.
+                let children: Vec<BoxTask<()>> = self
+                    .board
+                    .children()
+                    .map(|board| -> BoxTask<()> {
+                        Box::new(QueensTask {
                             cutoff: self.cutoff,
-                            prefix,
+                            board,
                             per_task: self.per_task,
                             phase: 0,
                             value: 0,
-                        }));
-                    }
-                }
+                        })
+                    })
+                    .collect();
                 if children.is_empty() {
                     self.value = 0;
                     return Step::Done(TaskValue::of(0u64));
@@ -92,7 +84,7 @@ impl TaskLogic<()> for QueensTask {
                 Step::SpawnWait(children)
             }
             1 => {
-                if self.prefix.len() < self.cutoff {
+                if self.board.depth() < self.cutoff {
                     self.value = ctx.children.iter_mut().map(|v| v.take::<u64>().unwrap()).sum();
                     self.phase = 2;
                     Step::Compute(self.per_task)
@@ -127,9 +119,8 @@ impl Workload for NQueensCutoff {
         let plan = profiles::plan_bag(self.name(), cc, self.task_count(), OMP_DISPATCH_BASE);
         let per_task = cost_split(plan.per_task_cycles, 0.03, 1.5, plan.intensity);
         let root: BoxTask<()> = Box::new(QueensTask {
-            n: self.n,
             cutoff: self.cutoff_depth,
-            prefix: Vec::new(),
+            board: Board::empty(self.n),
             per_task,
             phase: 0,
             value: 0,
@@ -177,5 +168,13 @@ mod tests {
         let w = NQueensCutoff::new(Scale::Paper);
         let tasks = w.task_count();
         assert!((100..20_000).contains(&tasks), "tasks={tasks}");
+    }
+
+    #[test]
+    fn task_counts_match_the_prefix_tree() {
+        // Pinned from the row-by-row prefix enumeration: 1 + 12 + 110 + 756
+        // boards at paper scale, 1 + 8 + 42 at test scale.
+        assert_eq!(NQueensCutoff::new(Scale::Paper).task_count(), 879);
+        assert_eq!(NQueensCutoff::new(Scale::Test).task_count(), 51);
     }
 }

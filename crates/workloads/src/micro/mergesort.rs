@@ -9,6 +9,11 @@
 //!
 //! The payload is a real merge sort: recursive sequential sort of each half,
 //! then a real two-way merge, verified against the standard-library sort.
+//! The sort is top-down and ping-pongs between the slice and one scratch
+//! copy of it, allocated once per call: each level sorts its halves into
+//! the other buffer and merges them back. The merge is branch-free — it
+//! picks with `x <= y` and steps both cursors by that bool — so its cost
+//! does not hang on the branch predictor guessing random data.
 
 use maestro::{Maestro, RunReport};
 use maestro_runtime::{fork_join, leaf, BoxTask, RuntimeParams, TaskValue};
@@ -51,34 +56,48 @@ impl MergeSort {
 
 /// Real sequential merge sort (ascending), used by both half-tasks.
 pub fn merge_sort(data: &mut [u64]) {
-    let n = data.len();
-    if n <= 32 {
-        data.sort_unstable(); // insertion-sized base case
+    let mut scratch = data.to_vec();
+    sort_via(data, &mut scratch);
+}
+
+/// Sorts `dst`, given `buf` holding the same elements on entry; `buf` is
+/// left clobbered. Each half is sorted into `buf` (with `dst`'s half as its
+/// scratch), then the halves are merged back into `dst`.
+fn sort_via(dst: &mut [u64], buf: &mut [u64]) {
+    if dst.len() <= 32 {
+        dst.sort_unstable(); // insertion-sized base case
         return;
     }
-    let mid = n / 2;
-    merge_sort(&mut data[..mid]);
-    merge_sort(&mut data[mid..]);
-    let merged = merge(&data[..mid], &data[mid..]);
-    data.copy_from_slice(&merged);
+    let mid = dst.len() / 2;
+    let (buf_lo, buf_hi) = buf.split_at_mut(mid);
+    let (dst_lo, dst_hi) = dst.split_at_mut(mid);
+    sort_via(buf_lo, dst_lo);
+    sort_via(buf_hi, dst_hi);
+    merge_into(buf_lo, buf_hi, dst);
 }
 
 /// Real two-way merge of sorted runs.
 pub fn merge(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
+    let mut out = vec![0; a.len() + b.len()];
+    merge_into(a, b, &mut out);
+    out
+}
+
+/// Merges the sorted runs `a` and `b` into `out`, which must be exactly as
+/// long as both together. Ties take from `a` first.
+fn merge_into(a: &[u64], b: &[u64], out: &mut [u64]) {
+    assert_eq!(out.len(), a.len() + b.len(), "merge output length");
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
+        let (x, y) = (a[i], b[j]);
+        let take_a = x <= y;
+        out[i + j] = if take_a { x } else { y };
+        i += take_a as usize;
+        j += !take_a as usize;
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+    let (rest_a, rest_b) = out[i + j..].split_at_mut(a.len() - i);
+    rest_a.copy_from_slice(&a[i..]);
+    rest_b.copy_from_slice(&b[j..]);
 }
 
 struct App {
@@ -151,10 +170,44 @@ mod tests {
     }
 
     #[test]
+    fn merge_sort_matches_sort_unstable_across_lengths() {
+        // Lengths around the base case and the power-of-two splits, with
+        // plenty of duplicates (values mod 97).
+        for len in [0, 1, 31, 32, 33, 64, 65, 1000, 4097] {
+            let mut x = 0x2545F4914F6CDD1Du64 ^ len as u64;
+            let data: Vec<u64> = (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x % 97
+                })
+                .collect();
+            let mut got = data.clone();
+            merge_sort(&mut got);
+            let mut want = data;
+            want.sort_unstable();
+            assert_eq!(got, want, "len={len}");
+        }
+    }
+
+    #[test]
     fn merge_is_stable_union() {
         assert_eq!(merge(&[1, 4, 6], &[2, 4, 9]), vec![1, 2, 4, 4, 6, 9]);
         assert_eq!(merge(&[], &[1]), vec![1]);
         assert_eq!(merge(&[1], &[]), vec![1]);
+        assert_eq!(merge(&[], &[]), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn merge_handles_unequal_and_empty_runs() {
+        assert_eq!(merge(&[5], &[1, 2, 3, 7, 8]), vec![1, 2, 3, 5, 7, 8]);
+        assert_eq!(merge(&[1, 2, 3, 7, 8], &[5]), vec![1, 2, 3, 5, 7, 8]);
+        assert_eq!(merge(&[9, 10, 11], &[1, 2]), vec![1, 2, 9, 10, 11]);
+        assert_eq!(merge(&[1, 2], &[9, 10, 11]), vec![1, 2, 9, 10, 11]);
+        assert_eq!(merge(&[], &[3, 3, 4]), vec![3, 3, 4]);
+        assert_eq!(merge(&[3, 3, 4], &[]), vec![3, 3, 4]);
+        assert_eq!(merge(&[2, 2, 2], &[2]), vec![2, 2, 2, 2]);
     }
 
     #[test]
