@@ -66,7 +66,8 @@ experiments:
   fleet10k runs scenario 'fleet-10k' (10,240 nodes, 120 epochs, the same
   fault mix scaled to the fleet) and prints only the fleet-wide summary and
   the event-loop work counts. It exits 1 if any timestamp's sum of enforced
-  node caps exceeds the cluster cap.
+  node caps exceeds the cluster cap. On Linux it also prints the process's
+  peak resident set (VmHWM) on stderr, leaving stdout unchanged.
 
   service runs the SLO-guarded demo scenarios (steady, bursty, a metastable
   retry storm with budgets disabled, and the same storm guarded by retry
@@ -130,11 +131,22 @@ fn render_fleet10k(jobs: usize) -> Result<String, String> {
          {} grant deliveries\n",
         w.loop_turns, w.daemon_samples, w.governor_decisions, w.load_shifts, w.grant_deliveries
     ));
+    if let Some(kib) = peak_rss_kib() {
+        eprintln!("fleet10k: peak RSS {:.1} MiB (VmHWM {kib} kB)", kib as f64 / 1024.0);
+    }
     if report.cap_violations == 0 {
         Ok(out)
     } else {
         Err(out)
     }
+}
+
+/// The process's peak resident set so far, KiB: `VmHWM` in
+/// `/proc/self/status`, so `None` where procfs is missing.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 /// Render one experiment to its output text, or `None` for an unknown name.

@@ -119,12 +119,40 @@ impl std::error::Error for SnapError {}
 
 /// FNV-1a 64-bit hash, used for configuration fingerprints.
 pub fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    Fnv1a::new().update(bytes).finish()
+}
+
+/// Incremental FNV-1a 64-bit hasher: feeding a byte string in chunks, split
+/// anywhere, gives the same hash as [`fingerprint`] of the whole string, so
+/// a digest of many encodings needs no buffer holding all of them.
+#[derive(Copy, Clone, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher that has seen no bytes.
+    pub fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Feed `bytes` after everything fed so far.
+    pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    /// The hash of every byte fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
 }
 
 /// One direction of the snapshot codec.
@@ -760,6 +788,28 @@ mod tests {
     fn fingerprint_distinguishes_inputs() {
         assert_ne!(fingerprint(b"a"), fingerprint(b"b"));
         assert_eq!(fingerprint(b"same"), fingerprint(b"same"));
+    }
+
+    #[test]
+    fn chunked_hashing_matches_one_shot_fingerprint() {
+        // The FNV-1a offset basis is the hash of nothing, empty chunks
+        // included.
+        assert_eq!(Fnv1a::new().finish(), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv1a::new().update(&[]).update(&[]).finish(), fingerprint(&[]));
+        let input = b"maestro fleet trace";
+        let whole = fingerprint(input);
+        for i in 0..=input.len() {
+            for j in i..=input.len() {
+                let mut h = Fnv1a::default();
+                h.update(&input[..i]).update(&[]).update(&input[i..j]).update(&input[j..]);
+                assert_eq!(h.finish(), whole, "split at {i} and {j}");
+            }
+        }
+        let mut bytewise = Fnv1a::new();
+        for b in input {
+            bytewise.update(std::slice::from_ref(b));
+        }
+        assert_eq!(bytewise.finish(), whole);
     }
 
     #[test]
