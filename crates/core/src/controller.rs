@@ -28,7 +28,7 @@ use std::rc::Rc;
 use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
 use maestro_machine::{FaultPlan, Machine, PState, SocketId};
 use maestro_rcr::{
-    Level, MeterThresholds, Supervisor, SupervisorConfig, SupervisorStats, ThrottleSignals,
+    Level, MeterThresholds, Supervisor, SupervisorStats, ThrottleSignals, DEFAULT_SAMPLE_PERIOD_NS,
 };
 use maestro_runtime::{Monitor, ThrottleState};
 
@@ -43,7 +43,9 @@ fn level_codec<C: Codec>(c: &mut C, level: Level) -> Result<Level, SnapError> {
     }
 }
 
-/// When the controller gives up on its measurements and fails safe.
+/// Consecutive controller periods with a stale or unhealthy blackboard view
+/// before the controller gives up on its measurements and fails safe: 0.5 s
+/// at the paper's cadence, long enough to ride out a retried sample or two.
 ///
 /// The controller's view of the node comes entirely from the blackboard; if
 /// the daemon behind it stalls or its meters go untrustworthy, continuing to
@@ -51,33 +53,14 @@ fn level_codec<C: Codec>(c: &mut C, level: Level) -> Result<Level, SnapError> {
 /// policy's knob to full performance (full duty cycle, nominal frequency,
 /// or the full shepherd limit) until the measurement pipeline proves itself
 /// again.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct SafeModeConfig {
-    /// Enter safe mode after this many consecutive controller periods with a
-    /// stale or unhealthy blackboard view.
-    pub degraded_after_periods: u32,
-    /// Leave safe mode after this many consecutive fresh, healthy periods.
-    pub recover_after_periods: u32,
-}
+pub const SAFE_MODE_AFTER_PERIODS: u32 = 5;
 
-impl Default for SafeModeConfig {
-    /// Enter after 5 bad periods (0.5 s at the paper's cadence — long enough
-    /// to ride out a retried sample or two), recover after 2 good ones.
-    fn default() -> Self {
-        SafeModeConfig { degraded_after_periods: 5, recover_after_periods: 2 }
-    }
-}
+/// Consecutive fresh, healthy periods before safe mode ends.
+pub const RECOVER_AFTER_PERIODS: u32 = 2;
 
-/// Everything [`ThrottleController::with_policy`] can customize.
-#[derive(Clone, Debug, Default)]
-pub struct ControllerConfig {
-    /// Safe-mode entry/exit thresholds.
-    pub safe_mode: SafeModeConfig,
-    /// Scripted faults for the embedded daemon (tests and experiments).
-    pub faults: Option<FaultPlan>,
-    /// Restart policy for the supervised daemon.
-    pub supervisor: SupervisorConfig,
-}
+/// A blackboard view older than this is considered stale: 1.5 daemon
+/// periods, i.e. one missed publication plus scheduling slack.
+const STALENESS_BOUND_NS: u64 = DEFAULT_SAMPLE_PERIOD_NS + DEFAULT_SAMPLE_PERIOD_NS / 2;
 
 /// The setting one decision left its policy's knob at.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -206,7 +189,6 @@ pub struct ThrottleController {
     supervisor: Supervisor,
     power_thresholds: MeterThresholds,
     memory_thresholds: MeterThresholds,
-    safe_cfg: SafeModeConfig,
     safe_mode: bool,
     degraded_streak: u32,
     healthy_streak: u32,
@@ -223,35 +205,25 @@ pub struct ThrottleController {
 }
 
 impl ThrottleController {
-    /// Build the adaptive controller for `machine` with the paper's
+    /// Build the controller for `policy` on `machine` with the paper's
     /// thresholds (power 75 W / 50 W per socket; memory 75 % / 25 % of the
-    /// effective maximum outstanding references). Returns the controller and
-    /// a handle to its decision trace.
-    pub fn new(machine: &Machine) -> (Self, TraceHandle) {
-        Self::with_config(machine, ControllerConfig::default())
-    }
-
-    /// The adaptive controller with custom safe mode, fault injection, and
-    /// restart policy. The shepherd limit it throttles to is the runtime's
-    /// to set.
-    pub fn with_config(machine: &Machine, cfg: ControllerConfig) -> (Self, TraceHandle) {
-        Self::with_policy(machine, Policy::Adaptive { limit_per_shepherd: 6 }, cfg)
-    }
-
-    /// Build the controller for `policy` with the paper's thresholds. Panics
-    /// on [`Policy::Fixed`], which has no controller.
-    pub fn with_policy(
+    /// effective maximum outstanding references), its supervised daemon
+    /// running `faults` when given. Returns the controller and a handle to
+    /// its decision trace. The shepherd limit the adaptive rule throttles to
+    /// is the runtime's to set. Panics on [`Policy::Fixed`], which has no
+    /// controller.
+    pub fn new(
         machine: &Machine,
         policy: Policy,
-        cfg: ControllerConfig,
+        faults: Option<FaultPlan>,
     ) -> (Self, TraceHandle) {
         assert!(policy != Policy::Fixed, "the fixed policy has no controller");
         if let Policy::PowerCap { watts } = policy {
             assert!(watts > 0.0, "cap must be positive");
         }
         let memory_max = machine.config().memory.max_outstanding_refs;
-        let mut supervisor = Supervisor::new(machine, cfg.supervisor);
-        if let Some(plan) = cfg.faults {
+        let mut supervisor = Supervisor::new(machine);
+        if let Some(plan) = faults {
             supervisor = supervisor.with_faults(plan);
         }
         let controller = ThrottleController {
@@ -259,7 +231,6 @@ impl ThrottleController {
             supervisor,
             power_thresholds: MeterThresholds::paper_power_w(),
             memory_thresholds: MeterThresholds::paper_memory(memory_max),
-            safe_cfg: cfg.safe_mode,
             safe_mode: false,
             degraded_streak: 0,
             healthy_streak: 0,
@@ -292,12 +263,6 @@ impl ThrottleController {
     /// snapshots — a watchdog can watch it to detect a wedged pipeline.
     pub fn heartbeat(&self) -> Rc<Cell<u64>> {
         Rc::clone(&self.heartbeat)
-    }
-
-    /// A blackboard view older than this is considered stale: 1.5 daemon
-    /// periods, i.e. one missed publication plus scheduling slack.
-    fn staleness_bound_ns(&self) -> u64 {
-        self.supervisor.period_ns() + self.supervisor.period_ns() / 2
     }
 
     /// This period's actuation and the power reading its rule compares.
@@ -375,7 +340,7 @@ impl Monitor for ThrottleController {
         }
         let now = machine.now_ns();
         let bb = self.supervisor.blackboard();
-        let stale = bb.staleness_ns(now) > self.staleness_bound_ns();
+        let stale = bb.staleness_ns(now) > STALENESS_BOUND_NS;
         let degraded = !outcome.published() || stale || !bb.is_healthy();
         if degraded {
             self.degraded_streak += 1;
@@ -384,9 +349,9 @@ impl Monitor for ThrottleController {
             self.healthy_streak += 1;
             self.degraded_streak = 0;
         }
-        if !self.safe_mode && self.degraded_streak >= self.safe_cfg.degraded_after_periods {
+        if !self.safe_mode && self.degraded_streak >= SAFE_MODE_AFTER_PERIODS {
             self.safe_mode = true;
-        } else if self.safe_mode && self.healthy_streak >= self.safe_cfg.recover_after_periods {
+        } else if self.safe_mode && self.healthy_streak >= RECOVER_AFTER_PERIODS {
             self.safe_mode = false;
         }
         // Epoch change means the blackboard's writer is a fresh daemon
@@ -543,6 +508,7 @@ mod tests {
     use maestro_machine::snap::assert_rejects_corruption;
     use maestro_machine::{CoreActivity, MachineConfig, NS_PER_SEC};
 
+    const ADAPTIVE: Policy = Policy::Adaptive { limit_per_shepherd: 6 };
     const DVFS: Policy = Policy::Dvfs { floor: PState::MIN };
 
     fn hot_machine() -> Machine {
@@ -554,7 +520,7 @@ mod tests {
     }
 
     fn controller(m: &Machine, policy: Policy) -> (ThrottleController, TraceHandle) {
-        ThrottleController::with_policy(m, policy, ControllerConfig::default())
+        ThrottleController::new(m, policy, None)
     }
 
     fn fire_over(
@@ -578,7 +544,7 @@ mod tests {
         for c in m.topology().all_cores() {
             m.set_activity(c, CoreActivity::Busy { intensity: 0.95, ocr: 4.0 });
         }
-        let (mut ctrl, trace) = ThrottleController::new(&m);
+        let (mut ctrl, trace) = controller(&m, ADAPTIVE);
         let mut throttle = ThrottleState::new(6);
         fire_over(&mut m, &mut ctrl, &mut throttle, 2.0);
         assert!(throttle.active, "hot+contended must throttle");
@@ -588,7 +554,7 @@ mod tests {
     #[test]
     fn idle_machine_unthrottles() {
         let mut m = Machine::new(MachineConfig::sandybridge_2x8());
-        let (mut ctrl, _trace) = ThrottleController::new(&m);
+        let (mut ctrl, _trace) = controller(&m, ADAPTIVE);
         let mut throttle = ThrottleState::new(6);
         throttle.active = true; // pretend it was on
         fire_over(&mut m, &mut ctrl, &mut throttle, 1.0);
@@ -604,7 +570,7 @@ mod tests {
             m.set_activity(c, CoreActivity::Busy { intensity: 1.0, ocr: 0.2 });
         }
         for initial in [false, true] {
-            let (mut ctrl, _) = ThrottleController::new(&m);
+            let (mut ctrl, _) = controller(&m, ADAPTIVE);
             let mut throttle = ThrottleState::new(6);
             throttle.active = initial;
             let mut m2 = m.clone();
@@ -621,10 +587,7 @@ mod tests {
         }
         // The daemon blacks out from t=2 s to t=4 s.
         let plan = FaultPlan::new(31).with_stall(2 * NS_PER_SEC, 4 * NS_PER_SEC);
-        let (mut ctrl, trace) = ThrottleController::with_config(
-            &m,
-            ControllerConfig { faults: Some(plan), ..Default::default() },
-        );
+        let (mut ctrl, trace) = ThrottleController::new(&m, ADAPTIVE, Some(plan));
         let mut throttle = ThrottleState::new(6);
         fire_over(&mut m, &mut ctrl, &mut throttle, 2.0);
         assert!(throttle.active, "hot+contended throttles before the stall");
@@ -667,10 +630,7 @@ mod tests {
             m.set_activity(c, CoreActivity::Busy { intensity: 0.95, ocr: 4.0 });
         }
         let plan = FaultPlan::new(32).with_transient_error_rate(0.3);
-        let (mut ctrl, _trace) = ThrottleController::with_config(
-            &m,
-            ControllerConfig { faults: Some(plan), ..Default::default() },
-        );
+        let (mut ctrl, _trace) = ThrottleController::new(&m, ADAPTIVE, Some(plan));
         let mut throttle = ThrottleState::new(6);
         fire_over(&mut m, &mut ctrl, &mut throttle, 3.0);
         assert!(!ctrl.in_safe_mode());
@@ -687,10 +647,7 @@ mod tests {
         // The daemon dies at t=1.5 s; the default supervisor restarts it
         // within one backoff (50 ms), well before safe mode's 5 periods.
         let plan = FaultPlan::new(33).with_daemon_kills(&[3 * NS_PER_SEC / 2]);
-        let (mut ctrl, trace) = ThrottleController::with_config(
-            &m,
-            ControllerConfig { faults: Some(plan), ..Default::default() },
-        );
+        let (mut ctrl, trace) = ThrottleController::new(&m, ADAPTIVE, Some(plan));
         let mut throttle = ThrottleState::new(6);
         fire_over(&mut m, &mut ctrl, &mut throttle, 4.0);
 
@@ -716,24 +673,22 @@ mod tests {
         for c in m.topology().all_cores() {
             m.set_activity(c, CoreActivity::Busy { intensity: 0.95, ocr: 4.0 });
         }
-        // A crash-looping daemon: killed every 300 ms, budget of 2 restarts.
-        let kills: Vec<u64> = (1..=10).map(|i| NS_PER_SEC + i * 3 * NS_PER_SEC / 10).collect();
+        // A crash-looping daemon: killed every second, which outlasts every
+        // backoff of the stock ladder, so each kill lands on a live daemon.
+        let kills: Vec<u64> = (1..=10).map(|i| i * NS_PER_SEC).collect();
         let plan = FaultPlan::new(34).with_daemon_kills(&kills);
-        let (mut ctrl, trace) = ThrottleController::with_config(
-            &m,
-            ControllerConfig {
-                faults: Some(plan),
-                supervisor: SupervisorConfig { restart_budget: 2, ..Default::default() },
-                ..Default::default()
-            },
-        );
+        let (mut ctrl, trace) = ThrottleController::new(&m, ADAPTIVE, Some(plan));
         let mut throttle = ThrottleState::new(6);
-        fire_over(&mut m, &mut ctrl, &mut throttle, 5.0);
+        fire_over(&mut m, &mut ctrl, &mut throttle, 8.0);
 
         let t = trace.borrow();
         let s = t.supervisor;
         assert!(s.gave_up, "{s:?}");
-        assert_eq!(s.restarts, 2, "budget caps restarts: {s:?}");
+        assert_eq!(
+            s.restarts,
+            u64::from(maestro_rcr::RESTART_BUDGET),
+            "budget caps restarts: {s:?}"
+        );
         assert!(ctrl.in_safe_mode(), "a permanently dark pipeline is safe mode");
         assert!(!throttle.active, "fails open at full duty");
         assert_eq!(throttle.effective_limit(), usize::MAX);
@@ -744,7 +699,7 @@ mod tests {
     #[test]
     fn trace_records_levels_and_transitions() {
         let mut m = Machine::new(MachineConfig::sandybridge_2x8());
-        let (mut ctrl, trace) = ThrottleController::new(&m);
+        let (mut ctrl, trace) = controller(&m, ADAPTIVE);
         let mut throttle = ThrottleState::new(6);
         // Phase 1: idle (Low/Low).
         fire_over(&mut m, &mut ctrl, &mut throttle, 0.5);
@@ -888,11 +843,7 @@ mod tests {
     ) {
         let mut m = hot_machine();
         let plan = FaultPlan::new(35).with_stall(2 * NS_PER_SEC, 4 * NS_PER_SEC);
-        let (mut ctrl, trace) = ThrottleController::with_policy(
-            &m,
-            policy,
-            ControllerConfig { faults: Some(plan), ..Default::default() },
-        );
+        let (mut ctrl, trace) = ThrottleController::new(&m, policy, Some(plan));
         let mut throttle = ThrottleState::new(8);
         for (phase, seconds) in [("before", 2.0), ("during", 1.0), ("after", 3.0)] {
             fire_over(&mut m, &mut ctrl, &mut throttle, seconds);

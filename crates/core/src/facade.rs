@@ -5,14 +5,14 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use maestro_machine::snap::{Codec, PagedBytes, SnapError, SnapReader, SnapWriter};
-use maestro_machine::{fingerprint, Machine, MachineConfig, PState};
+use maestro_machine::{fingerprint, FaultPlan, Machine, MachineConfig, PState};
 use maestro_rcr::{Region, RegionReport, DEFAULT_SAMPLE_PERIOD_NS};
 use maestro_runtime::{
     BoxTask, CapturedRun, RequestSource, RunEnd, RunOutcome, RunStats, Runtime, RuntimeError,
     RuntimeParams, SnapshotPlan, TaskValue, Watchdog,
 };
 
-use crate::controller::{ControllerConfig, ControllerTrace, ThrottleController, TraceHandle};
+use crate::controller::{ControllerTrace, ThrottleController, TraceHandle};
 
 /// Concurrency policy for a run, matching the paper's table rows (plus the
 /// alternative mechanisms evaluated by the `ablation`/`powercap` targets).
@@ -55,9 +55,9 @@ pub struct MaestroConfig {
     pub runtime: RuntimeParams,
     /// Fixed concurrency or the controller's response.
     pub policy: Policy,
-    /// Safe mode, fault injection, and the daemon restart policy for the
-    /// controller of every policy but [`Policy::Fixed`].
-    pub controller: ControllerConfig,
+    /// Scripted faults for the supervised daemon behind the controller of
+    /// every policy but [`Policy::Fixed`] (tests and experiments).
+    pub daemon_faults: Option<FaultPlan>,
 }
 
 impl MaestroConfig {
@@ -67,7 +67,7 @@ impl MaestroConfig {
             machine: MachineConfig::sandybridge_2x8(),
             runtime: RuntimeParams::qthreads(workers),
             policy: Policy::Fixed,
-            controller: ControllerConfig::default(),
+            daemon_faults: None,
         }
     }
 
@@ -78,7 +78,7 @@ impl MaestroConfig {
             machine: MachineConfig::sandybridge_2x8(),
             runtime: RuntimeParams::qthreads(workers),
             policy: Policy::Adaptive { limit_per_shepherd: 6 },
-            controller: ControllerConfig::default(),
+            daemon_faults: None,
         }
     }
 }
@@ -196,13 +196,12 @@ impl Maestro {
     /// Fallible assembly: rejects invalid runtime parameters and worker
     /// counts beyond the machine's cores with a typed error.
     pub fn try_new(config: MaestroConfig) -> Result<Self, RuntimeError> {
-        let MaestroConfig { machine, runtime, policy, controller } = config;
+        let MaestroConfig { machine, runtime, policy, daemon_faults } = config;
         let mut runtime = Runtime::new(Machine::new(machine), runtime)?;
         let mut trace = None;
         let mut watchdog_missed = None;
         if policy != Policy::Fixed {
-            let (controller, t) =
-                ThrottleController::with_policy(runtime.machine(), policy, controller);
+            let (controller, t) = ThrottleController::new(runtime.machine(), policy, daemon_faults);
             let heartbeat = controller.heartbeat();
             trace = Some(t);
             runtime.add_monitor(Box::new(controller));
@@ -628,11 +627,11 @@ mod tests {
 
     #[test]
     fn controller_faults_reach_a_dvfs_run() {
-        use maestro_machine::{FaultPlan, NS_PER_SEC};
+        use maestro_machine::NS_PER_SEC;
 
         let mut cfg = MaestroConfig::fixed(16);
         cfg.policy = Policy::Dvfs { floor: PState::floor_of(1.8) };
-        cfg.controller.faults = Some(FaultPlan::new(41).with_stall(NS_PER_SEC / 5, NS_PER_SEC));
+        cfg.daemon_faults = Some(FaultPlan::new(41).with_stall(NS_PER_SEC / 5, NS_PER_SEC));
         let mut m = Maestro::new(cfg);
         let r = m.run("stalled-dvfs", &mut (), contended_root(2500));
         assert!(r.throttle.is_none(), "a DVFS run has no duty-cycle summary");

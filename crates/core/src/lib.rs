@@ -41,8 +41,7 @@ pub mod controller;
 pub mod facade;
 
 pub use controller::{
-    Actuation, ControllerConfig, ControllerSample, ControllerTrace, SafeModeConfig,
-    ThrottleController, TraceHandle,
+    Actuation, ControllerSample, ControllerTrace, ThrottleController, TraceHandle,
 };
 pub use facade::{
     Maestro, MaestroConfig, MaestroRun, MaestroRunEnd, MaestroSnapshot, Policy, RunReport,

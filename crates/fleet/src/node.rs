@@ -14,9 +14,9 @@
 //! **Crash semantics.** A scheduled crash powers the machine off
 //! ([`maestro_machine::Machine::set_powered`]): 0 W, no energy, passive
 //! cooling, volatile state gone. The node restarts by the daemon
-//! supervisor's rule, [`SupervisorConfig::restart_backoff_ns`] under the
-//! stock [`SupervisorConfig`]: exponential backoff between restart attempts
-//! under a total restart budget, after which the node stays dark for good.
+//! supervisor's rule, [`restart_backoff_ns`]: exponential backoff between
+//! restart attempts under a total restart budget, after which the node stays
+//! dark for good.
 //! A restarted node boots with a fresh daemon incarnation (its fault
 //! stream deterministically derived from `(fleet seed, node, incarnation)`)
 //! and an *empty* lease slot: RAM did not survive, so the node cannot know
@@ -31,7 +31,8 @@
 use maestro_machine::snap::{Codec, SnapError};
 use maestro_machine::{CoreActivity, DutyCycle, Machine, MachineConfig};
 use maestro_rcr::{
-    BudgetLease, LeaseDecision, LeaseSlot, Supervisor, SupervisorConfig, SupervisorState,
+    restart_backoff_ns, BudgetLease, LeaseDecision, LeaseSlot, Supervisor, SupervisorState,
+    DEFAULT_SAMPLE_PERIOD_NS,
 };
 
 use crate::faults::FleetFaultPlan;
@@ -276,7 +277,7 @@ impl NodeSim {
         faults: &FleetFaultPlan,
         incarnation: u32,
     ) -> Supervisor {
-        let sup = Supervisor::new(machine, SupervisorConfig::default());
+        let sup = Supervisor::new(machine);
         match faults.node_daemon_faults(id, incarnation) {
             Some(plan) => sup.with_faults(plan),
             None => sup,
@@ -486,7 +487,7 @@ impl NodeSim {
         self.lease = LeaseSlot::new(FLOOR_W);
         self.throttle_level = 0;
         self.load_active = 0;
-        let backoff = SupervisorConfig::default().restart_backoff_ns(self.stats.restarts);
+        let backoff = restart_backoff_ns(self.stats.restarts);
         self.restart_due_ns = backoff.map(|b| self.machine.now_ns() + b);
         if backoff.is_none() {
             self.stats.gave_up = true;
@@ -514,7 +515,7 @@ impl NodeSim {
             return Telemetry::Warmup;
         }
         let now = self.machine.now_ns();
-        if !bb.is_healthy() || bb.staleness_ns(now) > 3 * self.sup.period_ns() {
+        if !bb.is_healthy() || bb.staleness_ns(now) > 3 * DEFAULT_SAMPLE_PERIOD_NS {
             return Telemetry::Dark;
         }
         Telemetry::Power(bb.node_power_w())
@@ -720,7 +721,7 @@ mod tests {
             .iter()
             .find(|(_, e)| matches!(e, NodeEvent::Restarted { .. }))
             .expect("restart event");
-        assert_eq!(restart.0, SEC + SupervisorConfig::default().initial_backoff_ns);
+        assert_eq!(restart.0, SEC + maestro_rcr::INITIAL_BACKOFF_NS);
     }
 
     #[test]
@@ -731,7 +732,7 @@ mod tests {
         n.advance_to(30 * SEC);
         let s = n.stats();
         assert!(s.gave_up);
-        assert_eq!(s.restarts, u64::from(SupervisorConfig::default().restart_budget));
+        assert_eq!(s.restarts, u64::from(maestro_rcr::RESTART_BUDGET));
         assert!(!n.up());
         assert!(n.trace().iter().any(|(_, e)| matches!(e, NodeEvent::GaveUp)));
         // Energy stopped accruing once dark.

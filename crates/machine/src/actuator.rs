@@ -10,12 +10,12 @@
 //! 1. write the register (through the [`FaultPlan`] write-path filter when
 //!    fault injection is active),
 //! 2. read it back and compare against the requested duty,
-//! 3. retry up to a bounded number of attempts on mismatch,
+//! 3. retry up to [`MAX_ATTEMPTS`] attempts in all on mismatch,
 //! 4. on exhaustion, force the core to [`DutyCycle::FULL`] through the
 //!    recovery path (modulation disable, which hardware always honors) and
 //!    count the failure.
 //!
-//! A per-core **circuit breaker** trips after a configurable number of
+//! A per-core **circuit breaker** trips after [`BREAKER_THRESHOLD`]
 //! *consecutive* failed transactions: further non-trivial duty requests for
 //! that core are refused and the core is pinned at FULL until an explicit
 //! [`Actuator::reset_breaker`]. The breaker direction is deliberate — fail
@@ -29,20 +29,11 @@ use crate::msr::{MsrDevice, IA32_CLOCK_MODULATION};
 use crate::snap::{Codec, SnapError};
 use crate::topology::CoreId;
 
-/// Retry and breaker tuning for the [`Actuator`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ActuatorConfig {
-    /// Physical write attempts per transaction (first try + retries).
-    pub max_attempts: u32,
-    /// Consecutive failed transactions on one core before its breaker trips.
-    pub breaker_threshold: u32,
-}
+/// Physical write attempts per transaction (first try + retries).
+pub const MAX_ATTEMPTS: u32 = 4;
 
-impl Default for ActuatorConfig {
-    fn default() -> Self {
-        ActuatorConfig { max_attempts: 4, breaker_threshold: 3 }
-    }
-}
+/// Consecutive failed transactions on one core before its breaker trips.
+pub const BREAKER_THRESHOLD: u32 = 3;
 
 /// Breaker position for one core.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -150,7 +141,6 @@ impl ApplyOutcome {
 /// Verified duty-cycle writer with per-core circuit breakers.
 #[derive(Clone, Debug)]
 pub struct Actuator {
-    cfg: ActuatorConfig,
     faults: Option<FaultPlan>,
     health: Vec<ActuationHealth>,
     trips: u64,
@@ -173,20 +163,13 @@ fn sum_totals(health: &[ActuationHealth], trips: u64) -> Option<ActuationTotals>
 
 impl Actuator {
     /// An actuator for a machine with `n_cores` cores.
-    pub fn new(n_cores: usize, cfg: ActuatorConfig) -> Self {
-        assert!(cfg.max_attempts >= 1, "actuator needs at least one attempt");
-        assert!(cfg.breaker_threshold >= 1, "breaker threshold must be positive");
-        Actuator { cfg, faults: None, health: vec![ActuationHealth::default(); n_cores], trips: 0 }
+    pub fn new(n_cores: usize) -> Self {
+        Actuator { faults: None, health: vec![ActuationHealth::default(); n_cores], trips: 0 }
     }
 
     /// Inject (or clear) write-path faults for subsequent transactions.
     pub fn set_faults(&mut self, faults: Option<FaultPlan>) {
         self.faults = faults;
-    }
-
-    /// The configured retry/breaker tuning.
-    pub fn config(&self) -> ActuatorConfig {
-        self.cfg
     }
 
     /// Per-core bookkeeping for `core`.
@@ -230,7 +213,7 @@ impl Actuator {
 
         let requested = duty.encode_msr();
         let mut attempts = 0u32;
-        while attempts < self.cfg.max_attempts {
+        while attempts < MAX_ATTEMPTS {
             attempts += 1;
             self.health[idx].attempts += 1;
             let effect = self
@@ -260,7 +243,7 @@ impl Actuator {
 
         self.health[idx].failed_applies += 1;
         self.health[idx].consecutive_failures += 1;
-        let tripped = self.health[idx].consecutive_failures >= self.cfg.breaker_threshold;
+        let tripped = self.health[idx].consecutive_failures >= BREAKER_THRESHOLD;
         if tripped {
             self.health[idx].breaker = BreakerState::Open { tripped_at_ns: machine.now_ns() };
             self.trips += 1;
@@ -271,9 +254,8 @@ impl Actuator {
 
     /// The snapshot codec for the actuator's dynamic state: per-core health,
     /// breaker positions, trip count, fault-plan state (see [`Codec`]).
-    /// Configuration is not captured; restore into an actuator built with
-    /// the same config. Decoding yields a copy of this actuator carrying the
-    /// decoded state (`None` on the writer).
+    /// Restore into an actuator for the same core count. Decoding yields the
+    /// decoded actuator (`None` on the writer).
     pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Option<Actuator>, SnapError> {
         let health = c.seq_fixed(&self.health, "actuator core count mismatch", |c, h| {
             let open = match h.breaker {
@@ -298,7 +280,7 @@ impl Actuator {
             return Err(SnapError::Corrupt("actuation counters overflow"));
         }
         let faults = FaultPlan::codec(self.faults.as_ref(), c)?;
-        Ok(C::DECODING.then(|| Actuator { health, trips, faults, ..self.clone() }))
+        Ok(C::DECODING.then_some(Actuator { health, trips, faults }))
     }
 
     /// The recovery path: pin `core` at FULL via modulation disable, which
@@ -319,7 +301,7 @@ mod tests {
     fn setup() -> (Machine, Actuator) {
         let m = Machine::new(MachineConfig::sandybridge_2x8());
         let n = m.topology().total_cores();
-        (m, Actuator::new(n, ActuatorConfig::default()))
+        (m, Actuator::new(n))
     }
 
     #[test]

@@ -51,9 +51,7 @@ pub mod snap;
 pub mod thermal;
 pub mod topology;
 
-pub use actuator::{
-    ActuationHealth, ActuationTotals, Actuator, ActuatorConfig, ApplyOutcome, BreakerState,
-};
+pub use actuator::{ActuationHealth, ActuationTotals, Actuator, ApplyOutcome, BreakerState};
 pub use contention::MemoryParams;
 pub use cost::Cost;
 pub use duty::DutyCycle;

@@ -22,6 +22,9 @@
 //! * [`daemon`] — the sampler: every 0.1 s (virtual) it reads the RAPL
 //!   counters through `maestro-rapl`, reads the memory-concurrency meter,
 //!   smooths power over a sliding window, and publishes to the blackboard.
+//! * [`supervisor`] — restarts a killed daemon on the same blackboard from
+//!   its last checkpoint, after [`restart_backoff_ns`] (50 ms doubling per
+//!   restart), and gives up for good past [`RESTART_BUDGET`] restarts.
 //! * [`region`] — the programmer-facing measurement API: delimit a code
 //!   region with start/end calls and receive elapsed time, energy in Joules,
 //!   average power in Watts, and the most recent chip temperatures, exactly
@@ -48,7 +51,8 @@ pub use classify::{Level, MeterThresholds, ThrottleSignals};
 pub use daemon::{DaemonCheckpoint, DaemonHealth, DropReason, RcrDaemon, SampleOutcome};
 pub use lease::{BudgetLease, LeaseDecision, LeaseSlot};
 pub use supervisor::{
-    Supervisor, SupervisorConfig, SupervisorOutcome, SupervisorState, SupervisorStats,
+    restart_backoff_ns, Supervisor, SupervisorOutcome, SupervisorState, SupervisorStats,
+    INITIAL_BACKOFF_NS, RESTART_BUDGET,
 };
 pub use region::{Region, RegionReport};
 

@@ -1,13 +1,13 @@
 //! Daemon supervision: death detection, backoff restart, state restore.
 //!
-//! PR 1 taught the control plane to *detect* a dead or wedged RCRdaemon (the
-//! watchdog, safe mode). This module makes the pipeline *recover* the way a
-//! real init/systemd-style supervisor would treat the paper's system-level
-//! daemon: when the daemon dies (scripted kill) or wedges (blackboard goes
-//! stale beyond a timeout), the [`Supervisor`]
+//! The watchdog and the controller's safe mode *detect* a dead or stalled
+//! RCRdaemon. This module makes the pipeline *recover* the way a real
+//! init/systemd-style supervisor would treat the paper's system-level
+//! daemon: when the daemon dies (a scripted kill), the [`Supervisor`]
 //!
 //! 1. tears the incarnation down and waits out an **exponential backoff**
-//!    (bounded, with a total **restart budget** — a crash-looping daemon
+//!    ([`restart_backoff_ns`]: 50 ms doubling per restart, under a total
+//!    **restart budget** of [`RESTART_BUDGET`] — a crash-looping daemon
 //!    must not take the node down with it);
 //! 2. builds a fresh [`RcrDaemon`] **re-attached to the same blackboard**,
 //!    bumping the region's epoch counter so readers can tell that snapshots
@@ -30,66 +30,26 @@ use crate::blackboard::{Blackboard, BlackboardState};
 use crate::daemon::{DaemonCheckpoint, DaemonHealth, RcrDaemon, SampleOutcome};
 use crate::DEFAULT_SAMPLE_PERIOD_NS;
 
-/// Restart policy for a supervised daemon.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct SupervisorConfig {
-    /// Total restarts allowed over the supervisor's lifetime; one more death
-    /// after the budget is spent and the supervisor gives up for good.
-    pub restart_budget: u32,
-    /// Backoff before the first restart, nanoseconds.
-    pub initial_backoff_ns: u64,
-    /// Backoff multiplier per successive restart (exponential).
-    pub backoff_multiplier: u32,
-    /// Backoff ceiling, nanoseconds.
-    pub max_backoff_ns: u64,
-    /// Treat a *running* daemon whose blackboard is staler than this as
-    /// wedged and restart it. `None` disables wedge detection (deaths are
-    /// then only the scripted kills of a [`FaultPlan`]).
-    pub wedge_timeout_ns: Option<u64>,
-}
+/// Total restarts allowed over a supervisor's lifetime; one more death after
+/// the budget is spent and the supervisor gives up for good.
+pub const RESTART_BUDGET: u32 = 5;
 
-impl SupervisorConfig {
-    /// The backoff before the next restart after `restarts` restarts have
-    /// been spent, or `None` once that exhausts the budget:
-    /// `initial · multiplier^restarts`, saturating, capped at
-    /// `max_backoff_ns`.
-    pub fn restart_backoff_ns(&self, restarts: u64) -> Option<u64> {
-        if restarts >= u64::from(self.restart_budget) {
-            return None;
-        }
-        let mut b = self.initial_backoff_ns;
-        for _ in 0..restarts {
-            b = b.saturating_mul(u64::from(self.backoff_multiplier));
-            if b >= self.max_backoff_ns {
-                break;
-            }
-        }
-        Some(b.min(self.max_backoff_ns))
-    }
-}
+/// Backoff before the first restart, nanoseconds (50 ms).
+pub const INITIAL_BACKOFF_NS: u64 = 50_000_000;
 
-impl Default for SupervisorConfig {
-    /// Five restarts, 50 ms initial backoff doubling to a 1 s ceiling, no
-    /// wedge detection (opt in; the controller's safe mode already covers
-    /// silent stalls).
-    fn default() -> Self {
-        SupervisorConfig {
-            restart_budget: 5,
-            initial_backoff_ns: 50_000_000,
-            backoff_multiplier: 2,
-            max_backoff_ns: 1_000_000_000,
-            wedge_timeout_ns: None,
-        }
-    }
+/// The backoff before the next restart after `restarts` restarts have been
+/// spent, or `None` once that exhausts [`RESTART_BUDGET`]:
+/// [`INITIAL_BACKOFF_NS`] doubled per restart, so 50, 100, 200, 400 and
+/// 800 ms.
+pub fn restart_backoff_ns(restarts: u64) -> Option<u64> {
+    (restarts < u64::from(RESTART_BUDGET)).then(|| INITIAL_BACKOFF_NS << restarts)
 }
 
 /// Lifetime tallies of one supervisor.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SupervisorStats {
-    /// Daemon deaths observed (scripted kills + wedge detections).
+    /// Daemon deaths observed (scripted kills).
     pub kills: u64,
-    /// Deaths due to wedge detection specifically.
-    pub wedge_kills: u64,
     /// Restarts performed.
     pub restarts: u64,
     /// True once the restart budget is exhausted (terminal).
@@ -97,11 +57,14 @@ pub struct SupervisorStats {
 }
 
 impl SupervisorStats {
-    /// The snapshot codec (see [`Codec`]): every tally in declaration order.
+    /// The snapshot codec (see [`Codec`]): every tally in declaration order,
+    /// with a retired wedge-kill tally after `kills` that is always zero, so
+    /// the wire layout is unchanged.
     pub fn codec<C: Codec>(&self, c: &mut C) -> Result<Self, SnapError> {
+        let kills = c.u64(self.kills)?;
+        c.check_u64(0, "supervisor wedge-kill tally is retired")?;
         Ok(SupervisorStats {
-            kills: c.u64(self.kills)?,
-            wedge_kills: c.u64(self.wedge_kills)?,
+            kills,
             restarts: c.u64(self.restarts)?,
             gave_up: c.bool(self.gave_up)?,
         })
@@ -145,10 +108,8 @@ pub struct SupervisorState {
 /// restores the measurement checkpoint so energy accounting survives.
 #[derive(Clone, Debug)]
 pub struct Supervisor {
-    cfg: SupervisorConfig,
     blackboard: Blackboard,
     topology: Topology,
-    period_ns: u64,
     faults: Option<FaultPlan>,
     daemon: Option<RcrDaemon>,
     down_until_ns: u64,
@@ -160,21 +121,12 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// Supervise a daemon for `machine` at the default 0.1 s period.
-    pub fn new(machine: &Machine, cfg: SupervisorConfig) -> Self {
-        Self::with_period(machine, DEFAULT_SAMPLE_PERIOD_NS, cfg)
-    }
-
-    /// Supervise with a custom sampling period.
-    pub fn with_period(machine: &Machine, period_ns: u64, cfg: SupervisorConfig) -> Self {
-        assert!(cfg.backoff_multiplier >= 1, "backoff multiplier must be at least 1");
-        assert!(cfg.initial_backoff_ns > 0, "backoff must be positive");
-        let daemon = RcrDaemon::with_period(machine, period_ns);
+    pub fn new(machine: &Machine) -> Self {
+        let daemon = RcrDaemon::new(machine);
         let blackboard = daemon.blackboard().clone();
         Supervisor {
-            cfg,
             blackboard,
             topology: machine.topology(),
-            period_ns,
             faults: None,
             next_due_ns: daemon.next_due_ns(),
             daemon: Some(daemon),
@@ -197,11 +149,6 @@ impl Supervisor {
     /// The shared region every incarnation publishes into.
     pub fn blackboard(&self) -> &Blackboard {
         &self.blackboard
-    }
-
-    /// The sampling period, nanoseconds.
-    pub fn period_ns(&self) -> u64 {
-        self.period_ns
     }
 
     /// Virtual time of the next supervision action (sample, or restart
@@ -252,8 +199,8 @@ impl Supervisor {
     /// accumulated dead-incarnation tallies, backoff state, and lifetime
     /// stats (see [`Codec`]). Together with a machine snapshot this is
     /// sufficient for bit-exact suspend/resume of the measurement pipeline.
-    /// Decoding requires a supervisor built with the same configuration
-    /// (period, fault plan presence, machine topology).
+    /// Decoding requires a supervisor built with the same fault plan
+    /// presence and machine topology.
     pub fn codec<C: Codec>(&self, c: &mut C) -> Result<SupervisorState, SnapError> {
         let blackboard = self.blackboard.codec(c)?;
         let faults = FaultPlan::codec(self.faults.as_ref(), c)?;
@@ -302,14 +249,13 @@ impl Supervisor {
     }
 
     /// Tear down the current incarnation (if any) at `now_ns`.
-    fn kill(&mut self, now_ns: u64, wedge: bool) {
+    fn kill(&mut self, now_ns: u64) {
         let Some(d) = self.daemon.take() else { return };
         // Preserve the dead incarnation's tallies; its in-flight windows and
         // probe state die with it (the checkpoint carries what must survive).
         self.dead_health += d.health();
         self.stats.kills += 1;
-        self.stats.wedge_kills += u64::from(wedge);
-        match self.cfg.restart_backoff_ns(self.stats.restarts) {
+        match restart_backoff_ns(self.stats.restarts) {
             Some(backoff) => self.down_until_ns = now_ns + backoff,
             None => self.stats.gave_up = true,
         }
@@ -317,8 +263,7 @@ impl Supervisor {
 
     /// Build and attach a replacement incarnation at `now`.
     fn restart(&mut self, machine: &Machine) {
-        let mut d = RcrDaemon::with_period(machine, self.period_ns)
-            .attach_blackboard(self.blackboard.clone());
+        let mut d = RcrDaemon::new(machine).attach_blackboard(self.blackboard.clone());
         if let Some(plan) = &self.faults {
             d = d.with_faults(plan.clone());
         }
@@ -331,29 +276,23 @@ impl Supervisor {
     }
 
     /// Run one supervision period at the machine's current virtual time:
-    /// process scripted kills and wedge detection, restart if the backoff
-    /// has expired, and sample through the live daemon when there is one.
-    /// Never panics; every degraded state is reported in the outcome.
+    /// process scripted kills, restart if the backoff has expired, and
+    /// sample through the live daemon when there is one. Never panics; every
+    /// degraded state is reported in the outcome.
     pub fn sample(&mut self, machine: &Machine) -> SupervisorOutcome {
         let now = machine.now_ns();
 
-        if let Some(t) = self.faults.as_ref().and_then(|p| p.kill_due(now)) {
-            let _ = t;
-            self.kill(now, false);
-        }
-        if let (Some(_), Some(wedge)) = (&self.daemon, self.cfg.wedge_timeout_ns) {
-            if self.blackboard.staleness_ns(now) > wedge {
-                self.kill(now, true);
-            }
+        if self.faults.as_ref().and_then(|p| p.kill_due(now)).is_some() {
+            self.kill(now);
         }
 
         if self.daemon.is_none() {
             if self.stats.gave_up {
-                self.next_due_ns = now + self.period_ns;
+                self.next_due_ns = now + DEFAULT_SAMPLE_PERIOD_NS;
                 return SupervisorOutcome::GaveUp;
             }
             if now < self.down_until_ns {
-                self.next_due_ns = self.down_until_ns.min(now + self.period_ns);
+                self.next_due_ns = self.down_until_ns.min(now + DEFAULT_SAMPLE_PERIOD_NS);
                 return SupervisorOutcome::Down { until_ns: self.down_until_ns };
             }
             self.restart(machine);
@@ -398,8 +337,7 @@ mod tests {
     fn kill_restarts_with_epoch_bump_and_energy_continuity() {
         let mut m = busy_machine();
         let plan = FaultPlan::new(41).with_daemon_kills(&[NS_PER_SEC]);
-        let mut sup =
-            Supervisor::new(&m, SupervisorConfig::default()).with_faults(plan);
+        let mut sup = Supervisor::new(&m).with_faults(plan);
         let bb = sup.blackboard().clone();
         assert_eq!(bb.epoch(), 0);
         drive(&mut m, &mut sup, 3 * NS_PER_SEC);
@@ -430,8 +368,7 @@ mod tests {
     fn first_post_restart_sample_is_flagged_no_power() {
         let mut m = busy_machine();
         let plan = FaultPlan::new(42).with_daemon_kills(&[NS_PER_SEC]);
-        let mut sup =
-            Supervisor::new(&m, SupervisorConfig::default()).with_faults(plan);
+        let mut sup = Supervisor::new(&m).with_faults(plan);
         drive(&mut m, &mut sup, NS_PER_SEC);
         // Advance to the kill; the next successful sample after restart has
         // an empty smoothing window and must say so.
@@ -457,22 +394,25 @@ mod tests {
         assert!(saw_no_power_after_restart, "restart must re-warm the power window honestly");
     }
 
+    /// Kill times (ms) that each land while the daemon is up: after kills
+    /// 1–5 the stock ladder keeps it down for 50, 100, 200, 400 and 800 ms.
+    const LADDER_KILLS_MS: [u64; 6] = [250, 500, 750, 1250, 1750, 2750];
+
+    fn ladder_kills(n: usize) -> Vec<u64> {
+        LADDER_KILLS_MS[..n].iter().map(|ms| ms * 1_000_000).collect()
+    }
+
     #[test]
     fn budget_exhaustion_gives_up_without_panicking() {
         let mut m = busy_machine();
-        let kills: Vec<u64> = (1..=8).map(|i| i * NS_PER_SEC / 4).collect();
-        let plan = FaultPlan::new(43).with_daemon_kills(&kills);
-        let cfg = SupervisorConfig {
-            restart_budget: 2,
-            initial_backoff_ns: 10_000_000,
-            ..SupervisorConfig::default()
-        };
-        let mut sup = Supervisor::new(&m, cfg).with_faults(plan);
+        let plan = FaultPlan::new(43).with_daemon_kills(&ladder_kills(6));
+        let mut sup = Supervisor::new(&m).with_faults(plan);
         drive(&mut m, &mut sup, 4 * NS_PER_SEC);
         let stats = sup.stats();
+        let budget = u64::from(RESTART_BUDGET);
         assert!(stats.gave_up, "{stats:?}");
-        assert_eq!(stats.restarts, 2, "budget caps restarts: {stats:?}");
-        assert_eq!(stats.kills, 3, "third death exhausts the budget: {stats:?}");
+        assert_eq!(stats.restarts, budget, "budget caps restarts: {stats:?}");
+        assert_eq!(stats.kills, budget + 1, "one death past the budget: {stats:?}");
         assert!(sup.is_down());
         assert!(matches!(sup.sample(&m), SupervisorOutcome::GaveUp));
         // The blackboard goes permanently stale — the reader-side signal.
@@ -480,51 +420,11 @@ mod tests {
     }
 
     #[test]
-    fn backoff_grows_exponentially_and_is_capped() {
-        let cfg = SupervisorConfig {
-            restart_budget: 64,
-            initial_backoff_ns: 50,
-            backoff_multiplier: 2,
-            max_backoff_ns: 300,
-            ..SupervisorConfig::default()
-        };
-        assert_eq!(cfg.restart_backoff_ns(0), Some(50));
-        assert_eq!(cfg.restart_backoff_ns(1), Some(100));
-        assert_eq!(cfg.restart_backoff_ns(2), Some(200));
-        assert_eq!(cfg.restart_backoff_ns(3), Some(300), "capped");
-        assert_eq!(cfg.restart_backoff_ns(10), Some(300), "no overflow at depth");
-        assert_eq!(cfg.restart_backoff_ns(64), None, "budget spent");
-        // The stock policy: 50, 100, 200, 400, 800 ms, then give up.
-        let stock = SupervisorConfig::default();
+    fn backoff_grows_exponentially_until_the_budget_is_spent() {
+        // 50, 100, 200, 400, 800 ms, then give up.
         let ms: Vec<Option<u64>> =
-            (0..6).map(|n| stock.restart_backoff_ns(n).map(|b| b / 1_000_000)).collect();
+            (0..6).map(|n| restart_backoff_ns(n).map(|b| b / 1_000_000)).collect();
         assert_eq!(ms, [Some(50), Some(100), Some(200), Some(400), Some(800), None]);
-    }
-
-    #[test]
-    fn wedge_detection_restarts_a_stalled_daemon() {
-        let mut m = busy_machine();
-        // The daemon itself stalls (drops every tick) for 1.5 s; with wedge
-        // detection at 0.5 s the supervisor declares it dead and restarts.
-        // The replacement inherits the same plan, so it stays stalled until
-        // the window passes — but the supervisor keeps trying within budget.
-        let plan = FaultPlan::new(44).with_stall(NS_PER_SEC, 5 * NS_PER_SEC / 2);
-        let cfg = SupervisorConfig {
-            wedge_timeout_ns: Some(NS_PER_SEC / 2),
-            initial_backoff_ns: 100_000_000,
-            ..SupervisorConfig::default()
-        };
-        let mut sup = Supervisor::new(&m, cfg).with_faults(plan);
-        drive(&mut m, &mut sup, 4 * NS_PER_SEC);
-        let stats = sup.stats();
-        assert!(stats.wedge_kills >= 1, "{stats:?}");
-        assert!(stats.restarts >= 1, "{stats:?}");
-        // Once the stall window passes, publishing resumed.
-        assert!(
-            sup.blackboard().staleness_ns(m.now_ns()) <= 2 * sup.period_ns(),
-            "publishing resumed after the stall"
-        );
-        assert!(sup.health().dropped >= 1);
     }
 
     #[test]
@@ -539,19 +439,15 @@ mod tests {
                 .with_transient_error_rate(0.15)
                 .with_sample_jitter(3_000_000)
         };
-        let cfg = SupervisorConfig {
-            initial_backoff_ns: 100_000_000,
-            ..SupervisorConfig::default()
-        };
         let mut m = busy_machine();
-        let mut a = Supervisor::new(&m, cfg).with_faults(mk_plan());
+        let mut a = Supervisor::new(&m).with_faults(mk_plan());
         drive(&mut m, &mut a, 3 * NS_PER_SEC / 2);
         let mut w = SnapWriter::new();
         a.codec(&mut w).unwrap();
         let bytes = w.finish();
 
         let mut m2 = busy_machine();
-        let mut b = Supervisor::new(&m2, cfg).with_faults(mk_plan());
+        let mut b = Supervisor::new(&m2).with_faults(mk_plan());
         while m2.now_ns() < m.now_ns() {
             m2.advance((m.now_ns() - m2.now_ns()).min(10_000_000));
         }
@@ -582,21 +478,18 @@ mod tests {
     #[test]
     fn mid_outage_snapshot_restores_a_down_pipeline() {
         let mut m = busy_machine();
-        let cfg = SupervisorConfig {
-            initial_backoff_ns: NS_PER_SEC,
-            ..SupervisorConfig::default()
-        };
-        let plan = FaultPlan::new(46).with_daemon_kills(&[NS_PER_SEC / 2]);
-        let mut a = Supervisor::new(&m, cfg).with_faults(plan.clone());
-        // Drive just past the kill so the snapshot lands inside the backoff.
-        drive(&mut m, &mut a, NS_PER_SEC / 2 + 100_000_000);
+        // The fifth kill, at 1.75 s, starts the ladder's 800 ms outage.
+        let plan = FaultPlan::new(46).with_daemon_kills(&ladder_kills(5));
+        let mut a = Supervisor::new(&m).with_faults(plan.clone());
+        // Drive just past that kill so the snapshot lands inside the backoff.
+        drive(&mut m, &mut a, 1_850_000_000);
         assert!(a.is_down(), "snapshot must land mid-outage for this test");
         let mut w = SnapWriter::new();
         a.codec(&mut w).unwrap();
         let bytes = w.finish();
 
         let m2 = busy_machine();
-        let mut b = Supervisor::new(&m2, cfg).with_faults(plan.clone());
+        let mut b = Supervisor::new(&m2).with_faults(plan.clone());
         let st = b.codec(&mut SnapReader::new(&bytes)).unwrap();
         assert_rejects_corruption(&bytes, |input| {
             let mut r = SnapReader::new(input);
@@ -605,14 +498,30 @@ mod tests {
         });
         b.install(st);
         assert!(b.is_down());
-        assert_eq!(b.stats().kills, 1);
+        assert_eq!(b.stats().kills, 5);
         assert_eq!(b.next_due_ns(), a.next_due_ns());
+    }
+
+    #[test]
+    fn retired_wedge_kill_tally_must_decode_as_zero() {
+        let m = busy_machine();
+        let sup = Supervisor::new(&m);
+        let mut w = SnapWriter::new();
+        sup.codec(&mut w).unwrap();
+        let mut bytes = w.finish();
+        // The stats close the encoding: kills, the retired tally, restarts
+        // (8 bytes each) and the gave-up byte.
+        let at = bytes.len() - 17;
+        assert_eq!(bytes[at..at + 8], [0; 8]);
+        assert!(sup.codec(&mut SnapReader::new(&bytes)).is_ok());
+        bytes[at] = 1;
+        assert!(matches!(sup.codec(&mut SnapReader::new(&bytes)), Err(SnapError::Corrupt(_))));
     }
 
     #[test]
     fn quiet_supervisor_is_transparent() {
         let mut m = busy_machine();
-        let mut sup = Supervisor::new(&m, SupervisorConfig::default());
+        let mut sup = Supervisor::new(&m);
         drive(&mut m, &mut sup, 2 * NS_PER_SEC);
         let stats = sup.stats();
         assert_eq!(stats, SupervisorStats::default(), "no faults, no intervention");

@@ -23,8 +23,8 @@ use std::collections::VecDeque;
 
 use maestro_machine::snap::SnapError;
 use maestro_machine::{
-    fingerprint, ActuationTotals, Actuator, ActuatorConfig, CoreActivity, CoreId, DutyCycle,
-    FaultPlan, Machine, SocketId,
+    fingerprint, ActuationTotals, Actuator, CoreActivity, CoreId, DutyCycle, FaultPlan, Machine,
+    SocketId,
 };
 
 use crate::cancel::CancelToken;
@@ -96,7 +96,7 @@ impl Runtime {
             return Err(RuntimeError::WorkersExceedCores { workers: params.workers, cores });
         }
         let default_limit = machine.topology().cores_per_socket.max(1) as usize;
-        let actuator = Actuator::new(cores, ActuatorConfig::default());
+        let actuator = Actuator::new(cores);
         Ok(Runtime {
             machine,
             params,
@@ -146,11 +146,6 @@ impl Runtime {
     /// The verified duty-cycle writer (per-core breaker state, tallies).
     pub fn actuator(&self) -> &Actuator {
         &self.actuator
-    }
-
-    /// Mutable actuator access (e.g. to reset a tripped breaker).
-    pub fn actuator_mut(&mut self) -> &mut Actuator {
-        &mut self.actuator
     }
 
     /// Inject (or clear) duty-write faults for subsequent runs.
@@ -1304,18 +1299,20 @@ mod tests {
     fn write_faults_force_full_duty_and_are_counted() {
         // Every duty write lands torn (a different level than requested):
         // no transaction ever verifies, the per-core breakers trip, and
-        // shutdown leaves every core at FULL duty — never stuck low.
+        // shutdown leaves every core at FULL duty — never stuck low. A
+        // spinner fails its spin entry and its shutdown restore, so its
+        // breaker trips on the second run's spin entry.
         let mut rt = runtime(16);
-        *rt.actuator_mut() = Actuator::new(
-            rt.machine().topology().total_cores(),
-            ActuatorConfig { breaker_threshold: 1, ..ActuatorConfig::default() },
-        );
         rt.set_actuation_faults(Some(FaultPlan::new(7).with_duty_write_torn_rate(1.0)));
         rt.throttle_mut().active = true;
         rt.throttle_mut().limit_per_shepherd = 3;
-        let children: Vec<BoxTask<()>> = (0..48).map(|_| compute_leaf(ms_cost(20))).collect();
-        let root = fork_join(children, |_, _| (Cost::ZERO, TaskValue::none()));
-        let out = rt.run(&mut (), root).unwrap();
+        let mut run = || {
+            let children: Vec<BoxTask<()>> = (0..48).map(|_| compute_leaf(ms_cost(20))).collect();
+            let root = fork_join(children, |_, _| (Cost::ZERO, TaskValue::none()));
+            rt.run(&mut (), root).unwrap()
+        };
+        run();
+        let out = run();
         assert!(out.stats.spin_entries > 0);
         assert!(out.stats.failed_duty_applies > 0, "{:?}", out.stats);
         assert!(out.stats.breaker_trips > 0, "{:?}", out.stats);
@@ -1911,7 +1908,7 @@ mod tests {
                 live_child(exec).inbox.push(TaskValue::none());
             }),
             ("run-start actuation ahead of the actuator", |exec| {
-                *exec.rt.actuator_mut() = Actuator::new(16, ActuatorConfig::default());
+                exec.rt.actuator = Actuator::new(16);
             }),
             ("cancel bookkeeping ahead of the token tree", |exec| {
                 exec.run_cancel.child().cancel();

@@ -33,7 +33,7 @@ fn main() {
     ];
     for (name, plan) in plans {
         let mut cfg = MaestroConfig::adaptive(16);
-        cfg.controller.faults = plan;
+        cfg.daemon_faults = plan;
         let mut maestro = Maestro::new(cfg);
         let report = maestro.run(name, &mut (), contended_root());
         println!("{report}");

@@ -28,10 +28,10 @@ use maestro::{Actuation, Maestro, MaestroConfig, MaestroRunEnd, MaestroSnapshot,
 use maestro_bench::chaos::with_chaos_context;
 use maestro_bench::scenario;
 use maestro_machine::{
-    Actuator, ActuatorConfig, CoreActivity, Cost, DutyCycle, FaultPlan, Machine, MachineConfig,
-    PState, SocketId, SplitMix64, NS_PER_SEC,
+    CoreActivity, Cost, DutyCycle, FaultPlan, Machine, MachineConfig, PState, SocketId, SplitMix64,
+    NS_PER_SEC,
 };
-use maestro_rcr::{Supervisor, SupervisorConfig};
+use maestro_rcr::{Supervisor, RESTART_BUDGET};
 use maestro_runtime::{
     compute_leaf, fork_join, BoxTask, RunLimit, RuntimeError, SnapshotPlan, TaskValue,
 };
@@ -107,11 +107,7 @@ fn full_loop_survives_seeded_chaos_schedules() {
                 .with_duty_write_ignore_rate(ignore_rate);
 
             let mut cfg = MaestroConfig::adaptive(16);
-            cfg.controller.faults = Some(read_plan);
-            cfg.controller.supervisor = SupervisorConfig {
-                initial_backoff_ns: 50 * MS,
-                ..SupervisorConfig::default()
-            };
+            cfg.daemon_faults = Some(read_plan);
             let mut m = Maestro::try_new(cfg).expect("valid config");
             m.runtime_mut().set_actuation_faults(Some(write_plan));
 
@@ -182,15 +178,13 @@ fn dvfs_and_power_cap_survive_seeded_chaos_schedules() {
             let t_now = Cell::new(0u64);
             with_chaos_context(seed, &schedule, &t_now, || {
                 let mut cfg = MaestroConfig { policy, ..MaestroConfig::fixed(16) };
-                cfg.controller.faults = Some(
+                cfg.daemon_faults = Some(
                     FaultPlan::new(seed)
                         .with_transient_error_rate(err_rate)
                         .with_drop_sample_rate(drop_rate)
                         .with_sample_jitter(2 * MS)
                         .with_daemon_kills(&kills),
                 );
-                cfg.controller.supervisor =
-                    SupervisorConfig { initial_backoff_ns: 50 * MS, ..SupervisorConfig::default() };
                 let mut m = Maestro::try_new(cfg).expect("valid config");
 
                 let report = m
@@ -240,7 +234,7 @@ fn blackboard_energy_stays_exact_across_restarts() {
             for c in m.topology().all_cores() {
                 m.set_activity(c, CoreActivity::Busy { intensity: 0.9, ocr: 1.5 });
             }
-            let mut sup = Supervisor::new(&m, SupervisorConfig::default()).with_faults(plan);
+            let mut sup = Supervisor::new(&m).with_faults(plan);
             let bb = sup.blackboard().clone();
 
             // 4 s of supervised sampling: both kills, both recoveries.
@@ -271,22 +265,19 @@ fn blackboard_energy_stays_exact_across_restarts() {
     }
 }
 
-/// Deterministic scenario: torn duty writes trip every per-core breaker;
-/// the failure is visible in the report and the machine fails open.
+/// Deterministic scenario: torn duty writes trip the per-core breakers;
+/// the failure is visible in the report and the machine fails open. A
+/// spinner fails its spin entry and its shutdown restore, so its breaker
+/// trips on the second run's spin entry.
 #[test]
 fn torn_writes_trip_breakers_and_fail_open() {
     let t_now = Cell::new(0u64);
-    with_chaos_context(7, "write[torn=1.000] breaker_threshold=1", &t_now, || {
+    with_chaos_context(7, "write[torn=1.000] runs=2", &t_now, || {
         let mut m = Maestro::new(MaestroConfig::adaptive(16));
-        let cores = m.machine().topology().total_cores();
-        // A hair-trigger breaker so a single exhausted transaction trips it.
-        *m.runtime_mut().actuator_mut() = Actuator::new(
-            cores,
-            ActuatorConfig { breaker_threshold: 1, ..ActuatorConfig::default() },
-        );
         m.runtime_mut()
             .set_actuation_faults(Some(FaultPlan::new(7).with_duty_write_torn_rate(1.0)));
 
+        m.run("torn", &mut (), contended_root(2500));
         let report = m.run("torn", &mut (), contended_root(2500));
         t_now.set(m.machine().now_ns());
         assert_all_cores_full(&m, "torn writes");
@@ -294,7 +285,7 @@ fn torn_writes_trip_breakers_and_fail_open() {
         assert!(report.throttle.is_some(), "adaptive summary");
         let s = &report.stats;
         assert!(s.failed_duty_applies > 0, "all-torn writes must fail applies: {s:?}");
-        assert!(s.breaker_trips > 0, "hair-trigger breakers must trip: {s:?}");
+        assert!(s.breaker_trips > 0, "three straight failures trip a breaker: {s:?}");
         assert!(s.forced_duty_resets > 0, "{s:?}");
         let shown = report.to_string();
         assert!(
@@ -311,7 +302,7 @@ fn daemon_kill_mid_run_recovers_and_reports_it() {
     let t_now = Cell::new(0u64);
     with_chaos_context(11, "read[kills=[800ms]]", &t_now, || {
         let mut cfg = MaestroConfig::adaptive(16);
-        cfg.controller.faults = Some(FaultPlan::new(11).with_daemon_kills(&[800 * MS]));
+        cfg.daemon_faults = Some(FaultPlan::new(11).with_daemon_kills(&[800 * MS]));
         let mut m = Maestro::try_new(cfg).expect("valid config");
 
         let report = m.try_run("kill", &mut (), contended_root(4000)).expect("no panic");
@@ -367,9 +358,7 @@ fn task_faults_compose_with_chaos_schedules() {
 
             let deadline = 1500 * MS;
             let mut cfg = MaestroConfig::adaptive(16);
-            cfg.controller.faults = Some(read_plan);
-            cfg.controller.supervisor =
-                SupervisorConfig { initial_backoff_ns: 50 * MS, ..SupervisorConfig::default() };
+            cfg.daemon_faults = Some(read_plan);
             if seed % 2 == 1 {
                 cfg.runtime.deadline_ns = Some(deadline);
             }
@@ -445,44 +434,37 @@ fn task_faults_compose_with_chaos_schedules() {
     );
 }
 
+/// The first `n` of six kills (300, 600, 900, 1200, 1700, 2600 ms), each
+/// landing on a live daemon: the stock backoff ladder keeps it down for 50,
+/// 100, 200, 400 and 800 ms after kills one to five.
+fn ladder_kills(n: usize) -> Vec<u64> {
+    [300, 600, 900, 1200, 1700, 2600][..n].iter().map(|ms| ms * MS).collect()
+}
+
 /// Satellite: the restart budget runs out mid-schedule. The daemon stays
 /// dead, the controller degrades to safe mode (throttle released, stale
 /// data ignored), the run still completes, and the report says so.
 #[test]
 fn restart_budget_exhaustion_degrades_to_safe_mode() {
     let t_now = Cell::new(0u64);
-    with_chaos_context(
-        17,
-        "read[kills=[300ms,600ms,900ms,1200ms]] restart_budget=2",
-        &t_now,
-        || {
-            let mut cfg = MaestroConfig::adaptive(16);
-            cfg.controller.faults = Some(
-                FaultPlan::new(17).with_daemon_kills(&[300 * MS, 600 * MS, 900 * MS, 1200 * MS]),
-            );
-            cfg.controller.supervisor = SupervisorConfig {
-                restart_budget: 2,
-                initial_backoff_ns: 20 * MS,
-                ..SupervisorConfig::default()
-            };
-            let mut m = Maestro::try_new(cfg).expect("valid config");
+    let schedule = "read[kills=[300ms,600ms,900ms,1200ms,1700ms,2600ms]]";
+    with_chaos_context(17, schedule, &t_now, || {
+        let mut cfg = MaestroConfig::adaptive(16);
+        cfg.daemon_faults = Some(FaultPlan::new(17).with_daemon_kills(&ladder_kills(6)));
+        let mut m = Maestro::try_new(cfg).expect("valid config");
 
-            let report = m.try_run("budget", &mut (), contended_root(4000)).expect("no panic");
-            t_now.set(m.machine().now_ns());
-            assert_all_cores_full(&m, "budget exhaustion");
+        let report = m.try_run("budget", &mut (), contended_root(4000)).expect("no panic");
+        t_now.set(m.machine().now_ns());
+        assert_all_cores_full(&m, "budget exhaustion");
 
-            let t = report.throttle.as_ref().expect("adaptive summary");
-            assert!(t.daemon_gave_up, "four kills against a budget of two: {t:?}");
-            assert_eq!(t.daemon_restarts, 2, "exactly the budget: {t:?}");
-            assert!(t.daemon_kills > t.daemon_restarts, "the fatal kill exceeds the budget: {t:?}");
-            assert!(
-                t.safe_mode_decisions > 0,
-                "a permanently dark pipeline must fail safe: {t:?}"
-            );
-            let shown = report.to_string();
-            assert!(shown.contains("gave up"), "giving up must be visible in the report: {shown}");
-        },
-    );
+        let t = report.throttle.as_ref().expect("adaptive summary");
+        assert!(t.daemon_gave_up, "six kills against a budget of five: {t:?}");
+        assert_eq!(t.daemon_restarts, u64::from(RESTART_BUDGET), "exactly the budget: {t:?}");
+        assert!(t.daemon_kills > t.daemon_restarts, "the fatal kill exceeds the budget: {t:?}");
+        assert!(t.safe_mode_decisions > 0, "a permanently dark pipeline must fail safe: {t:?}");
+        let shown = report.to_string();
+        assert!(shown.contains("gave up"), "giving up must be visible in the report: {shown}");
+    });
 }
 
 /// Deterministic scenario: a kill with a long restart backoff darkens the
@@ -491,13 +473,10 @@ fn restart_budget_exhaustion_degrades_to_safe_mode() {
 #[test]
 fn long_outage_enters_safe_mode_and_releases_throttle() {
     let t_now = Cell::new(0u64);
-    with_chaos_context(13, "read[kills=[600ms]] backoff=1s", &t_now, || {
+    with_chaos_context(13, "read[kills=[300ms,600ms,900ms,1200ms,1700ms]]", &t_now, || {
         let mut cfg = MaestroConfig::adaptive(16);
-        cfg.controller.faults = Some(FaultPlan::new(13).with_daemon_kills(&[600 * MS]));
-        cfg.controller.supervisor = SupervisorConfig {
-            initial_backoff_ns: NS_PER_SEC, // 10 dark periods ≫ safe-mode trigger
-            ..SupervisorConfig::default()
-        };
+        // The fifth kill's 800 ms backoff: 8 dark periods ≫ safe-mode trigger.
+        cfg.daemon_faults = Some(FaultPlan::new(13).with_daemon_kills(&ladder_kills(5)));
         let mut m = Maestro::try_new(cfg).expect("valid config");
 
         let report = m.try_run("outage", &mut (), contended_root(4000)).expect("no panic");
@@ -505,11 +484,8 @@ fn long_outage_enters_safe_mode_and_releases_throttle() {
         assert_all_cores_full(&m, "long outage");
 
         let t = report.throttle.as_ref().expect("adaptive summary");
-        assert!(
-            t.safe_mode_decisions > 0,
-            "a 1 s dark pipeline must fail safe: {t:?}"
-        );
-        assert_eq!(t.daemon_kills, 1, "{t:?}");
+        assert!(t.safe_mode_decisions > 0, "an 800 ms dark pipeline must fail safe: {t:?}");
+        assert_eq!(t.daemon_kills, 5, "{t:?}");
     });
 }
 

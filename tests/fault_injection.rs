@@ -10,7 +10,7 @@
 //!    sample periods, and the controller recovers when samples resume;
 //! c. no fault plan makes any rapl/rcr/core code path panic.
 
-use maestro::{ControllerConfig, Maestro, MaestroConfig, SafeModeConfig, ThrottleController};
+use maestro::{Maestro, MaestroConfig, Policy, ThrottleController};
 use maestro_machine::{
     CoreActivity, Cost, FaultPlan, Machine, MachineConfig, SocketId, NS_PER_SEC,
 };
@@ -24,6 +24,8 @@ fn busy_machine() -> Machine {
     }
     m
 }
+
+const ADAPTIVE: Policy = Policy::Adaptive { limit_per_shepherd: 6 };
 
 fn contended_root(tasks: usize) -> BoxTask<()> {
     let children: Vec<BoxTask<()>> =
@@ -81,12 +83,8 @@ fn stall_enters_safe_mode_within_bound_and_recovers() {
     let period = maestro_rcr::DEFAULT_SAMPLE_PERIOD_NS;
     let stall_from = 2 * NS_PER_SEC;
     let stall_until = 4 * NS_PER_SEC;
-    let cfg = ControllerConfig {
-        faults: Some(FaultPlan::new(102).with_stall(stall_from, stall_until)),
-        safe_mode: SafeModeConfig { degraded_after_periods: 5, recover_after_periods: 2 },
-        ..Default::default()
-    };
-    let (mut ctrl, trace) = ThrottleController::with_config(&m, cfg);
+    let plan = FaultPlan::new(102).with_stall(stall_from, stall_until);
+    let (mut ctrl, trace) = ThrottleController::new(&m, ADAPTIVE, Some(plan));
     let mut throttle = ThrottleState::new(6);
 
     let mut entered_at = None;
@@ -131,10 +129,8 @@ fn stall_enters_safe_mode_within_bound_and_recovers() {
 #[test]
 fn full_run_surfaces_safe_mode_and_missed_deadlines() {
     let mut cfg = MaestroConfig::adaptive(16);
-    cfg.controller.faults =
-        Some(FaultPlan::new(103).with_stall(NS_PER_SEC / 4, 3 * NS_PER_SEC / 4));
-    cfg.controller.safe_mode =
-        SafeModeConfig { degraded_after_periods: 3, recover_after_periods: 2 };
+    // A 1 s stall: ten silent periods, twice what safe mode waits out.
+    cfg.daemon_faults = Some(FaultPlan::new(103).with_stall(NS_PER_SEC / 4, 5 * NS_PER_SEC / 4));
     let mut maestro = Maestro::new(cfg);
     let r = maestro.run("stalled", &mut (), contended_root(4000));
     let t = r.throttle.expect("adaptive run has a summary");
@@ -165,8 +161,7 @@ fn chaos_plans_never_panic_the_pipeline() {
             .with_stuck_counter(seed * 3, 25)
             .with_stall(NS_PER_SEC, 2 * NS_PER_SEC);
         let mut m = busy_machine();
-        let cfg = ControllerConfig { faults: Some(plan), ..Default::default() };
-        let (mut ctrl, trace) = ThrottleController::with_config(&m, cfg);
+        let (mut ctrl, trace) = ThrottleController::new(&m, ADAPTIVE, Some(plan));
         let mut throttle = ThrottleState::new(6);
         while m.now_ns() < 4 * NS_PER_SEC {
             if ctrl.next_due_ns().unwrap() <= m.now_ns() {
@@ -186,7 +181,7 @@ fn chaos_plans_never_panic_the_pipeline() {
 #[test]
 fn chaos_plan_full_stack_run_completes() {
     let mut cfg = MaestroConfig::adaptive(16);
-    cfg.controller.faults = Some(
+    cfg.daemon_faults = Some(
         FaultPlan::new(999)
             .with_transient_error_rate(0.25)
             .with_extra_wrap_rate(0.15)

@@ -215,7 +215,7 @@ fn every_scenario_matches_its_golden_digest() {
 fn faulted_snapshot_matches_its_golden_digest() {
     const MS: u64 = 1_000_000;
     let mut cfg = MaestroConfig::adaptive(16);
-    cfg.controller.faults = Some(
+    cfg.daemon_faults = Some(
         FaultPlan::new(23)
             .with_daemon_kills(&[250 * MS])
             .with_stuck_counter(2, 40)

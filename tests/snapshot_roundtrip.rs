@@ -76,7 +76,7 @@ fn random_plans(rng: &mut SplitMix64) -> Plans {
 /// An adaptive 16-worker facade carrying `plans` (a fresh copy of each).
 fn adaptive_facade(plans: Option<&Plans>) -> Maestro {
     let mut cfg = MaestroConfig::adaptive(16);
-    cfg.controller.faults = plans.map(|p| p.read.clone());
+    cfg.daemon_faults = plans.map(|p| p.read.clone());
     let mut m = Maestro::new(cfg);
     if let Some(p) = plans {
         m.runtime_mut().set_actuation_faults(Some(p.write.clone()));
@@ -237,7 +237,7 @@ fn resume_after_daemon_restart_reports_the_same_summary() {
     const SUSPEND_NS: u64 = 600 * MS;
     let config = || {
         let mut cfg = MaestroConfig::adaptive(16);
-        cfg.controller.faults = Some(FaultPlan::new(21).with_daemon_kills(&[KILL_NS]));
+        cfg.daemon_faults = Some(FaultPlan::new(21).with_daemon_kills(&[KILL_NS]));
         cfg
     };
     let spec = TaskSpec::fork_join(
