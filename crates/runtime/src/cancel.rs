@@ -157,9 +157,15 @@ mod tests {
     fn parent_cancel_reaches_descendants() {
         let root = CancelToken::new();
         let mid = root.child();
-        let leaf = mid.child();
-        root.cancel();
+        let leaf = mid.child().child();
+        let sibling = root.child().child();
+        // A clear read first must not stick once an ancestor is cancelled.
+        assert!(!leaf.is_cancelled());
+        mid.cancel();
         assert!(leaf.is_cancelled());
+        assert!(!sibling.is_cancelled());
+        root.cancel();
+        assert!(sibling.is_cancelled());
         assert!(mid.is_cancelled());
         // Memoized: the leaf's own flag is now set, so a second check does
         // not need the chain walk.

@@ -84,6 +84,12 @@ pub struct RuntimeWork {
     pub completion_pushes: u64,
     /// Entries popped off the completion queue, stale ones included.
     pub completion_pops: u64,
+    /// Entries pushed onto the request deadline heap: one per injected
+    /// request with a deadline, plus one per unfired deadline a restore
+    /// rebuilds.
+    pub deadline_pushes: u64,
+    /// Entries popped off the request deadline heap, stale ones included.
+    pub deadline_pops: u64,
 }
 
 impl Runtime {
@@ -1047,6 +1053,8 @@ mod tests {
                 source_polls: 0,
                 completion_pushes: 18,
                 completion_pops: 18,
+                deadline_pushes: 0,
+                deadline_pops: 0,
             }
         );
     }
@@ -1065,6 +1073,8 @@ mod tests {
                 source_polls: 0,
                 completion_pushes: 4_098,
                 completion_pops: 4_098,
+                deadline_pushes: 0,
+                deadline_pops: 0,
             }
         );
     }
@@ -1146,6 +1156,8 @@ mod tests {
                 source_polls: 12,
                 completion_pushes: 32,
                 completion_pops: 32,
+                deadline_pushes: 4,
+                deadline_pops: 4,
             }
         );
     }

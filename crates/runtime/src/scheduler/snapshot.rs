@@ -570,7 +570,8 @@ impl<'r, C: 'static> Exec<'r, C> {
         if c.bool(self.service.is_some())? != self.service.is_some() {
             return Err(SnapError::Corrupt("service section does not match run mode"));
         }
-        let service = self.service.as_ref().map(|svc| svc.codec(c, n_sheps)).transpose()?;
+        let service =
+            self.service.as_ref().map(|svc| svc.codec(c, n_sheps, tasks.len())).transpose()?;
         if !K::DECODING {
             return Ok(None);
         }
@@ -625,13 +626,13 @@ impl<'r, C: 'static> Exec<'r, C> {
         // Every request must map to a live parentless tree, and every root
         // must be a request.
         if let Some((requests, _)) = &service {
-            if requests.live.len() != roots.len() {
+            if requests.len() != roots.len() {
                 return Err(SnapError::Corrupt("service request count does not match roots"));
             }
             let is_root = |id: TaskId| {
                 tasks.get(id).and_then(Option::as_ref).is_some_and(|rec| rec.parent.is_none())
             };
-            if requests.live.values().any(|req| !is_root(req.task)) {
+            if requests.tasks().any(|task| !is_root(task)) {
                 return Err(SnapError::Corrupt("service request task is not a live root"));
             }
         }
@@ -659,7 +660,7 @@ impl<'r, C: 'static> Exec<'r, C> {
                 m.restore_throttle(&mut exec.rt.throttle);
             }
             if let (Some(svc), Some(service)) = (exec.service.as_mut(), service) {
-                svc.restore(service)?;
+                svc.restore(service, &mut exec.rt.work)?;
             }
             exec.anchors = anchors;
             exec.run_cancel = run_cancel;

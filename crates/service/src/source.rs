@@ -27,7 +27,8 @@
 //! enters the classic metastable retry storm the chaos suite demonstrates.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::num::NonZeroU32;
 use std::rc::Rc;
 
 use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
@@ -60,6 +61,12 @@ pub struct RetryBudget {
 
 /// Admission: hard in-flight cap (queue-depth shedding).
 const MAX_IN_FLIGHT: usize = 256;
+
+/// Admission: cap on the in-flight window's span — the ids issued since the
+/// oldest attempt still in flight. It bounds the window's memory, and so
+/// what a decoded snapshot may allocate; deadlines keep real spans orders
+/// of magnitude below it.
+const MAX_WINDOW_SPAN: u64 = 1 << 20;
 
 /// Admission: estimated service time of one request at full duty, used for
 /// the deadline-feasibility check.
@@ -163,8 +170,100 @@ struct Attempt {
     class: u8,
     /// Original logical arrival time — latency is end-to-end.
     arrival_ns: u64,
-    /// 1-based attempt number.
-    attempt: u32,
+    /// 1-based attempt number (non-zero, so an empty window slot costs no
+    /// tag: `Option<Attempt>` is 16 bytes).
+    attempt: NonZeroU32,
+}
+
+const _: () = assert!(std::mem::size_of::<Option<Attempt>>() == 16);
+
+/// The in-flight attempts: a window over consecutive request ids, slot `i`
+/// holding request `base + i`. Ids are issued in increasing order and a
+/// completed attempt leaves `None` behind until the window's front passes
+/// it, so insert, lookup and removal are O(1) amortized.
+#[derive(Clone, Debug, Default)]
+struct InFlight {
+    slots: VecDeque<Option<Attempt>>,
+    /// Id of `slots[0]`; always an attempt in flight unless the window is
+    /// empty.
+    base: u64,
+    /// Number of `Some` slots.
+    count: usize,
+}
+
+impl InFlight {
+    /// Record attempt `id`; false unless `id` is beyond every id the window
+    /// holds. Ids skipped over become empty slots.
+    fn insert(&mut self, id: u64, attempt: Attempt) -> bool {
+        if self.slots.is_empty() {
+            self.base = id;
+        }
+        let Some(pos) = id.checked_sub(self.base) else { return false };
+        let Ok(pos) = usize::try_from(pos) else { return false };
+        if pos < self.slots.len() {
+            return false;
+        }
+        self.slots.resize(pos, None);
+        self.slots.push_back(Some(attempt));
+        self.count += 1;
+        true
+    }
+
+    fn slot(&self, id: u64) -> Option<usize> {
+        usize::try_from(id.checked_sub(self.base)?).ok()
+    }
+
+    fn get(&self, id: u64) -> Option<&Attempt> {
+        self.slots.get(self.slot(id)?)?.as_ref()
+    }
+
+    /// Remove attempt `id`, then move the front past completed slots.
+    fn remove(&mut self, id: u64) -> Option<Attempt> {
+        let attempt = self.slots.get_mut(self.slot(id)?)?.take()?;
+        self.count -= 1;
+        while self.slots.front().is_some_and(Option::is_none) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(attempt)
+    }
+
+    /// Remove every attempt, returning how many there were.
+    fn drain(&mut self) -> usize {
+        let n = self.count;
+        *self = InFlight::default();
+        n
+    }
+
+    /// Attempts in flight.
+    fn len(&self) -> usize {
+        #[cfg(maestro_verify)]
+        assert_eq!(
+            self.count,
+            self.slots.iter().flatten().count(),
+            "in-flight count diverged from the window scan"
+        );
+        self.count
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Ids issued from the oldest attempt in flight up to `next_id`; zero
+    /// when nothing is in flight.
+    fn span(&self, next_id: u64) -> u64 {
+        if self.slots.is_empty() {
+            0
+        } else {
+            next_id - self.base
+        }
+    }
+
+    /// `(id, attempt)` in increasing id order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &Attempt)> {
+        (self.base..).zip(&self.slots).filter_map(|(id, a)| Some((id, a.as_ref()?)))
+    }
 }
 
 /// A retry waiting for its backoff to elapse.
@@ -173,7 +272,7 @@ struct RetryItem {
     class: u8,
     arrival_ns: u64,
     /// Attempt number the retry will carry.
-    attempt: u32,
+    attempt: NonZeroU32,
 }
 
 /// The concrete [`RequestSource`] the scheduler drives.
@@ -185,7 +284,7 @@ pub struct ServiceSource {
     class_rng: SplitMix64,
     next_req_id: u64,
     retry_seq: u64,
-    inflight: BTreeMap<u64, Attempt>,
+    inflight: InFlight,
     /// Pending retries keyed `(due_ns, seq)` so equal due times stay
     /// ordered deterministically.
     retries: BTreeMap<(u64, u64), RetryItem>,
@@ -209,7 +308,7 @@ impl ServiceSource {
             class_rng,
             next_req_id: 0,
             retry_seq: 0,
-            inflight: BTreeMap::new(),
+            inflight: InFlight::default(),
             retries: BTreeMap::new(),
             budgets_mt: vec![0; n_classes],
         }
@@ -230,12 +329,12 @@ impl ServiceSource {
         (self.cfg.classes.len() - 1) as u8
     }
 
-    /// Admission decision: queue-depth cap plus deadline feasibility (the
-    /// expected completion time at the current depth must fit the class
-    /// deadline).
+    /// Admission decision: queue-depth and window-span caps plus deadline
+    /// feasibility (the expected completion time at the current depth must
+    /// fit the class deadline).
     fn admit(&self, class: u8) -> bool {
         let depth = self.inflight.len();
-        if depth >= MAX_IN_FLIGHT {
+        if depth >= MAX_IN_FLIGHT || self.inflight.span(self.next_req_id) >= MAX_WINDOW_SPAN {
             return false;
         }
         let expected_ns = EST_SERVICE_NS.saturating_mul(depth as u64 + 1) / ADMISSION_CONCURRENCY;
@@ -247,7 +346,7 @@ impl ServiceSource {
         &mut self,
         class: u8,
         arrival_ns: u64,
-        attempt: u32,
+        attempt: NonZeroU32,
         now_ns: u64,
     ) -> ServiceInjection {
         let req_id = self.next_req_id;
@@ -269,7 +368,8 @@ impl ServiceSource {
             )
         };
         let deadline = now_ns.saturating_add(self.cfg.classes[class as usize].deadline_ns);
-        self.inflight.insert(req_id, Attempt { class, arrival_ns, attempt });
+        let fresh = self.inflight.insert(req_id, Attempt { class, arrival_ns, attempt });
+        debug_assert!(fresh, "request id {req_id} issued twice");
         ServiceInjection { req_id, spec, deadline_ns: Some(deadline) }
     }
 
@@ -330,7 +430,7 @@ impl RequestSource for ServiceSource {
             }
             if self.admit(class) {
                 self.shared.borrow_mut().counters.in_flight += 1;
-                let inj = self.make_injection(class, t, 1, now_ns);
+                let inj = self.make_injection(class, t, NonZeroU32::MIN, now_ns);
                 out.push(inj);
             } else {
                 self.shared.borrow_mut().counters.shed += 1;
@@ -340,7 +440,7 @@ impl RequestSource for ServiceSource {
     }
 
     fn on_complete(&mut self, req_id: u64, now_ns: u64, cancelled: bool) {
-        let Some(att) = self.inflight.remove(&req_id) else {
+        let Some(att) = self.inflight.remove(req_id) else {
             debug_assert!(false, "completion for unknown request {req_id}");
             return;
         };
@@ -353,7 +453,7 @@ impl RequestSource for ServiceSource {
             sh.counters.completed += 1;
         } else {
             let class = &self.cfg.classes[att.class as usize];
-            let attempts_left = att.attempt < class.retry_limit;
+            let attempts_left = att.attempt.get() < class.retry_limit;
             let affordable = match self.cfg.retry_budget {
                 None => true,
                 Some(_) => self.budgets_mt[att.class as usize] >= 1000,
@@ -362,7 +462,7 @@ impl RequestSource for ServiceSource {
                 if self.cfg.retry_budget.is_some() {
                     self.budgets_mt[att.class as usize] -= 1000;
                 }
-                let shift = (att.attempt - 1).min(32);
+                let shift = (att.attempt.get() - 1).min(32);
                 let backoff = BASE_BACKOFF_NS.saturating_mul(1u64 << shift).min(MAX_BACKOFF_NS);
                 let due = now_ns.saturating_add(backoff);
                 let seq = self.retry_seq;
@@ -372,7 +472,7 @@ impl RequestSource for ServiceSource {
                     RetryItem {
                         class: att.class,
                         arrival_ns: att.arrival_ns,
-                        attempt: att.attempt + 1,
+                        attempt: att.attempt.saturating_add(1),
                     },
                 );
                 sh.counters.pending_retry += 1;
@@ -387,7 +487,7 @@ impl RequestSource for ServiceSource {
     fn drain(&mut self, _now_ns: u64, in_flight: &[u64]) {
         let mut sh = self.shared.borrow_mut();
         for &id in in_flight {
-            if self.inflight.remove(&id).is_some() {
+            if self.inflight.remove(id).is_some() {
                 sh.counters.in_flight -= 1;
                 sh.counters.failed += 1;
             }
@@ -395,10 +495,9 @@ impl RequestSource for ServiceSource {
         debug_assert!(self.inflight.is_empty(), "drain left in-flight attempts behind");
         // Attempts the scheduler never learned about (it drained before
         // their id reached it) fail too.
-        for (_, _item) in std::mem::take(&mut self.inflight) {
-            sh.counters.in_flight -= 1;
-            sh.counters.failed += 1;
-        }
+        let unknown = self.inflight.drain() as u64;
+        sh.counters.in_flight -= unknown;
+        sh.counters.failed += unknown;
         let stranded = self.retries.len() as u64;
         self.retries.clear();
         sh.counters.pending_retry -= stranded;
@@ -416,7 +515,7 @@ impl RequestSource for ServiceSource {
     }
 
     fn owns(&self, req_id: u64) -> bool {
-        self.inflight.contains_key(&req_id)
+        self.inflight.get(req_id).is_some()
     }
 
     fn snap_state(&self, w: &mut SnapWriter) {
@@ -455,21 +554,28 @@ impl ServiceSource {
     fn codec<C: Codec>(&self, c: &mut C) -> Result<SourceState, SnapError> {
         let n_classes = self.cfg.classes.len();
         // `(class, arrival_ns, attempt)`, with the class checked against
-        // the configured classes.
-        let attempt = |c: &mut C, a: Option<(u8, u64, u32)>, what| {
-            let (class, arrival_ns, attempt) = a.unwrap_or_default();
+        // the configured classes and the attempt number against zero.
+        let attempt = |c: &mut C, a: Option<(u8, u64, NonZeroU32)>, what| {
+            let (class, arrival_ns, attempt) = a.unwrap_or((0, 0, NonZeroU32::MIN));
             let class = c.u8(class)?;
             if usize::from(class) >= n_classes {
                 return Err(SnapError::Corrupt(what));
             }
-            Ok((class, c.u64(arrival_ns)?, c.u64(u64::from(attempt))? as u32))
+            let arrival_ns = c.u64(arrival_ns)?;
+            let attempt = NonZeroU32::new(c.u64(u64::from(attempt.get()))? as u32)
+                .ok_or(SnapError::Corrupt("attempt number zero"))?;
+            Ok((class, arrival_ns, attempt))
         };
         let arrivals = self.arrivals.codec(c)?;
         let class_rng = SplitMix64::new(c.u64(self.class_rng.state())?);
         let next_req_id = c.u64(self.next_req_id)?;
         let retry_seq = c.u64(self.retry_seq)?;
-        let inflight_list = c.seq(self.inflight.keys(), |c, &id| {
-            let a = self.inflight.get(&id).map(|a| (a.class, a.arrival_ns, a.attempt));
+        let mut inflight_ids = Vec::new();
+        if !C::DECODING {
+            inflight_ids = self.inflight.iter().map(|(id, _)| id).collect();
+        }
+        let inflight_list = c.seq(&inflight_ids, |c, &id| {
+            let a = self.inflight.get(id).map(|a| (a.class, a.arrival_ns, a.attempt));
             Ok((c.u64(id)?, attempt(c, a, "in-flight attempt class out of range")?))
         })?;
         let retry_list = c.seq(self.retries.keys(), |c, &(due, seq)| {
@@ -483,10 +589,17 @@ impl ServiceSource {
         if counters.conservation_gap() != 0 {
             return Err(SnapError::Corrupt("restored counters violate conservation"));
         }
-        let mut inflight = BTreeMap::new();
+        // In-flight ids must increase (the writer emits window order) and
+        // lie in the span admission allows below the id counter, checked
+        // before the window is sized from them.
+        let window_floor = next_req_id.saturating_sub(MAX_WINDOW_SPAN);
+        let mut inflight = InFlight::default();
         for (id, (class, arrival_ns, attempt)) in inflight_list {
-            if inflight.insert(id, Attempt { class, arrival_ns, attempt }).is_some() {
-                return Err(SnapError::Corrupt("duplicate in-flight attempt id"));
+            if id < window_floor || id >= next_req_id {
+                return Err(SnapError::Corrupt("in-flight attempt id outside the window"));
+            }
+            if !inflight.insert(id, Attempt { class, arrival_ns, attempt }) {
+                return Err(SnapError::Corrupt("in-flight attempt ids not increasing"));
             }
         }
         let mut retries = BTreeMap::new();
@@ -495,10 +608,8 @@ impl ServiceSource {
                 return Err(SnapError::Corrupt("duplicate pending-retry key"));
             }
         }
-        // Ids and retry sequence numbers are handed out in increasing order.
-        if inflight.keys().next_back().is_some_and(|&id| id >= next_req_id)
-            || retries.keys().any(|&(_, seq)| seq >= retry_seq)
-        {
+        // Retry sequence numbers are handed out in increasing order.
+        if retries.keys().any(|&(_, seq)| seq >= retry_seq) {
             return Err(SnapError::Corrupt("id counters behind the tables"));
         }
         if C::DECODING
@@ -621,6 +732,108 @@ mod tests {
         );
         assert_eq!(storm.conservation_gap(), 0);
         assert_eq!(budgeted.conservation_gap(), 0);
+    }
+
+    fn att(attempt: u32) -> Attempt {
+        Attempt { class: 0, arrival_ns: 0, attempt: NonZeroU32::new(attempt).unwrap() }
+    }
+
+    #[test]
+    fn inflight_window_tracks_out_of_order_completion() {
+        let mut w = InFlight::default();
+        for id in 3..8 {
+            assert!(w.insert(id, att(id as u32)));
+        }
+        assert!(!w.insert(7, att(1)), "an id already in the window");
+        assert!(!w.insert(2, att(1)), "an id below the window");
+        assert_eq!((w.len(), w.base, w.span(8)), (5, 3, 5));
+        // Completions away from the front leave holes; the base stays.
+        assert_eq!(w.remove(5).map(|a| a.attempt.get()), Some(5));
+        assert!(w.remove(5).is_none());
+        assert_eq!(w.remove(7).map(|a| a.attempt.get()), Some(7));
+        assert_eq!((w.len(), w.base), (3, 3));
+        assert!(w.get(5).is_none() && w.get(6).is_some());
+        // Completing the front skips the holes behind it.
+        assert!(w.remove(3).is_some());
+        assert_eq!(w.base, 4);
+        assert!(w.remove(4).is_some());
+        assert_eq!((w.len(), w.base, w.span(8)), (1, 6, 2));
+        assert_eq!(w.iter().map(|(id, _)| id).collect::<Vec<_>>(), [6]);
+        // Ids skipped by the source become holes.
+        assert!(w.insert(10, att(10)));
+        assert_eq!(w.iter().map(|(id, _)| id).collect::<Vec<_>>(), [6, 10]);
+        assert!(w.get(9).is_none() && w.get(11).is_none() && w.get(u64::MAX).is_none());
+        assert_eq!(w.drain(), 2);
+        assert!(w.is_empty() && w.iter().next().is_none());
+        assert_eq!(w.span(11), 0);
+        // An empty window restarts at the next id.
+        assert!(w.insert(11, att(11)));
+        assert_eq!((w.len(), w.base), (1, 11));
+        assert_eq!(w.remove(11).map(|a| a.attempt.get()), Some(11));
+        assert!(w.is_empty() && w.slots.is_empty());
+    }
+
+    /// Snapshot bytes of a source with in-flight attempts, and the offset
+    /// of the first in-flight id in them.
+    fn inflight_snapshot() -> (ServiceConfig, Vec<u8>, usize) {
+        let cfg = ServiceConfig::simple(9, 50_000.0, 300, 200_000);
+        let mut src = ServiceSource::new(cfg.clone(), service_handle());
+        let mut out = Vec::new();
+        for _ in 0..5 {
+            let now = src.next_due_ns().unwrap();
+            src.poll(now, &mut out);
+        }
+        src.on_complete(out[0].req_id, 1, false);
+        let ids: Vec<u64> = src.inflight.iter().map(|(id, _)| id).collect();
+        assert!(ids.len() >= 3, "{ids:?}");
+        let mut w = SnapWriter::new();
+        src.snap_state(&mut w);
+        let bytes = w.finish();
+        let mut head = (ids.len() as u64).to_le_bytes().to_vec();
+        head.extend_from_slice(&ids[0].to_le_bytes());
+        let at = bytes.windows(16).position(|b| b == head).expect("in-flight list") + 8;
+        (cfg, bytes, at)
+    }
+
+    #[test]
+    fn snapshot_rejects_non_increasing_inflight_ids() {
+        // Entry: id u64, class u8, arrival u64, attempt u64.
+        const ENTRY: usize = 25;
+        let (cfg, bytes, at) = inflight_snapshot();
+        let id = |k: usize| u64::from_le_bytes(bytes[at + k * ENTRY..][..8].try_into().unwrap());
+        let decode = |bytes: &[u8]| {
+            let mut r = SnapReader::new(bytes);
+            ServiceSource::new(cfg.clone(), service_handle()).restore_state(&mut r)?;
+            r.finish()
+        };
+        decode(&bytes).unwrap();
+        // The second id repeated, then below the first.
+        for forged in [id(0), id(0) - 1] {
+            let mut bad = bytes.clone();
+            bad[at + ENTRY..][..8].copy_from_slice(&forged.to_le_bytes());
+            assert!(matches!(
+                decode(&bad),
+                Err(SnapError::Corrupt("in-flight attempt ids not increasing"))
+            ));
+        }
+        // An id at or past the id counter, and ids further below it than
+        // admission lets the window span (the counter sits before the retry
+        // sequence number and the list's count).
+        let mut past = bytes.clone();
+        past[at + 7] = 0x80;
+        let mut far = bytes.clone();
+        far[at - 24..][..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        for bad in [past, far] {
+            assert!(matches!(
+                decode(&bad),
+                Err(SnapError::Corrupt("in-flight attempt id outside the window"))
+            ));
+        }
+        // Attempt numbers are 1-based; a zero (here the first entry's,
+        // after its id, class and arrival time) is forged.
+        let mut zero = bytes.clone();
+        zero[at + 17..][..8].copy_from_slice(&0u64.to_le_bytes());
+        assert!(matches!(decode(&zero), Err(SnapError::Corrupt("attempt number zero"))));
     }
 
     #[test]
