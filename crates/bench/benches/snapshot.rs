@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the snapshot codec layer: a cadence
 //! capture run of the contended scenario, paging one capture against its
-//! predecessor, and a facade snapshot's round trip through bytes.
+//! predecessor, and a facade snapshot flattened to bytes, alone and in a
+//! round trip through them.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use maestro::{Maestro, MaestroSnapshot};
@@ -42,7 +43,12 @@ fn bench_snapshot(c: &mut Criterion) {
         b.iter(|| black_box(PagedBytes::share(&next, &prev)));
     });
 
-    // A facade snapshot encodes to about as many bytes as its capture.
+    // A facade snapshot encodes to about as many bytes as its capture:
+    // flattening alone, then the round trip, which adds the decode.
+    g.bench_function("facade_snapshot_to_bytes", |b| {
+        b.iter(|| black_box(captures[mid].to_bytes()));
+    });
+
     g.bench_function("facade_snapshot_round_trip", |b| {
         b.iter(|| {
             let bytes = captures[mid].to_bytes();

@@ -422,6 +422,7 @@ impl Codec for SnapWriter {
 
     fn paged(&mut self, v: &PagedBytes) -> Result<PagedBytes, SnapError> {
         self.len(v.len())?;
+        self.buf.reserve(v.len());
         for page in &v.pages {
             self.buf.extend_from_slice(page);
         }
@@ -430,10 +431,12 @@ impl Codec for SnapWriter {
 
     // Sections are built in a temporary writer and copied in behind their
     // length prefix. Framing in place (reserve the prefix, patch it later)
-    // writes the same bytes. Even with the capture buffer reused from one
-    // capture to the next, it left the snapshot-fork benchmark's peak RSS
-    // unchanged (25.2 MiB) and raised its minor faults per pass by ~2 %
-    // (6,670-6,750 copied, 6,790-6,960 in place, on a 2-vCPU x86-64 VM).
+    // writes the same bytes. Measured when captures first reused one
+    // buffer, it left the snapshot-fork benchmark's peak RSS unchanged
+    // (25.2 MiB) and raised its minor faults per pass by ~2 % (6,670-6,750
+    // copied, 6,790-6,960 in place, on a 2-vCPU x86-64 VM). Since captures
+    // stopped copying what they do not write, a pass takes ~320 faults
+    // with sections copied; framing in place has not been measured since.
     fn section<U>(
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<U, SnapError>,

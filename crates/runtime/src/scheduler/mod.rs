@@ -1818,6 +1818,46 @@ mod tests {
     }
 
     #[test]
+    fn staged_closure_children_refuse_to_snapshot() {
+        // A capturable parent whose spawn stages 64 children; a suspension
+        // 1 µs in lands inside its ~10 µs spawn segment, so the children are
+        // still staged in its record. Spec children capture, closures
+        // refuse.
+        struct Stager {
+            spec: TaskSpec,
+            phase: u8,
+            closures: bool,
+        }
+        impl TaskLogic<()> for Stager {
+            fn step(&mut self, _: &mut (), _: &mut TaskCtx) -> Step<()> {
+                self.phase += 1;
+                if self.phase > 1 {
+                    return Step::Done(TaskValue::none());
+                }
+                let child = |_| {
+                    if self.closures {
+                        compute_leaf(ms_cost(1))
+                    } else {
+                        TaskSpec::leaf(ms_cost(1)).into_task()
+                    }
+                };
+                Step::SpawnWait((0..64).map(child).collect())
+            }
+            fn snapshot_spec(&self) -> Option<(&TaskSpec, u8)> {
+                Some((&self.spec, self.phase))
+            }
+        }
+        let suspend = |closures| {
+            let spec = TaskSpec::fork_join(vec![TaskSpec::leaf(ms_cost(1)); 64], Cost::ZERO);
+            let root = Box::new(Stager { spec, phase: 0, closures });
+            runtime(2).run_captured(&mut (), root, &SnapshotPlan::suspend_at(1_000)).map(|r| r.end)
+        };
+        assert!(matches!(suspend(false), Ok(RunEnd::Suspended(_))));
+        let err = suspend(true).expect_err("staged closures are not capturable");
+        assert!(matches!(err, SnapError::Unsupported(_)), "got {err:?}");
+    }
+
+    #[test]
     fn restore_rejects_mismatched_configuration() {
         let spec = spec_tree(8, 3);
         let mut rt = runtime(4);

@@ -187,17 +187,19 @@ impl Shepherd {
 impl<C: 'static> TaskRecord<C> {
     /// The snapshot codec for one live record (see [`Codec`]); `shepherds`
     /// bounds its home. Task logic travels as its spec and phase: the
-    /// writer asks the live logic (and each staged child) for them, and
-    /// fails with a typed error for closure-based logic or an inbox holding
-    /// opaque values. The reader rebuilds each as a [`SpecTask`] parked at
-    /// its phase, under a placeholder token that carries the record's
-    /// cancel flag until `link_task_graph` re-links the tree. `None` on the
-    /// writer.
+    /// writer encodes the live logic's spec (and each staged child's)
+    /// straight from the task, and fails with a typed error for
+    /// closure-based logic or an inbox holding opaque values. The reader
+    /// rebuilds each as a [`SpecTask`] parked at its phase, under a
+    /// placeholder token that carries the record's cancel flag until
+    /// `link_task_graph` re-links the tree. `None` on the writer.
     fn codec<K: Codec>(&self, c: &mut K, shepherds: usize) -> Result<Option<Self>, SnapError> {
-        let closure = SnapError::Unsupported("run contains a non-snapshottable (closure) task");
+        const CLOSURE: SnapError =
+            SnapError::Unsupported("run contains a non-snapshottable (closure) task");
+        let placeholder = TaskSpec::default();
         let (spec, phase) = match &self.logic {
-            Some(logic) => logic.snapshot_spec().ok_or(closure.clone())?,
-            None if K::DECODING => Default::default(),
+            Some(logic) => logic.snapshot_spec().ok_or(CLOSURE)?,
+            None if K::DECODING => (&placeholder, 0),
             None => return Err(SnapError::Unsupported("task logic absent at capture point")),
         };
         // Spec tasks complete with empty values, so a parked inbox is
@@ -205,11 +207,6 @@ impl<C: 'static> TaskRecord<C> {
         if self.inbox.iter().any(|v| !v.is_none()) {
             return Err(SnapError::Unsupported("task inbox holds opaque values"));
         }
-        let staged: Vec<(TaskSpec, u8)> = self
-            .staged_children
-            .iter()
-            .map(|child| child.snapshot_spec().ok_or(closure.clone()))
-            .collect::<Result<_, _>>()?;
         let spec = spec.codec(c)?;
         let phase = c.u8(phase)?;
         let parent = c.opt(self.parent.as_ref(), |c, &(p, s)| {
@@ -222,7 +219,21 @@ impl<C: 'static> TaskRecord<C> {
         let pending_children = c.u64(self.pending_children as u64)? as usize;
         let inbox_len = c.u64(self.inbox.len() as u64)? as usize;
         let resume_pending = c.bool(self.resume_pending)?;
-        let staged = c.seq(&staged, |c, (s, p)| Ok((s.codec(c)?, c.u8(*p)?)))?;
+        // Staged children, as a `Codec::seq` of (spec, phase): the reader's
+        // record stages none, so it reads each into the placeholder.
+        let resume = |(spec, phase)| Box::new(SpecTask::resume(spec, phase)) as BoxTask<C>;
+        let staged_len = c.len(self.staged_children.len())?;
+        let mut staged_children = Vec::with_capacity(if K::DECODING { staged_len } else { 0 });
+        for i in 0..staged_len {
+            let (spec, phase) = match self.staged_children.get(i) {
+                Some(child) => child.snapshot_spec().ok_or(CLOSURE)?,
+                None => (&placeholder, 0),
+            };
+            let child = (spec.codec(c)?, c.u8(phase)?);
+            if K::DECODING {
+                staged_children.push(resume(child));
+            }
+        }
         let cancelled = c.bool(self.cancel.local_flag())?;
         if !K::DECODING {
             return Ok(None);
@@ -236,7 +247,6 @@ impl<C: 'static> TaskRecord<C> {
         }
         let mut inbox = Vec::new();
         inbox.resize_with(inbox_len, TaskValue::none);
-        let resume = |(spec, phase)| Box::new(SpecTask::resume(spec, phase)) as BoxTask<C>;
         Ok(Some(TaskRecord {
             logic: Some(resume((spec, phase))),
             parent,
@@ -244,7 +254,7 @@ impl<C: 'static> TaskRecord<C> {
             pending_children,
             inbox,
             resume_pending,
-            staged_children: staged.into_iter().map(resume).collect(),
+            staged_children,
             cancel: {
                 let cancel = CancelToken::new();
                 cancel.restore_flag(cancelled);
@@ -506,7 +516,11 @@ impl<'r, C: 'static> Exec<'r, C> {
         let paged = encoded.map(|_| PagedBytes::share(&ctl.scratch, prev));
         #[cfg(maestro_verify)]
         if let Ok(paged) = &paged {
-            assert!(paged.to_vec() == ctl.scratch, "paged capture differs from its encoding");
+            let pages = paged.pages().iter().map(|page| &page[..]);
+            assert!(
+                pages.eq(ctl.scratch.chunks(maestro_machine::snap::PAGE_BYTES)),
+                "paged capture differs from its encoding"
+            );
         }
         self.capture = Some(ctl);
         paged

@@ -151,8 +151,8 @@ impl<C: 'static> TaskLogic<C> for SpecTask {
         "spec"
     }
 
-    fn snapshot_spec(&self) -> Option<(TaskSpec, u8)> {
-        Some((self.spec.clone(), self.phase))
+    fn snapshot_spec(&self) -> Option<(&TaskSpec, u8)> {
+        Some((&self.spec, self.phase))
     }
 }
 
@@ -228,6 +228,6 @@ mod tests {
         assert!(matches!(TaskLogic::<()>::step(&mut t, &mut app, &mut ctx), Step::Done(_)));
         let (spec, phase) = TaskLogic::<()>::snapshot_spec(&t).unwrap();
         assert_eq!(phase, 2);
-        assert_eq!(spec, tree());
+        assert_eq!(*spec, tree());
     }
 }

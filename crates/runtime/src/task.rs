@@ -89,12 +89,13 @@ pub trait TaskLogic<C> {
         "task"
     }
 
-    /// Snapshot hook: the task's serializable program and current phase, or
-    /// `None` when the task holds opaque state (closures) that cannot be
-    /// captured. Only spec-driven tasks ([`crate::spec::SpecTask`]) override
-    /// this; a run containing any `None` task refuses to snapshot with a
-    /// typed error rather than capturing a lie.
-    fn snapshot_spec(&self) -> Option<(crate::spec::TaskSpec, u8)> {
+    /// Snapshot hook: the task's serializable program, borrowed, and its
+    /// current phase, or `None` when the task holds opaque state (closures)
+    /// that cannot be captured. Only spec-driven tasks
+    /// ([`crate::spec::SpecTask`]) override this; a run containing any
+    /// `None` task refuses to snapshot with a typed error rather than
+    /// capturing a lie.
+    fn snapshot_spec(&self) -> Option<(&crate::spec::TaskSpec, u8)> {
         None
     }
 }

@@ -8,10 +8,13 @@
 //!   with and without per-seed fault plans on every carrier;
 //! * one warm snapshot forks into several policy variants, deterministically;
 //! * a run suspended after a daemon kill, restart and checkpoint restore
-//!   resumes to the unbroken run's summary.
+//!   resumes to the unbroken run's summary;
+//! * a capture taken while the root's spawn is still being staged keeps
+//!   its bytes and resumes to the unbroken run.
 
 use maestro::{Maestro, MaestroConfig, MaestroSnapshot, RunReport};
-use maestro_bench::scenario::limit_variant;
+use maestro_bench::scenario::{limit_variant, scenario};
+use maestro_machine::snap::fingerprint;
 use maestro_machine::{Cost, FaultPlan, SplitMix64};
 use maestro_runtime::{SnapshotPlan, TaskSpec};
 
@@ -265,4 +268,46 @@ fn resume_after_daemon_restart_reports_the_same_summary() {
     assert_eq!((t.daemon_kills, t.daemon_restarts), (1, 1), "{t:?}");
     assert!(t.checkpoint_restores >= 1, "{t:?}");
     assert_eq!(identity(&unbroken), identity(&resumed), "the restart must survive the resume");
+}
+
+/// Captures inside the root's spawn segment: `contended-adaptive`'s root
+/// spawns 1,200 leaves, and until that spawn completes they sit in its
+/// record as staged children, which the capture encodes one spec each.
+/// Each capture's bytes are pinned, and resuming one of them must equal
+/// the unbroken, fence-matched run in report text and energy bits.
+#[test]
+fn mid_spawn_captures_keep_their_bytes_and_resume_exactly() {
+    const US: u64 = 1_000;
+    let sc = scenario("contended-adaptive").expect("registered scenario");
+    let run = |plan: &SnapshotPlan| {
+        Maestro::new(sc.config.clone())
+            .run_captured(sc.name, &mut (), sc.spec.clone().into_task(), plan)
+            .expect("capture succeeds")
+    };
+    let pinned = [
+        (50 * US, 0xf7bf_2af8_facf_e212_u64),
+        (100 * US, 0x0e95_ad93_c05a_cbe6),
+        (200 * US, 0xf536_130f_f3ce_9a9f),
+    ];
+    for (t, expected) in pinned {
+        let snap = run(&SnapshotPlan::suspend_at(t)).suspended().expect("run suspends");
+        let bytes = snap.to_bytes();
+        assert_eq!(
+            (bytes.len(), fingerprint(&bytes)),
+            (82_672, expected),
+            "capture at {t} ns: got fingerprint {:#018x}",
+            fingerprint(&bytes)
+        );
+    }
+
+    let t = 100 * US;
+    let unbroken = run(&SnapshotPlan::none().with_fence(t)).report().expect("unbroken completes");
+    let snap = run(&SnapshotPlan::suspend_at(t)).suspended().expect("run suspends");
+    let snap = MaestroSnapshot::from_bytes(&snap.to_bytes()).expect("snapshot decodes");
+    let resumed = Maestro::new(sc.config.clone())
+        .resume_captured(&mut (), &snap, &SnapshotPlan::none())
+        .expect("resume succeeds")
+        .report()
+        .expect("resumed run completes");
+    assert_eq!(identity(&unbroken), identity(&resumed), "a mid-spawn suspension must be invisible");
 }
