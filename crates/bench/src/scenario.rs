@@ -20,7 +20,7 @@ use maestro_fleet::{Fleet, FleetConfig, FleetFaultPlan};
 use maestro_machine::snap::{Codec, SnapError, SnapReader, SnapWriter};
 use maestro_machine::{Cost, PState};
 use maestro_runtime::TaskSpec;
-use maestro_service::{ArrivalConfig, ServiceConfig, ServiceHandle, ServiceSource, ServiceStack};
+use maestro_service::{ServiceConfig, ServiceHandle, ServiceSource, ServiceStack};
 
 /// A named, reproducible run recipe: configuration plus spec workload.
 #[derive(Clone, Debug)]
@@ -209,27 +209,13 @@ pub const SERVICE_SCENARIO_NAMES: &[&str] = &[
     "svc-pareto-relaxed",
 ];
 
-/// The diurnal + burst arrival profile the burst scenarios share.
-fn bursty_arrivals(seed: u64, base_rps: f64, total: u64) -> ArrivalConfig {
-    ArrivalConfig {
-        seed,
-        base_rate_rps: base_rps,
-        diurnal_amp: 0.4,
-        diurnal_period_ns: 300_000_000,
-        burst_every_ns: 150_000_000,
-        burst_len_ns: 15_000_000,
-        burst_mult: 6.0,
-        total_requests: total,
-    }
-}
-
 /// The overload workload both storm scenarios share: sustained arrivals
 /// beyond capacity with tight deadlines, so timed-out attempts pile into
 /// the retry path. `svc-storm` strips the budget (metastable collapse);
 /// `svc-storm-guarded` keeps it (budgets + shedding recover goodput).
 fn storm_service(seed: u64) -> ServiceConfig {
     let mut cfg = ServiceConfig::simple(seed, 90_000.0, 60_000, 400_000);
-    cfg.classes[0].retry_limit = 5;
+    cfg.retry_limit = 5;
     cfg
 }
 
@@ -248,12 +234,12 @@ pub fn service_scenario(name: &str) -> Option<ServiceScenario> {
         "svc-steady" => (ServiceConfig::simple(101, 40_000.0, 60_000, 2_000_000), Some(2_000_000)),
         "svc-burst" => {
             let mut cfg = ServiceConfig::simple(102, 30_000.0, 60_000, 2_000_000);
-            cfg.arrivals = bursty_arrivals(102, 30_000.0, 60_000);
+            cfg.arrivals.bursty = true;
             (cfg, Some(2_000_000))
         }
         "svc-storm" => {
             let mut cfg = storm_service(103);
-            cfg.retry_budget = None;
+            cfg.retry_budget = false;
             (cfg, None)
         }
         "svc-storm-guarded" => (storm_service(103), None),
@@ -458,8 +444,8 @@ mod tests {
         // The storm pair differs only in the retry budget.
         let storm = service_scenario("svc-storm").unwrap();
         let guarded = service_scenario("svc-storm-guarded").unwrap();
-        assert!(storm.service.retry_budget.is_none(), "collapse demo runs unbudgeted");
-        assert!(guarded.service.retry_budget.is_some(), "recovery demo keeps the budget");
+        assert!(!storm.service.retry_budget, "collapse demo runs unbudgeted");
+        assert!(guarded.service.retry_budget, "recovery demo keeps the budget");
         // The Pareto family is one workload under three SLOs.
         let tight = service_scenario("svc-pareto-tight").unwrap();
         let relaxed = service_scenario("svc-pareto-relaxed").unwrap();

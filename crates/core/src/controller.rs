@@ -334,14 +334,14 @@ impl Monitor for ThrottleController {
     }
 
     fn fire(&mut self, machine: &mut Machine, throttle: &mut ThrottleState) {
-        let outcome = self.supervisor.sample(machine);
-        if outcome.published() {
+        let published = self.supervisor.sample(machine);
+        if published {
             self.heartbeat.set(self.heartbeat.get() + 1);
         }
         let now = machine.now_ns();
         let bb = self.supervisor.blackboard();
         let stale = bb.staleness_ns(now) > STALENESS_BOUND_NS;
-        let degraded = !outcome.published() || stale || !bb.is_healthy();
+        let degraded = !published || stale || !bb.is_healthy();
         if degraded {
             self.degraded_streak += 1;
             self.healthy_streak = 0;

@@ -11,13 +11,13 @@
 //! bounded retries, corrupt readings are rejected by the power window and
 //! published as carried-forward values flagged [`HealthFlags::OUTLIER`],
 //! stuck counters are detected and flagged [`HealthFlags::STUCK`], and a
-//! failed or dropped tick simply reschedules — every outcome is reported to
-//! the caller as a [`SampleOutcome`] and tallied in [`DaemonHealth`], and no
-//! fault reachable through a `FaultPlan` panics.
+//! failed or dropped tick simply reschedules — [`RcrDaemon::sample`] tells
+//! the caller whether it published, every outcome is tallied in
+//! [`DaemonHealth`], and no fault reachable through a `FaultPlan` panics.
 
 use maestro_machine::snap::{Codec, SnapError};
 use maestro_machine::{FaultPlan, FaultyMsr, Machine, SocketId};
-use maestro_rapl::{NodeProbe, PowerWindow, ProbeError};
+use maestro_rapl::{NodeProbe, PowerWindow};
 
 use crate::blackboard::{Blackboard, HealthFlags, SocketSnapshot};
 use crate::DEFAULT_SAMPLE_PERIOD_NS;
@@ -25,34 +25,6 @@ use crate::DEFAULT_SAMPLE_PERIOD_NS;
 /// A socket is flagged [`HealthFlags::STUCK`] once its energy counter has
 /// been flat for this many consecutive published samples.
 const STUCK_THRESHOLD_PERIODS: u32 = 2;
-
-/// Why a daemon tick published nothing.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum DropReason {
-    /// The daemon is inside a configured stall window (descheduled).
-    Stalled,
-    /// The tick was dropped by fault injection (missed wakeup).
-    FaultInjected,
-}
-
-/// What one call to [`RcrDaemon::sample`] did.
-#[derive(Debug)]
-#[must_use = "a robust caller must notice when the daemon failed to publish"]
-pub enum SampleOutcome {
-    /// Fresh snapshots were published for every socket.
-    Published,
-    /// Nothing was published this tick; the daemon rescheduled itself.
-    Dropped(DropReason),
-    /// The probe failed even after retries; nothing was published.
-    Failed(ProbeError),
-}
-
-impl SampleOutcome {
-    /// True when fresh snapshots reached the blackboard.
-    pub fn published(&self) -> bool {
-        matches!(self, SampleOutcome::Published)
-    }
-}
 
 /// Running tallies of the daemon's sampling outcomes.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -280,11 +252,14 @@ impl RcrDaemon {
     /// Take one sample *now* and publish it; schedules the next due time.
     ///
     /// The scheduler calls this when virtual time reaches
-    /// [`RcrDaemon::next_due_ns`]. Never panics: probe failures, dropped
-    /// ticks, and corrupt readings are reported in the returned
-    /// [`SampleOutcome`] (and tallied in [`RcrDaemon::health`]) while the
-    /// daemon reschedules itself and keeps going.
-    pub fn sample(&mut self, machine: &Machine) -> SampleOutcome {
+    /// [`RcrDaemon::next_due_ns`]. Returns true when fresh snapshots
+    /// reached the blackboard for every socket. Never panics: stalled or
+    /// dropped ticks and probe failures publish nothing, corrupt readings
+    /// publish flagged carried-forward values, and all of them are tallied
+    /// in [`RcrDaemon::health`] while the daemon reschedules itself and
+    /// keeps going.
+    #[must_use = "a robust caller must notice when the daemon failed to publish"]
+    pub fn sample(&mut self, machine: &Machine) -> bool {
         let now = machine.now_ns();
         // Daemon-level faults: a stalled or dropped tick publishes nothing
         // and retries at the next period boundary.
@@ -292,12 +267,12 @@ impl RcrDaemon {
             if plan.stalled_at(now) {
                 self.health.dropped += 1;
                 self.next_due_ns = now + self.period_ns;
-                return SampleOutcome::Dropped(DropReason::Stalled);
+                return false;
             }
             if plan.should_drop_sample() {
                 self.health.dropped += 1;
                 self.schedule_next(now);
-                return SampleOutcome::Dropped(DropReason::FaultInjected);
+                return false;
             }
         }
         // NodeProbe::sample updates every socket's wrap tracker; a failure
@@ -306,13 +281,10 @@ impl RcrDaemon {
             Some(plan) => self.probe.sample(&FaultyMsr::new(machine, plan)),
             None => self.probe.sample(machine),
         };
-        let reading = match read {
-            Ok(r) => r,
-            Err(e) => {
-                self.health.probe_failures += 1;
-                self.schedule_next(now);
-                return SampleOutcome::Failed(e);
-            }
+        let Ok(reading) = read else {
+            self.health.probe_failures += 1;
+            self.schedule_next(now);
+            return false;
         };
         let base_flags =
             if reading.retried { HealthFlags::RETRIED } else { HealthFlags::OK };
@@ -361,7 +333,7 @@ impl RcrDaemon {
         self.health.outlier_periods += u64::from(any_outlier);
         self.samples_taken += 1;
         self.schedule_next(now);
-        SampleOutcome::Published
+        true
     }
 }
 
@@ -428,10 +400,10 @@ mod tests {
         let mut m = machine();
         let mut d = RcrDaemon::with_period(&m, 50_000_000);
         assert_eq!(d.next_due_ns(), 0);
-        assert!(d.sample(&m).published());
+        assert!(d.sample(&m));
         assert_eq!(d.next_due_ns(), 50_000_000);
         m.advance(50_000_000);
-        assert!(d.sample(&m).published());
+        assert!(d.sample(&m));
         assert_eq!(d.samples_taken(), 2);
         assert_eq!(d.next_due_ns(), 100_000_000);
     }

@@ -48,11 +48,11 @@ pub mod supervisor;
 
 pub use blackboard::{Blackboard, BlackboardState, HealthFlags, MeterDesc, SocketSnapshot};
 pub use classify::{Level, MeterThresholds, ThrottleSignals};
-pub use daemon::{DaemonCheckpoint, DaemonHealth, DropReason, RcrDaemon, SampleOutcome};
+pub use daemon::{DaemonCheckpoint, DaemonHealth, RcrDaemon};
 pub use lease::{BudgetLease, LeaseDecision, LeaseSlot};
 pub use supervisor::{
-    restart_backoff_ns, Supervisor, SupervisorOutcome, SupervisorState, SupervisorStats,
-    INITIAL_BACKOFF_NS, RESTART_BUDGET,
+    restart_backoff_ns, Supervisor, SupervisorState, SupervisorStats, INITIAL_BACKOFF_NS,
+    RESTART_BUDGET,
 };
 pub use region::{Region, RegionReport};
 

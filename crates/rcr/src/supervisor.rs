@@ -27,7 +27,7 @@ use maestro_machine::{FaultPlan, Machine, Topology};
 use maestro_rapl::NodeProbe;
 
 use crate::blackboard::{Blackboard, BlackboardState};
-use crate::daemon::{DaemonCheckpoint, DaemonHealth, RcrDaemon, SampleOutcome};
+use crate::daemon::{DaemonCheckpoint, DaemonHealth, RcrDaemon};
 use crate::DEFAULT_SAMPLE_PERIOD_NS;
 
 /// Total restarts allowed over a supervisor's lifetime; one more death after
@@ -68,28 +68,6 @@ impl SupervisorStats {
             restarts: c.u64(self.restarts)?,
             gave_up: c.bool(self.gave_up)?,
         })
-    }
-}
-
-/// What one call to [`Supervisor::sample`] did.
-#[derive(Debug)]
-#[must_use = "a robust caller must notice when the pipeline is not publishing"]
-pub enum SupervisorOutcome {
-    /// The daemon ran; see the inner [`SampleOutcome`].
-    Sampled(SampleOutcome),
-    /// The daemon is dead and the restart backoff has not expired.
-    Down {
-        /// Virtual time the next restart attempt is due, nanoseconds.
-        until_ns: u64,
-    },
-    /// The restart budget is exhausted; the pipeline is permanently dark.
-    GaveUp,
-}
-
-impl SupervisorOutcome {
-    /// True when fresh snapshots reached the blackboard this period.
-    pub fn published(&self) -> bool {
-        matches!(self, SupervisorOutcome::Sampled(o) if o.published())
     }
 }
 
@@ -277,9 +255,12 @@ impl Supervisor {
 
     /// Run one supervision period at the machine's current virtual time:
     /// process scripted kills, restart if the backoff has expired, and
-    /// sample through the live daemon when there is one. Never panics; every
-    /// degraded state is reported in the outcome.
-    pub fn sample(&mut self, machine: &Machine) -> SupervisorOutcome {
+    /// sample through the live daemon when there is one. Returns true when
+    /// fresh snapshots reached the blackboard this period. Never panics: a
+    /// daemon that is down or given up publishes nothing, and
+    /// [`Supervisor::stats`] tallies its deaths and restarts.
+    #[must_use = "a robust caller must notice when the pipeline is not publishing"]
+    pub fn sample(&mut self, machine: &Machine) -> bool {
         let now = machine.now_ns();
 
         if self.faults.as_ref().and_then(|p| p.kill_due(now)).is_some() {
@@ -289,22 +270,22 @@ impl Supervisor {
         if self.daemon.is_none() {
             if self.stats.gave_up {
                 self.next_due_ns = now + DEFAULT_SAMPLE_PERIOD_NS;
-                return SupervisorOutcome::GaveUp;
+                return false;
             }
             if now < self.down_until_ns {
                 self.next_due_ns = self.down_until_ns.min(now + DEFAULT_SAMPLE_PERIOD_NS);
-                return SupervisorOutcome::Down { until_ns: self.down_until_ns };
+                return false;
             }
             self.restart(machine);
         }
 
         let d = self.daemon.as_mut().expect("daemon is running here");
-        let outcome = d.sample(machine);
-        if outcome.published() {
+        let published = d.sample(machine);
+        if published {
             d.checkpoint_into(&mut self.checkpoint);
         }
         self.next_due_ns = d.next_due_ns();
-        SupervisorOutcome::Sampled(outcome)
+        published
     }
 }
 
@@ -376,7 +357,7 @@ mod tests {
         let end = m.now_ns() + 2 * NS_PER_SEC;
         while m.now_ns() < end {
             if m.now_ns() >= sup.next_due_ns() {
-                let published = sup.sample(&m).published();
+                let published = sup.sample(&m);
                 if published && sup.stats().restarts == 1 {
                     // First publication of the replacement incarnation.
                     let s = sup.blackboard().snapshot(0);
@@ -414,7 +395,8 @@ mod tests {
         assert_eq!(stats.restarts, budget, "budget caps restarts: {stats:?}");
         assert_eq!(stats.kills, budget + 1, "one death past the budget: {stats:?}");
         assert!(sup.is_down());
-        assert!(matches!(sup.sample(&m), SupervisorOutcome::GaveUp));
+        assert!(!sup.sample(&m), "a given-up pipeline publishes nothing");
+        assert!(sup.stats().gave_up);
         // The blackboard goes permanently stale — the reader-side signal.
         assert!(sup.blackboard().staleness_ns(m.now_ns()) > NS_PER_SEC);
     }

@@ -164,29 +164,6 @@ where
     fork_join(chunks, |_app, _vals| (Cost::ZERO, TaskValue::none()))
 }
 
-/// The OpenMP 4.5 `taskloop` construct: like [`parallel_for`], but sized by
-/// a target *task count* instead of a chunk length (`num_tasks`), matching
-/// `#pragma omp taskloop num_tasks(n)`. Handy when the caller knows how many
-/// workers it wants to feed rather than how big a chunk should be.
-pub fn taskloop<C: 'static, F>(range: Range<usize>, num_tasks: usize, body: F) -> BoxTask<C>
-where
-    F: FnMut(&mut C, Range<usize>, &mut TaskCtx) -> Cost + 'static,
-{
-    assert!(num_tasks > 0, "taskloop needs at least one task");
-    let len = range.end.saturating_sub(range.start);
-    let chunk = len.div_ceil(num_tasks).max(1);
-    parallel_for(range, chunk, body)
-}
-
-/// Run `f` once on some worker and deliver its value — OpenMP's
-/// `single` region as a task.
-pub fn single<C: 'static, F>(f: F) -> BoxTask<C>
-where
-    F: FnOnce(&mut C, &mut TaskCtx) -> (Cost, TaskValue) + 'static,
-{
-    leaf(f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,36 +271,5 @@ mod tests {
     #[should_panic(expected = "chunk size must be positive")]
     fn zero_chunk_rejected() {
         let _ = parallel_for(0..10, 0, |_: &mut (), _range, _ctx| Cost::ZERO);
-    }
-
-    #[test]
-    fn taskloop_splits_into_the_requested_task_count() {
-        let mut chunks_seen = std::rc::Rc::new(std::cell::RefCell::new(0usize));
-        let counter = std::rc::Rc::clone(&chunks_seen);
-        let mut app = vec![0u8; 100];
-        let mut task = taskloop(0..100, 8, move |app: &mut Vec<u8>, range, _ctx| {
-            *counter.borrow_mut() += 1;
-            for i in range {
-                app[i] += 1;
-            }
-            Cost::ZERO
-        });
-        step_to_done(task.as_mut(), &mut app);
-        assert!(app.iter().all(|&x| x == 1));
-        let n = *std::rc::Rc::get_mut(&mut chunks_seen).unwrap().borrow();
-        assert_eq!(n, 8, "ceil(100/13)=8 chunks");
-    }
-
-    #[test]
-    fn taskloop_more_tasks_than_items() {
-        let mut app = vec![0u8; 3];
-        let mut task = taskloop(0..3, 10, |app: &mut Vec<u8>, range, _ctx| {
-            for i in range {
-                app[i] += 1;
-            }
-            Cost::ZERO
-        });
-        step_to_done(task.as_mut(), &mut app);
-        assert!(app.iter().all(|&x| x == 1));
     }
 }

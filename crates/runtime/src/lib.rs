@@ -61,7 +61,7 @@ pub mod service;
 pub mod spec;
 pub mod task;
 
-pub use adapters::{compute_leaf, fork_join, leaf, parallel_for, sequential, single, taskloop};
+pub use adapters::{compute_leaf, fork_join, leaf, parallel_for, sequential};
 pub use cancel::CancelToken;
 pub use events::EventQueue;
 pub use monitor::{CancelAt, Monitor, ThrottleState, Watchdog};

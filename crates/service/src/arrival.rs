@@ -3,12 +3,13 @@
 //!
 //! The process is a non-homogeneous Poisson stream with rate
 //! `λ(t) = base · diurnal(t) · burst(t)`, sampled by thinning against the
-//! envelope `λ_max = base · (1 + amp) · max(1, burst_mult)`: draw
-//! exponential gaps at `λ_max`, accept each candidate with probability
-//! `λ(t)/λ_max`. The diurnal profile is a triangle wave (piecewise linear —
-//! no transcendental calls whose libm bits could differ between builds),
-//! and burst windows are a fixed schedule, so the whole stream is a pure
-//! function of the seed.
+//! envelope `λ_max = base · (1 + amp) · burst_mult`: draw exponential gaps
+//! at `λ_max`, accept each candidate with probability `λ(t)/λ_max`. The
+//! diurnal profile is a triangle wave (piecewise linear — no transcendental
+//! calls whose libm bits could differ between builds), and burst windows
+//! are a fixed schedule, so the whole stream is a pure function of the
+//! seed. A stream is either steady (`λ(t) = base`) or follows the one
+//! bursty shape the constants below fix.
 //!
 //! Every draw advances a [`SplitMix64`] cursor, and the next arrival time is
 //! precomputed and serialized; a resumed run therefore continues the exact
@@ -17,6 +18,22 @@
 use maestro_machine::snap::{Codec, SnapError};
 use maestro_machine::SplitMix64;
 
+/// Bursty shape: diurnal amplitude — the rate swings between `base·0.6`
+/// and `base·1.4` over one period.
+const DIURNAL_AMP: f64 = 0.4;
+
+/// Bursty shape: diurnal period, ns.
+const DIURNAL_PERIOD_NS: u64 = 300_000_000;
+
+/// Bursty shape: burst window spacing, ns.
+const BURST_EVERY_NS: u64 = 150_000_000;
+
+/// Bursty shape: burst window length, ns.
+const BURST_LEN_NS: u64 = 15_000_000;
+
+/// Bursty shape: rate multiplier inside a burst window.
+const BURST_MULT: f64 = 6.0;
+
 /// Shape of the arrival rate over virtual time.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ArrivalConfig {
@@ -24,59 +41,45 @@ pub struct ArrivalConfig {
     pub seed: u64,
     /// Base arrival rate, requests per virtual second.
     pub base_rate_rps: f64,
-    /// Diurnal amplitude in `[0, 1)`: the rate swings between
-    /// `base·(1−amp)` and `base·(1+amp)` over one period.
-    pub diurnal_amp: f64,
-    /// Diurnal period, ns (ignored when `diurnal_amp == 0`).
-    pub diurnal_period_ns: u64,
-    /// Burst window spacing, ns; `0` disables bursts.
-    pub burst_every_ns: u64,
-    /// Burst window length, ns.
-    pub burst_len_ns: u64,
-    /// Rate multiplier inside a burst window.
-    pub burst_mult: f64,
     /// Total first arrivals the stream emits before exhausting.
     pub total_requests: u64,
+    /// Modulate the base rate by the diurnal swing and burst windows;
+    /// `false` keeps it steady.
+    pub bursty: bool,
 }
 
 impl ArrivalConfig {
     /// A steady stream: no diurnal swing, no bursts.
     pub fn steady(seed: u64, base_rate_rps: f64, total_requests: u64) -> Self {
-        ArrivalConfig {
-            seed,
-            base_rate_rps,
-            diurnal_amp: 0.0,
-            diurnal_period_ns: 1,
-            burst_every_ns: 0,
-            burst_len_ns: 0,
-            burst_mult: 1.0,
-            total_requests,
-        }
+        ArrivalConfig { seed, base_rate_rps, total_requests, bursty: false }
     }
 
     /// True while `t_ns` falls inside a burst window.
-    pub fn in_burst(&self, t_ns: u64) -> bool {
-        self.burst_every_ns > 0 && t_ns % self.burst_every_ns < self.burst_len_ns
+    fn in_burst(&self, t_ns: u64) -> bool {
+        self.bursty && t_ns % BURST_EVERY_NS < BURST_LEN_NS
     }
 
     /// Instantaneous rate λ(t), requests per second.
     pub fn rate_at(&self, t_ns: u64) -> f64 {
-        let diurnal = if self.diurnal_amp > 0.0 {
-            // Triangle wave in [-1, 1]: rises over the first half period,
-            // falls over the second.
-            let phase = (t_ns % self.diurnal_period_ns) as f64 / self.diurnal_period_ns as f64;
-            let tri = if phase < 0.5 { 4.0 * phase - 1.0 } else { 3.0 - 4.0 * phase };
-            1.0 + self.diurnal_amp * tri
-        } else {
-            1.0
-        };
-        let burst = if self.in_burst(t_ns) { self.burst_mult } else { 1.0 };
+        if !self.bursty {
+            return self.base_rate_rps;
+        }
+        // Triangle wave in [-1, 1]: rises over the first half period,
+        // falls over the second.
+        let phase = (t_ns % DIURNAL_PERIOD_NS) as f64 / DIURNAL_PERIOD_NS as f64;
+        let tri = if phase < 0.5 { 4.0 * phase - 1.0 } else { 3.0 - 4.0 * phase };
+        let diurnal = 1.0 + DIURNAL_AMP * tri;
+        let burst = if self.in_burst(t_ns) { BURST_MULT } else { 1.0 };
         self.base_rate_rps * diurnal * burst
     }
 
     /// The thinning envelope `λ_max ≥ λ(t)` for all `t`.
     fn rate_max(&self) -> f64 {
-        self.base_rate_rps * (1.0 + self.diurnal_amp) * self.burst_mult.max(1.0)
+        if self.bursty {
+            self.base_rate_rps * (1.0 + DIURNAL_AMP) * BURST_MULT
+        } else {
+            self.base_rate_rps
+        }
     }
 }
 
@@ -155,16 +158,7 @@ mod tests {
 
     #[test]
     fn stream_is_deterministic_and_ordered() {
-        let cfg = ArrivalConfig {
-            seed: 42,
-            base_rate_rps: 50_000.0,
-            diurnal_amp: 0.4,
-            diurnal_period_ns: 2_000_000_000,
-            burst_every_ns: 500_000_000,
-            burst_len_ns: 50_000_000,
-            burst_mult: 4.0,
-            total_requests: 2_000,
-        };
+        let cfg = ArrivalConfig { bursty: true, ..ArrivalConfig::steady(42, 50_000.0, 2_000) };
         let drain = || {
             let mut s = ArrivalStream::new(cfg.clone());
             let mut ts = Vec::new();
@@ -182,16 +176,8 @@ mod tests {
 
     #[test]
     fn burst_windows_concentrate_arrivals() {
-        let cfg = ArrivalConfig {
-            seed: 7,
-            base_rate_rps: 20_000.0,
-            diurnal_amp: 0.0,
-            diurnal_period_ns: 1,
-            burst_every_ns: 1_000_000_000,
-            burst_len_ns: 100_000_000, // 10 % of the time...
-            burst_mult: 8.0,
-            total_requests: 10_000,
-        };
+        // Burst windows cover 10 % of the time...
+        let cfg = ArrivalConfig { bursty: true, ..ArrivalConfig::steady(7, 20_000.0, 10_000) };
         let mut s = ArrivalStream::new(cfg.clone());
         let mut in_burst = 0u64;
         while let Some(t) = s.pop_due(u64::MAX) {
@@ -199,7 +185,7 @@ mod tests {
                 in_burst += 1;
             }
         }
-        // ...but the 8× multiplier draws ~47 % of arrivals into them.
+        // ...but the ×6 multiplier draws ~40 % of arrivals into them.
         assert!(in_burst > 3_000, "bursts must dominate: {in_burst}/10000 inside windows");
     }
 

@@ -4,7 +4,7 @@
 //! (Poisson thinning under a diurnal profile with burst windows) injecting
 //! short `TaskSpec` request trees into the runtime's service loop, guarded
 //! by an admission controller (queue-depth + deadline-feasibility
-//! shedding), per-class retry budgets with capped exponential backoff, and
+//! shedding), a retry budget with capped exponential backoff, and
 //! a brownout governor that negotiates with the paper's concurrency
 //! throttle so the control objective becomes *minimize energy subject to
 //! p99 ≤ SLO*.
@@ -35,10 +35,7 @@ pub use arrival::{ArrivalConfig, ArrivalStream};
 pub use governor::SloGovernor;
 pub use hist::{LatencyHist, BUCKETS, MAX_RELATIVE_ERROR};
 pub use report::ServiceSummary;
-pub use source::{
-    service_handle, RequestClass, RetryBudget, ServiceConfig, ServiceHandle, ServiceShared,
-    ServiceSource,
-};
+pub use source::{service_handle, ServiceConfig, ServiceHandle, ServiceShared, ServiceSource};
 
 /// A matched source + optional governor sharing one [`ServiceHandle`] —
 /// hand the source to `run_service`, install the governor as a monitor,

@@ -142,10 +142,8 @@ fn conservation_holds_under_composed_overload_and_fault_chaos() {
         with_chaos_context(seed, &schedule, &t_now, || {
             let total = 4_000;
             let mut service = ServiceConfig::simple(seed, rate, total, deadline);
-            service.classes[0].retry_limit = 2 + (rng.next_u64() % 3) as u32;
-            if !budgets_on {
-                service.retry_budget = None;
-            }
+            service.retry_limit = 2 + (rng.next_u64() % 3) as u32;
+            service.retry_budget = budgets_on;
             let stack = ServiceStack::new(&service, Some(2 * deadline));
             let handle = stack.handle.clone();
 

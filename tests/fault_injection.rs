@@ -44,7 +44,7 @@ fn transient_errors_are_retried_with_exact_energy_accounting() {
     // ticks fail outright even after the 4-attempt budget.
     let plan = FaultPlan::new(101).with_transient_error_rate(0.35);
     let mut d = RcrDaemon::new(&m).with_faults(plan);
-    assert!(d.sample(&m).published(), "seed 101's first tick publishes (fixed PRNG)");
+    assert!(d.sample(&m), "seed 101's first tick publishes (fixed PRNG)");
     let baseline: Vec<f64> =
         m.topology().all_sockets().map(|s| m.energy_joules(s)).collect();
 
@@ -56,7 +56,7 @@ fn transient_errors_are_retried_with_exact_energy_accounting() {
     let mut closed = false;
     while !closed {
         m.advance(d.period_ns());
-        closed = d.sample(&m).published();
+        closed = d.sample(&m);
     }
 
     let h = d.health();
